@@ -50,14 +50,6 @@ def bulk_edge_threshold(n: int, m: int, tau: float) -> float:
     return tau * (np.sqrt(m) + np.sqrt(n))
 
 
-def _reconstruction(fact: SvdFactorization, subset, clamp_floor: Optional[float]) -> np.ndarray:
-    subset = tuple(sorted(set(int(k) for k in subset)))
-    if subset and (subset[0] < 1 or subset[-1] > fact.rank_bound):
-        raise DomainError("subset indices out of range")
-    plan = ShrinkagePlan(subset, {k: 1.0 for k in subset}, clamp_floor)
-    return linalg.reconstruct(fact, plan)
-
-
 def aic(
     observed: np.ndarray,
     model: NoiseModel,
@@ -75,9 +67,11 @@ def aic(
     if fact is None:
         fact = linalg.svd(y)
     floor = None if isinstance(model, Gaussian) else clamp_floor
-    xtilde = _reconstruction(fact, subset, floor)
-    subset = tuple(sorted(set(int(k) for k in subset)))
-    return -2.0 * model.log_likelihood(y, xtilde) + 2.0 * len(subset) * penalty(fact.n, fact.m)
+    subset = [int(k) for k in subset]
+    plan = ShrinkagePlan(subset, dict.fromkeys(subset, 1.0), floor)
+    xtilde = linalg.reconstruct(fact, plan)  # checks the indices against min(n, m)
+    complexity = 2.0 * len(plan.active_set) * penalty(fact.n, fact.m)
+    return -2.0 * model.log_likelihood(y, xtilde) + complexity
 
 
 def active_set_gaussian(fact: SvdFactorization, tau: float) -> ActiveSetReport:

@@ -17,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import activeset, experiments, linalg, matrixio, risk, rmt, shrinkage
-from .errors import SvshrinkError
+from . import activeset, experiments, linalg, matrixio, rmt, shrinkage
+from .errors import ParameterError, SvshrinkError
 from .models import Gamma, Gaussian, Poisson
-from .shrinkage import VALID_OBJECTIVES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,50 +94,20 @@ def _model_from_args(args) -> Gaussian | Gamma | Poisson:
     return Poisson()
 
 
-def _resolve_objective(args, model) -> str:
-    objective = args.objective or shrinkage.default_objective(model)
-    if objective not in VALID_OBJECTIVES[model.family]:
-        raise UsageError(
-            f"--objective {objective} is not defined for --family {model.family}; "
-            f"valid pairings: " + "; ".join(f"{k}: {', '.join(v)}" for k, v in VALID_OBJECTIVES.items())
-        )
-    return objective
-
-
-def _resolve_active(args, y, fact, model, epsilon) -> tuple[int, ...]:
+def _fit_method(args, model) -> experiments.FitMethod:
+    """The fit request the flags describe, checked as estimator tags are."""
     if args.rank is not None and args.active_set is not None:
         raise UsageError("--rank and --active-set are mutually exclusive")
-    if args.rank is not None:
-        if args.rank < 0 or args.rank > fact.rank_bound:
-            raise UsageError(f"--rank must be in [0, {fact.rank_bound}]")
-        return tuple(range(1, args.rank + 1))
-    choice = args.active_set or ("bulk" if model.family == "gaussian" else "greedy")
-    if choice == "bulk":
-        if model.family != "gaussian":
-            raise UsageError("--active-set bulk needs --family gaussian; use greedy")
-        return activeset.active_set_gaussian(fact, model.tau).selected
-    if choice == "greedy":
-        return activeset.active_set_greedy(y, model, clamp_floor=epsilon, fact=fact).selected
-    return tuple(range(1, fact.rank_bound + 1))
-
-
-def _reported_risk(y, fact, model, objective, fn, rng):
-    """Risk estimate of the final fit, with low-variance settings."""
-    estimate = fn.apply_to_factorization(fact)
-    if objective == "sure":
-        div = risk.divergence_closed_form(fact, fn.values(fact.singular_values), fn.derivs(fact.singular_values))
-        return risk.sure_gaussian(y, estimate, model.tau, div)
-    if objective == "sukls":
-        div = risk.divergence_closed_form(fact, fn.values(fact.singular_values), fn.derivs(fact.singular_values))
-        return risk.sukls_gamma(y, estimate, model.shape, div)
-    if objective == "gsure":
-        theta_div = risk.mc_theta_divergence_gamma(fn, y, model.shape, REPORT_MC_SAMPLES, rng)
-        return risk.gsure_gamma(y, estimate, model.shape, theta_div)
-    mode = "exact" if y.size <= risk.EXACT_DOWNDATE_CAP else "approx"
-    kwargs = {} if mode == "exact" else {"samples": REPORT_MC_SAMPLES, "rng": rng}
-    if objective == "pure":
-        return risk.pure_poisson(y, fn, mode=mode, **kwargs)
-    return risk.pukla_poisson(y, fn, mode=mode, **kwargs)
+    method = experiments.FitMethod(
+        "weighted" if args.method == "weights" else args.method,
+        args.objective,
+        "all" if args.rank is not None else args.active_set or "default",
+        args.rank,
+    )
+    try:
+        return experiments.resolve_method(method, model)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_denoise(args) -> int:
@@ -149,43 +118,23 @@ def _cmd_denoise(args) -> int:
     model = _model_from_args(args)
     # Flag validation happens before any data-dependent work so that bad
     # combinations exit as usage errors, not domain errors.
-    if args.method in ("soft", "weights") or args.objective is not None:
-        objective = _resolve_objective(args, model)
-    else:
-        objective = "sure" if model.family == "gaussian" else None
+    method = _fit_method(args, model)
+    objective = method.objective or ("sure" if model.family == "gaussian" else None)
     y = matrixio.read_matrix(path)
     rng = np.random.default_rng(args.seed)
-    epsilon = args.epsilon
-    floor = None if model.family == "gaussian" else epsilon
     fact = linalg.svd(y)
-    active = _resolve_active(args, y, fact, model, epsilon)
-    sidecar: dict = {"active_set": list(active)}
+    if args.rank is not None and not 0 <= args.rank <= fact.rank_bound:
+        raise UsageError(f"--rank must be in [0, {fact.rank_bound}]")
 
-    if args.method == "pca":
-        values = np.zeros_like(fact.singular_values)
-        derivs = np.zeros_like(fact.singular_values)
-        for k in active:
-            values[k - 1] = fact.singular_values[k - 1]
-            derivs[k - 1] = 1.0
-        fn = linalg.SpectralFunction(lambda s, v=values: v, lambda s, d=derivs: d, floor)
-    elif args.method == "soft":
-        lam = shrinkage.soft_threshold_fit(
-            y, model, objective, clamp_floor=floor, rng=rng, fact=fact
-        )
-        sidecar["lambda"] = lam
-        fn = linalg.soft_threshold_function(lam, floor)
-    else:
-        plan = experiments.fit_weighted_plan(
-            y, fact, model, objective, active, clamp_floor=floor, rng=rng
-        )
-        sidecar["weights"] = plan.to_json()["weights"]
-        values = plan.values(fact.singular_values)
-        derivs = plan.derivs(fact.singular_values)
-        fn = linalg.SpectralFunction(lambda s, v=values: v, lambda s, d=derivs: d, floor)
-
+    fn, sidecar = experiments.fit_estimator(method, y, fact, model, rng, clamp_floor=args.epsilon)
+    if method.name == "soft":
+        sidecar["active_set"] = list(experiments.resolve_active(method, y, fact, model, args.epsilon))
     denoised = fn.apply_to_factorization(fact)
     if objective is not None:
-        sidecar["risk"] = _reported_risk(y, fact, model, objective, fn, rng).to_json()
+        evaluate = shrinkage.make_risk_objective(
+            y, fact, model, objective, rng=rng, samples=REPORT_MC_SAMPLES, exact=True
+        )
+        sidecar["risk"] = evaluate(fn).to_json()
 
     matrixio.write_matrix_csv(args.output, denoised, header="denoised matrix")
     sidecar["timing_seconds"] = time.perf_counter() - started

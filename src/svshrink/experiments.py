@@ -11,15 +11,14 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import activeset, linalg, metrics, rmt, shrinkage
 from .errors import DomainError, ParameterError, SvshrinkError
-from .linalg import SvdFactorization
-from .metrics import metric  # noqa: F401  (re-exported: realized-loss entry point)
+from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
 from .models import Gaussian, NoiseModel, model_from_config
 
 SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
@@ -206,7 +205,7 @@ def rsnr(signal: np.ndarray, tau: float) -> float:
 
 @dataclass(frozen=True)
 class FitMethod:
-    """Parsed estimator tag: what to fit and how."""
+    """What to fit and how: a parsed estimator tag or ``svshrink denoise`` flags."""
 
     name: str  # pca | soft | weighted | shrinker | oracle-shrinker | oracle-weights | oracle-soft
     objective: Optional[str] = None
@@ -219,13 +218,36 @@ class FitMethod:
         return self.name.startswith("oracle-")
 
 
+ESTIMATOR_NAMES = (
+    "pca", "soft", "weighted", "shrinker", "oracle-shrinker", "oracle-weights", "oracle-soft",
+)
+
+
+def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
+    """Check a fit request against the noise model and fill the family
+    defaults (the objective of soft and weighted fits, and the active set).
+    Estimator tags and ``svshrink denoise`` flags both pass through here."""
+    if method.name not in ESTIMATOR_NAMES:
+        raise ParameterError(f"unknown estimator {method.name!r}; known: {list(ESTIMATOR_NAMES)}")
+    gaussian = isinstance(model, Gaussian)
+    if method.name in ("shrinker", "oracle-shrinker") and not gaussian:
+        raise ParameterError(f"{method.name!r} is defined for Gaussian noise only")
+    objective = method.objective
+    if objective is not None or method.name in ("soft", "weighted"):
+        objective = shrinkage.resolve_objective(model, objective)
+    active = method.active
+    if active == "default":
+        active = "bulk" if gaussian else "greedy"
+    if active not in ("bulk", "greedy", "all"):
+        raise ParameterError(f"active must be bulk, greedy, or all, got {active!r}")
+    if active == "bulk" and not gaussian:
+        raise ParameterError("the bulk-edge active set needs Gaussian noise; use greedy")
+    return replace(method, objective=objective, active=active)
+
+
 def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
     """Parse ``name[:key=value,...]`` tags, filling family defaults."""
     name, _, opts = tag.partition(":")
-    name = name.strip()
-    known = {"pca", "soft", "weighted", "shrinker", "oracle-shrinker", "oracle-weights", "oracle-soft"}
-    if name not in known:
-        raise ParameterError(f"unknown estimator tag {tag!r}; known: {sorted(known)}")
     fields = {"objective": None, "active": "default", "rank": None, "loss": "se"}
     if opts:
         for item in opts.split(","):
@@ -234,41 +256,11 @@ def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
             if key not in fields or not value:
                 raise ParameterError(f"bad option {item!r} in estimator tag {tag!r}")
             fields[key] = int(value) if key == "rank" else value.strip()
-    if name in ("shrinker", "oracle-shrinker") and not isinstance(model, Gaussian):
-        raise ParameterError(f"{name!r} is defined for Gaussian noise only")
-    if name in ("soft", "weighted"):
-        fields["objective"] = fields["objective"] or shrinkage.default_objective(model)
-        shrinkage._check_objective(model, fields["objective"])
-    active = fields["active"]
-    if active == "default":
-        active = "bulk" if isinstance(model, Gaussian) else "greedy"
-    if active not in ("bulk", "greedy", "all"):
-        raise ParameterError(f"active must be bulk, greedy, or all, got {active!r}")
-    if active == "bulk" and not isinstance(model, Gaussian):
-        raise ParameterError("the bulk-edge active set needs Gaussian noise; use greedy")
-    return FitMethod(name, fields["objective"], active, fields["rank"], fields["loss"])
+    return resolve_method(FitMethod(name.strip(), **fields), model)
 
 
-@dataclass(frozen=True)
-class FittedEstimator:
-    """Per-index spectral values, reusable at any rank cap."""
-
-    values: np.ndarray
-    clamp_floor: Optional[float]
-    info: dict
-
-    def estimate(self, fact: SvdFactorization, rank_cap: Optional[int] = None) -> np.ndarray:
-        vals = self.values
-        if rank_cap is not None:
-            vals = vals.copy()
-            vals[rank_cap:] = 0.0
-        out = linalg.compose(fact, vals)
-        if self.clamp_floor is not None:
-            out = np.maximum(out, self.clamp_floor)
-        return out
-
-
-def _active_indices(method: FitMethod, y, fact, model, clamp_floor) -> tuple[int, ...]:
+def resolve_active(method: FitMethod, y, fact, model, clamp_floor) -> tuple[int, ...]:
+    """The 1-based indices a resolved method keeps, capped at ``method.rank``."""
     if method.active == "all":
         selected = tuple(range(1, fact.rank_bound + 1))
     elif method.active == "bulk":
@@ -288,8 +280,12 @@ def fit_estimator(
     rng: np.random.Generator,
     signal: Optional[np.ndarray] = None,
     clamp_floor: float = 1e-6,
-) -> FittedEstimator:
-    """Fit one estimator tag on one realization."""
+) -> tuple[SpectralFunction, dict]:
+    """Fit one resolved method on one realization.
+
+    Returns the fitted estimator and what the fit chose (active set, weights,
+    threshold or scale).
+    """
     y = np.asarray(observed, dtype=float)
     s = fact.singular_values
     floor = None if isinstance(model, Gaussian) else clamp_floor
@@ -298,26 +294,31 @@ def fit_estimator(
         raise ParameterError(f"{method.name} needs the true signal")
 
     if method.name == "pca":
-        active = _active_indices(method, y, fact, model, clamp_floor)
-        values = np.zeros_like(s)
-        for k in active:
-            values[k - 1] = s[k - 1]
-        return FittedEstimator(values, floor, {"active_set": list(active)})
+        active = resolve_active(method, y, fact, model, clamp_floor)
+        plan = ShrinkagePlan(active, dict.fromkeys(active, 1.0), floor)
+        return SpectralFunction(plan.values, plan.derivs, floor), {"active_set": list(active)}
 
     if method.name == "soft":
         lam = shrinkage.soft_threshold_fit(
             y, model, method.objective, clamp_floor=floor, rng=rng, fact=fact
         )
-        return FittedEstimator(linalg.soft_threshold_values(s, lam), floor, {"lambda": lam})
+        return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
 
     if method.name == "weighted":
-        active = _active_indices(method, y, fact, model, clamp_floor)
-        plan = fit_weighted_plan(
-            y, fact, model, method.objective, active, clamp_floor=floor, rng=rng
+        active = resolve_active(method, y, fact, model, clamp_floor)
+        plan = _weighted_plan(y, fact, model, method.objective, active, floor, rng)
+        info = {"active_set": list(active), "weights": plan.to_json()["weights"]}
+        return SpectralFunction(plan.values, plan.derivs, floor), info
+
+    if method.name == "oracle-soft":
+        lam = shrinkage.oracle_soft_threshold(
+            signal, y, model, method.loss, clamp_floor=floor, fact=fact
         )
-        return FittedEstimator(
-            plan.values(s), floor, {"active_set": list(active), "weights": plan.to_json()["weights"]}
-        )
+        return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
+
+    if method.name == "oracle-weights":
+        oracle = shrinkage.oracle_weights(signal, fact)
+        return _fixed_values(oracle.values, floor), {"raw_weights": oracle.raw_weights.tolist()}
 
     c = fact.n / fact.m
     scale = model.tau * np.sqrt(fact.m) if isinstance(model, Gaussian) else 1.0
@@ -326,7 +327,7 @@ def fit_estimator(
         values = scale * np.asarray(rmt.shrinker_gd(s / scale, c))
         if method.rank is not None:
             values[method.rank:] = 0.0
-        return FittedEstimator(values, floor, {"scale": scale})
+        return _fixed_values(values, floor), {"scale": scale}
 
     if method.name == "oracle-shrinker":
         true_s = np.linalg.svd(signal, compute_uv=False) / scale
@@ -337,44 +338,35 @@ def fit_estimator(
             # location map's algebraic value, so the oracle drops them.
             if true_s[k] > c**0.25:
                 values[k] = scale * rmt.shrinker_gd(rmt.rho(true_s[k], c), c)
-        return FittedEstimator(values, floor, {"scale": scale})
-
-    if method.name == "oracle-weights":
-        oracle = shrinkage.oracle_weights(signal, fact)
-        return FittedEstimator(oracle.values, floor, {"raw_weights": oracle.raw_weights.tolist()})
-
-    if method.name == "oracle-soft":
-        lam = shrinkage.oracle_soft_threshold(
-            signal, y, model, method.loss, clamp_floor=floor, fact=fact
-        )
-        return FittedEstimator(linalg.soft_threshold_values(s, lam), floor, {"lambda": lam})
+        return _fixed_values(values, floor), {"scale": scale}
 
     raise ParameterError(f"unhandled estimator {method.name!r}")
 
 
-def fit_weighted_plan(
-    observed,
-    fact,
-    model,
-    objective,
-    active,
-    *,
-    clamp_floor,
-    rng,
-) -> linalg.ShrinkagePlan:
+def _weighted_plan(y, fact, model, objective, active, clamp_floor, rng) -> ShrinkagePlan:
     """Weighted-plan fitting with the fast paths: the Gaussian closed form,
     and the rank-one closed forms when the active set is exactly {1}."""
     if isinstance(model, Gaussian) and objective == "sure":
         return shrinkage.weights_gaussian(fact, model.tau, active, clamp_floor)
     if active == (1,) and objective == "sukls":
-        w1 = shrinkage.weight1_gamma_sukls(observed, fact, model.shape, active)
-        return linalg.ShrinkagePlan((1,), {1: w1}, clamp_floor)
+        w1 = shrinkage.weight1_gamma_sukls(y, fact, model.shape, active)
+        return ShrinkagePlan.rank_one(w1, clamp_floor)
     if active == (1,) and objective == "pukla":
-        w1 = shrinkage.weight1_poisson_pukla(observed, fact, active)
-        return linalg.ShrinkagePlan((1,), {1: w1}, clamp_floor)
+        w1 = shrinkage.weight1_poisson_pukla(y, fact, active)
+        return ShrinkagePlan.rank_one(w1, clamp_floor)
     return shrinkage.optimize_weights_greedy(
-        observed, model, objective, active, clamp_floor=clamp_floor, rng=rng, fact=fact
+        y, model, objective, active, clamp_floor=clamp_floor, rng=rng, fact=fact
     )
+
+
+def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralFunction:
+    """The oracle and asymptotic-shrinker estimators: values fixed at the
+    observed spectrum, and no derivative, so no risk estimate applies."""
+
+    def no_derivative(sigmas):
+        raise ParameterError("oracle and asymptotic-shrinker estimators have no spectral derivative")
+
+    return SpectralFunction(lambda sigmas: values, no_derivative, clamp_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +386,13 @@ class ExperimentConfig:
     sweep_parameter: Optional[str] = None
     sweep_values: tuple[float, ...] = ()
     clamp_floor: float = 1e-6
+
+    def __post_init__(self):
+        # Both sweeps set the noise level by building a Gaussian model.
+        if self.sweep_parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
+            raise ParameterError(
+                f"the {self.sweep_parameter} sweep needs Gaussian noise, not {self.model.family}"
+            )
 
     @classmethod
     def from_config(cls, config: dict) -> "ExperimentConfig":
@@ -482,8 +481,6 @@ def _apply_sweep(config: ExperimentConfig, parameter: str, value: float):
     elif parameter == "tau":
         model = Gaussian(tau=float(value))
     elif parameter == "rsnr":
-        if not isinstance(model, Gaussian):
-            raise ParameterError("the rsnr sweep needs Gaussian noise")
         x = generate_signal(signal, config.n, config.m)
         sd = float(np.sqrt(np.mean((x - x.mean()) ** 2)))
         model = Gaussian(tau=sd / float(value))
@@ -515,9 +512,14 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
         est_rng = np.random.default_rng(
             np.random.SeedSequence([config.root_seed, 0 if shared_data else sweep_idx, rep, est_idx])
         )
-        fitted = fit_estimator(method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor)
+        fn, _ = fit_estimator(method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor)
+        values = fn.values(fact.singular_values)
         for cap, label in zip(caps, sweep_labels):
-            xhat = fitted.estimate(fact, cap)
+            capped = values
+            if cap is not None:
+                capped = values.copy()
+                capped[cap:] = 0.0
+            xhat = linalg.compose_clamped(fact, capped, fn.clamp_floor)
             for metric_name in config.metrics:
                 records.append(
                     {

@@ -4,7 +4,7 @@ directional derivative (Jacobian-vector product) of spectral matrix maps.
 A *spectral map* keeps the singular vectors of a matrix and replaces each
 singular value ``sigma_k`` by ``f_k(sigma_k)``.  Everything downstream
 (risk estimation, weight fitting) is built on the three primitives here:
-``svd``, ``reconstruct``/``compose``, and ``directional_derivative``.
+``svd``, ``compose``/``compose_clamped``, and ``directional_derivative``.
 """
 
 from __future__ import annotations
@@ -175,6 +175,17 @@ def compose(fact: SvdFactorization, spectral_values: np.ndarray) -> np.ndarray:
     return (fact.left_vectors * vals) @ fact.right_vectors.T
 
 
+def compose_clamped(
+    fact: SvdFactorization, spectral_values: np.ndarray, clamp_floor: Optional[float]
+) -> np.ndarray:
+    """:func:`compose`, then every entry raised to at least ``clamp_floor``
+    when one is given: the estimate of every spectral estimator."""
+    out = compose(fact, spectral_values)
+    if clamp_floor is not None:
+        out = np.maximum(out, clamp_floor)
+    return out
+
+
 def reconstruct(fact: SvdFactorization, plan: ShrinkagePlan) -> np.ndarray:
     """Weighted reconstruction ``sum_{k in s} w_k sigma_k u_k v_k^T``.
 
@@ -185,10 +196,7 @@ def reconstruct(fact: SvdFactorization, plan: ShrinkagePlan) -> np.ndarray:
         raise DomainError(
             f"plan index {plan.active_set[-1]} exceeds min(n, m) = {fact.rank_bound}"
         )
-    out = compose(fact, plan.values(fact.singular_values))
-    if plan.clamp_floor is not None:
-        out = np.maximum(out, plan.clamp_floor)
-    return out
+    return compose_clamped(fact, plan.values(fact.singular_values), plan.clamp_floor)
 
 
 def _tie_tolerance(sigmas: np.ndarray) -> float:
@@ -352,10 +360,7 @@ class SpectralFunction:
         return np.asarray(self.derivs_fn(np.asarray(sigmas, dtype=float)), dtype=float)
 
     def apply_to_factorization(self, fact: SvdFactorization) -> np.ndarray:
-        out = compose(fact, self.values(fact.singular_values))
-        if self.clamp_floor is not None:
-            out = np.maximum(out, self.clamp_floor)
-        return out
+        return compose_clamped(fact, self.values(fact.singular_values), self.clamp_floor)
 
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
         return self.apply_to_factorization(svd(matrix))
@@ -368,10 +373,6 @@ class SpectralFunction:
             raw = compose(fact, self.values(s))
             dd = np.where(raw >= self.clamp_floor, dd, 0.0)
         return dd
-
-
-def identity_spectral_function() -> SpectralFunction:
-    return SpectralFunction(lambda s: s.copy(), lambda s: np.ones_like(s))
 
 
 def soft_threshold_values(sigmas: np.ndarray, lam: float) -> np.ndarray:

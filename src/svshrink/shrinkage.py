@@ -17,114 +17,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import linalg, metrics, risk
-from .errors import DegenerateSpectrumError, DomainError, ParameterError
+from .errors import DegenerateSpectrumError, DomainError, ParameterError, SvshrinkError
 from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
-from .models import Gamma, Gaussian, NoiseModel, Poisson, model_from_config, validate_counts
+from .models import NoiseModel, validate_counts
 
 BOUNDED_XATOL = 1e-6
 BOUNDED_MAXITER = 200
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """A spectral estimator: hard rank truncation, soft thresholding, or a
-    weighted plan, together with the noise model and an optional entrywise
-    clamp floor for positive-signal families."""
-
-    kind: str
-    model: NoiseModel
-    rank: Optional[int] = None
-    threshold: Optional[float] = None
-    plan: Optional[ShrinkagePlan] = None
-    clamp_floor: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind == "pca":
-            if self.rank is None or self.rank < 0:
-                raise ParameterError("pca estimators need a rank >= 0")
-        elif self.kind == "soft":
-            if self.threshold is None or self.threshold < 0:
-                raise ParameterError("soft-threshold estimators need a threshold >= 0")
-        elif self.kind == "weighted":
-            if self.plan is None:
-                raise ParameterError("weighted estimators need a shrinkage plan")
-        else:
-            raise ParameterError(f"unknown estimator kind {self.kind!r}")
-        if self.clamp_floor is not None and not self.clamp_floor > 0:
-            raise ParameterError("clamp_floor must be positive when given")
-
-    @classmethod
-    def pca(cls, rank: int, model: NoiseModel, clamp_floor: Optional[float] = None):
-        return cls("pca", model, rank=rank, clamp_floor=clamp_floor)
-
-    @classmethod
-    def soft_threshold(cls, threshold: float, model: NoiseModel, clamp_floor: Optional[float] = None):
-        return cls("soft", model, threshold=threshold, clamp_floor=clamp_floor)
-
-    @classmethod
-    def weighted(cls, plan: ShrinkagePlan, model: NoiseModel, clamp_floor: Optional[float] = None):
-        return cls("weighted", model, plan=plan, clamp_floor=clamp_floor)
-
-    def spectral_values(self, sigmas: np.ndarray) -> np.ndarray:
-        if self.kind == "pca":
-            out = np.zeros_like(sigmas)
-            r = min(self.rank, len(sigmas))
-            out[:r] = sigmas[:r]
-            return out
-        if self.kind == "soft":
-            return linalg.soft_threshold_values(sigmas, self.threshold)
-        return self.plan.values(sigmas)
-
-    def spectral_derivs(self, sigmas: np.ndarray) -> np.ndarray:
-        if self.kind == "pca":
-            out = np.zeros_like(sigmas)
-            out[: min(self.rank, len(sigmas))] = 1.0
-            return out
-        if self.kind == "soft":
-            return linalg.soft_threshold_derivs(sigmas, self.threshold)
-        return self.plan.derivs(sigmas)
-
-    def to_spectral_function(self) -> SpectralFunction:
-        return SpectralFunction(self.spectral_values, self.spectral_derivs, self.clamp_floor)
-
-    def to_config(self) -> dict:
-        out = {"kind": self.kind, "model": self.model.to_config(), "clamp_floor": self.clamp_floor}
-        if self.kind == "pca":
-            out["rank"] = self.rank
-        elif self.kind == "soft":
-            out["threshold"] = self.threshold
-        else:
-            out["plan"] = self.plan.to_json()
-        return out
-
-    @classmethod
-    def from_config(cls, config: dict) -> "EstimatorSpec":
-        model = model_from_config(config["model"])
-        clamp = config.get("clamp_floor")
-        kind = config.get("kind")
-        if kind == "pca":
-            return cls.pca(int(config["rank"]), model, clamp)
-        if kind == "soft":
-            return cls.soft_threshold(float(config["threshold"]), model, clamp)
-        if kind == "weighted":
-            p = config["plan"]
-            plan = ShrinkagePlan(
-                tuple(int(k) for k in p["active_set"]),
-                {int(k): float(w) for k, w in p["weights"].items()},
-                p.get("clamp_floor"),
-            )
-            return cls.weighted(plan, model, clamp)
-        raise ParameterError(f"unknown estimator kind {kind!r}")
-
-
-def apply(spec: EstimatorSpec, fact: SvdFactorization) -> np.ndarray:
-    """Evaluate the estimator on a factorized observation."""
-    if spec.kind == "pca" and spec.rank > fact.rank_bound:
-        raise ParameterError(f"rank {spec.rank} exceeds min(n, m) = {fact.rank_bound}")
-    out = linalg.compose(fact, spec.spectral_values(fact.singular_values))
-    if spec.clamp_floor is not None:
-        out = np.maximum(out, spec.clamp_floor)
-    return out
 
 
 def _pair_ratio_sum(sigmas: np.ndarray, index: int) -> float:
@@ -233,22 +131,6 @@ def weight1_poisson_pukla(
     return float(np.clip(float(np.sum(y)) / rank1_total, 0.0, 1.0))
 
 
-def _pca_rank1_function() -> SpectralFunction:
-    def values(s):
-        out = np.zeros_like(s)
-        if len(s):
-            out[0] = s[0]
-        return out
-
-    def derivs(s):
-        out = np.zeros_like(s)
-        if len(s):
-            out[0] = 1.0
-        return out
-
-    return SpectralFunction(values, derivs)
-
-
 def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactorization] = None) -> float:
     """Leading weight minimizing the exact Poisson MSE estimate.
 
@@ -266,7 +148,8 @@ def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactoriza
     nonzero = np.argwhere(y > 0)
     if len(nonzero) == 0:
         return 0.0
-    down = risk.downdated_entries(_pca_rank1_function(), y, nonzero)
+    plan = ShrinkagePlan.rank_one(1.0)
+    down = risk.downdated_entries(SpectralFunction(plan.values, plan.derivs), y, nonzero)
     total = float(np.sum(y[nonzero[:, 0], nonzero[:, 1]] * down))
     return float(np.clip(total / top**2, 0.0, 1.0))
 
@@ -291,18 +174,17 @@ VALID_OBJECTIVES = {
     "gamma": ("gsure", "sukls"),
     "poisson": ("pure", "pukla"),
 }
+DEFAULT_OBJECTIVES = {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}
 
 
-def default_objective(model: NoiseModel) -> str:
-    return {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}[model.family]
-
-
-def _check_objective(model: NoiseModel, objective: str) -> str:
-    objective = objective.lower()
+def resolve_objective(model: NoiseModel, objective: Optional[str] = None) -> str:
+    """The risk objective to use for ``model``: the family default when none is
+    given; :class:`ParameterError` for a pairing the family does not define."""
+    objective = (objective or DEFAULT_OBJECTIVES[model.family]).lower()
     if objective not in VALID_OBJECTIVES[model.family]:
         raise ParameterError(
-            f"objective {objective!r} is not defined for the {model.family} family; "
-            f"valid pairings: {VALID_OBJECTIVES}"
+            f"objective {objective!r} is not defined for the {model.family} family; valid pairings: "
+            + "; ".join(f"{k}: {', '.join(v)}" for k, v in VALID_OBJECTIVES.items())
         )
     return objective
 
@@ -315,61 +197,60 @@ def make_risk_objective(
     *,
     rng: Optional[np.random.Generator] = None,
     samples: int = 1,
-) -> Callable[[SpectralFunction], float]:
-    """Build a deterministic map from spectral functions to risk values.
+    exact: bool = False,
+) -> Callable[[SpectralFunction], risk.RiskEstimate]:
+    """Build a deterministic map from spectral functions to risk estimates.
 
-    Monte-Carlo criteria draw their probe directions once, here, and reuse
-    them for every evaluation, so the returned objective is a fixed function
-    suitable for bounded minimization.
+    Monte-Carlo criteria draw their ``samples`` probe directions once, here,
+    and reuse them for every evaluation, so the returned objective is a fixed
+    function suitable for bounded minimization.  SURE and SUKLS use the
+    closed-form divergence; they draw their probes only when an evaluation
+    finds the clamp floor active, since a clamped estimate has no closed form.
+    ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
+    ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
+    one fit.
     """
-    objective = _check_objective(model, objective)
+    objective = resolve_objective(model, objective)
     y = np.asarray(observed, dtype=float)
-    directions = None
-    if objective in ("gsure", "pure", "pukla"):
-        if rng is None:
-            raise ParameterError(f"objective {objective!r} needs an rng for its probe directions")
-        directions = [risk.rademacher(y.shape, rng) for _ in range(samples)]
-    if objective in ("sure", "sukls") and rng is not None:
-        # Closed-form divergences need no probes, but a clamped estimate has
-        # no closed form; keep directions on hand for that fallback.
-        directions = [risk.rademacher(y.shape, rng) for _ in range(samples)]
+    poisson_mode = "exact" if exact and y.size <= risk.EXACT_DOWNDATE_CAP else "approx"
+    directions: list[np.ndarray] = []
+
+    def probes() -> list[np.ndarray]:
+        if not directions:
+            if rng is None:
+                raise ParameterError(
+                    f"objective {objective!r} needs an rng for its probe directions"
+                )
+            directions.extend(risk.rademacher(y.shape, rng) for _ in range(samples))
+        return directions
+
+    if objective == "gsure" or (objective in ("pure", "pukla") and poisson_mode == "approx"):
+        probes()
 
     def closed_or_probed_divergence(fn: SpectralFunction):
         s = fact.singular_values
         values = fn.values(s)
-        if fn.clamp_floor is not None:
-            raw = linalg.compose(fact, values)
-            if np.any(raw < fn.clamp_floor):
-                if directions is None:
-                    raise ParameterError(
-                        "the clamp floor is active; supply an rng so the divergence "
-                        "can be probed"
-                    )
-                return risk.mc_divergence(fn, y, len(directions), directions=directions)
+        if fn.clamp_floor is not None and np.any(linalg.compose(fact, values) < fn.clamp_floor):
+            return risk.mc_divergence(fn, y, samples, directions=probes())
         return risk.divergence_closed_form(fact, values, fn.derivs(s))
 
-    def evaluate(fn: SpectralFunction) -> float:
+    def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
+        if objective == "pure":
+            return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions)
+        if objective == "pukla":
+            return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions)
         estimate = fn.apply_to_factorization(fact)
-        if objective == "sure":
-            div = closed_or_probed_divergence(fn)
-            return sure_value(y, estimate, model.tau, div)
-        if objective == "sukls":
-            div = closed_or_probed_divergence(fn)
-            return risk.sukls_gamma(y, estimate, model.shape, div).value
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(
-                fn, y, model.shape, len(directions), directions=directions
+                fn, y, model.shape, samples, directions=directions
             )
-            return risk.gsure_gamma(y, estimate, model.shape, theta_div).value
-        if objective == "pure":
-            return risk.pure_poisson(y, fn, mode="approx", directions=directions).value
-        return risk.pukla_poisson(y, fn, mode="approx", directions=directions).value
+            return risk.gsure_gamma(y, estimate, model.shape, theta_div)
+        div = closed_or_probed_divergence(fn)
+        if objective == "sure":
+            return risk.sure_gaussian(y, estimate, model.tau, div)
+        return risk.sukls_gamma(y, estimate, model.shape, div)
 
     return evaluate
-
-
-def sure_value(observed, estimate, tau, divergence) -> float:
-    return risk.sure_gaussian(observed, estimate, tau, divergence).value
 
 
 def optimize_weights_greedy(
@@ -409,7 +290,7 @@ def optimize_weights_greedy(
                 lambda s, w=weights.copy(): w.copy(),
                 clamp_floor,
             )
-            return evaluate(fn)
+            return evaluate(fn).value
 
     weights = np.zeros(fact.rank_bound)
     active_mask = set(active)
@@ -424,8 +305,11 @@ def optimize_weights_greedy(
                 trial[i] = t
                 try:
                     return weight_objective(trial)
-                except Exception as exc:
-                    raise type(exc)(f"objective failed at weight index {i + 1}: {exc}") from exc
+                except SvshrinkError as exc:
+                    # Extend the message in place: the exception keeps its type
+                    # and attributes, and no constructor is called again.
+                    exc.args = (f"objective failed at weight index {i + 1}: {exc}",)
+                    raise
 
             weights[idx - 1] = minimize_bounded(coordinate, 0.0, 1.0)
     return ShrinkagePlan(active, {k: float(weights[k - 1]) for k in active}, clamp_floor)
@@ -455,7 +339,7 @@ def soft_threshold_fit(
         evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
 
         def lam_objective(lam: float) -> float:
-            return evaluate(linalg.soft_threshold_function(lam, clamp_floor))
+            return evaluate(linalg.soft_threshold_function(lam, clamp_floor)).value
 
     return minimize_bounded(lam_objective, 0.0, top)
 
@@ -472,9 +356,6 @@ class OracleWeights:
     values: np.ndarray
     raw_weights: np.ndarray
     plan: ShrinkagePlan
-
-    def estimate(self, fact: SvdFactorization) -> np.ndarray:
-        return linalg.compose(fact, self.values)
 
 
 def oracle_weights(

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from svshrink import activeset, cli, linalg, matrixio, rmt, shrinkage
+from svshrink import activeset, cli, linalg, matrixio, risk, rmt, shrinkage
+from svshrink.linalg import ShrinkagePlan, SpectralFunction
 from svshrink.models import Poisson
 
 from helpers import rank_one_positive, spiked_signal
@@ -74,6 +75,32 @@ class TestDenoise:
         sidecar = json.loads((tmp_path / "xhat.csv.json").read_text())
         expected = shrinkage.weight1_poisson_pukla(y, linalg.svd(y))
         assert sidecar["weights"]["1"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["weights", "pca"])
+    def test_exact_poisson_risk_scores_the_fitted_estimator(self, tmp_path, method):
+        # Below the exact-enumeration cap the reported PURE evaluates the
+        # fitted map w * sigma on every one-count downdate.
+        x = rank_one_positive(15, 10, 55.0)
+        y = Poisson().sample(x, np.random.default_rng(1))
+        path = tmp_path / "counts.csv"
+        matrixio.write_matrix_csv(path, y)
+        out = tmp_path / "xhat.csv"
+        code = cli.main(
+            [
+                "denoise", "--input", str(path), "--family", "poisson",
+                "--method", method, "--objective", "pure", "--rank", "2",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "xhat.csv.json").read_text())
+        weights = sidecar.get("weights", {"1": 1.0, "2": 1.0})
+        plan = ShrinkagePlan((1, 2), {int(k): w for k, w in weights.items()}, 1e-6)
+        expected = risk.pure_poisson(
+            y, SpectralFunction(plan.values, plan.derivs, 1e-6), mode="exact"
+        ).value
+        assert sidecar["risk"]["divergence_kind"] == "exact"
+        assert sidecar["risk"]["value"] == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_objective_combination_is_usage_error(self, tmp_path, spiked_csv):
         path, _ = spiked_csv
@@ -177,6 +204,18 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(bad))
         code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 1
+
+    def test_noise_level_sweep_on_poisson_is_usage_error(self, tmp_path):
+        bad = dict(
+            self.CONFIG,
+            model={"family": "poisson"},
+            sweep={"parameter": "tau", "values": [0.1, 0.2]},
+        )
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"

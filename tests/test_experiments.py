@@ -175,6 +175,14 @@ class TestRunner:
         with pytest.raises(ParameterError, match="replications"):
             ExperimentConfig.from_config(bad)
 
+    def test_noise_level_sweeps_need_gaussian_noise(self):
+        for parameter in ("tau", "rsnr"):
+            bad = small_config(
+                model={"family": "poisson"}, sweep={"parameter": parameter, "values": [0.5]}
+            )
+            with pytest.raises(ParameterError, match=f"the {parameter} sweep needs Gaussian noise"):
+                ExperimentConfig.from_config(bad)
+
     def test_rank_cap_sweep_shares_data(self):
         cfg = ExperimentConfig.from_config(
             small_config(

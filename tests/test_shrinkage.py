@@ -5,9 +5,9 @@ import pytest
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError, DomainError, ParameterError
-from svshrink.linalg import ShrinkagePlan, SvdFactorization
+from svshrink.experiments import FitMethod, fit_estimator
+from svshrink.linalg import SvdFactorization
 from svshrink.models import Gamma, Gaussian, Poisson
-from svshrink.shrinkage import EstimatorSpec
 
 from helpers import grid_argmin, rank_one_positive
 
@@ -22,41 +22,40 @@ def synthetic_fact(sigmas, n=None, m=None) -> SvdFactorization:
 
 
 class TestApply:
+    """Estimates of fitted spectral estimators, through ``fit_estimator`` and
+    ``SpectralFunction.apply_to_factorization``."""
+
     def test_soft_threshold_zero_is_identity(self):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((6, 4))
         fact = linalg.svd(y)
-        spec = EstimatorSpec.soft_threshold(0.0, Gaussian(1.0))
-        np.testing.assert_allclose(shrinkage.apply(spec, fact), y, atol=1e-12)
+        fn = linalg.soft_threshold_function(0.0)
+        np.testing.assert_allclose(fn.apply_to_factorization(fact), y, atol=1e-12)
 
     def test_full_rank_pca_is_identity(self):
         rng = np.random.default_rng(1)
         y = rng.standard_normal((5, 7))
         fact = linalg.svd(y)
-        spec = EstimatorSpec.pca(5, Gaussian(1.0))
-        np.testing.assert_allclose(shrinkage.apply(spec, fact), y, atol=1e-12)
+        method = FitMethod("pca", active="all", rank=5)
+        fn, info = fit_estimator(method, y, fact, Gaussian(1.0), rng)
+        assert info["active_set"] == [1, 2, 3, 4, 5]
+        np.testing.assert_allclose(fn.apply_to_factorization(fact), y, atol=1e-12)
 
     def test_threshold_above_top_gives_zero(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal((4, 4))
         fact = linalg.svd(y)
-        spec = EstimatorSpec.soft_threshold(fact.singular_values[0] + 1.0, Gaussian(1.0))
-        np.testing.assert_array_equal(shrinkage.apply(spec, fact), np.zeros((4, 4)))
+        fn = linalg.soft_threshold_function(fact.singular_values[0] + 1.0)
+        np.testing.assert_array_equal(fn.apply_to_factorization(fact), np.zeros((4, 4)))
 
     def test_clamp_floor(self):
         rng = np.random.default_rng(3)
-        fact = linalg.svd(rng.standard_normal((4, 4)))
-        spec = EstimatorSpec.pca(4, Gamma(3.0), clamp_floor=1e-2)
-        assert shrinkage.apply(spec, fact).min() >= 1e-2
-
-    def test_spec_config_round_trip(self):
-        plan = ShrinkagePlan((1, 3), {1: 0.9, 3: 0.2}, clamp_floor=1e-6)
-        for spec in (
-            EstimatorSpec.pca(2, Gaussian(0.5)),
-            EstimatorSpec.soft_threshold(1.5, Gamma(3.0), clamp_floor=1e-6),
-            EstimatorSpec.weighted(plan, Poisson(), clamp_floor=1e-6),
-        ):
-            assert EstimatorSpec.from_config(spec.to_config()) == spec
+        y = rng.standard_normal((4, 4))
+        fact = linalg.svd(y)
+        method = FitMethod("pca", active="all", rank=4)
+        fn, _ = fit_estimator(method, y, fact, Gamma(3.0), rng, clamp_floor=1e-2)
+        assert fn.clamp_floor == 1e-2
+        assert fn.apply_to_factorization(fact).min() >= 1e-2
 
 
 class TestWeightsGaussian:
@@ -275,6 +274,25 @@ class TestGreedyWeights:
         )
         assert greedy.weights[1] == pytest.approx(closed, abs=1e-4)
 
+    def test_objective_errors_keep_type(self):
+        class CodedError(Exception):
+            def __init__(self, code, msg):
+                super().__init__(msg)
+                self.code = code
+
+        def coded(weights):
+            raise CodedError(7, "boom")
+
+        def out_of_domain(weights):
+            raise DomainError("estimate left the domain")
+
+        y = np.random.default_rng(20).standard_normal((4, 4))
+        with pytest.raises(CodedError) as info:
+            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), coded, [1])
+        assert info.value.code == 7
+        with pytest.raises(DomainError, match="weight index 2: estimate left the domain"):
+            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), out_of_domain, [2])
+
 
 class TestSoftThresholdFit:
     def test_noiseless_low_rank_gives_tiny_threshold(self):
@@ -306,7 +324,7 @@ class TestSoftThresholdFit:
         objective = shrinkage.make_risk_objective(y, fact, Gaussian(tau), "sure")
 
         def value_at(lam):
-            return objective(linalg.soft_threshold_function(lam))
+            return objective(linalg.soft_threshold_function(lam)).value
 
         lam = shrinkage.soft_threshold_fit(y, Gaussian(tau), "sure", fact=fact)
         top = fact.singular_values[0]
@@ -340,7 +358,7 @@ class TestOracles:
         y = x + 0.2 * rng.standard_normal((12, 10))
         fact = linalg.svd(y)
         oracle = shrinkage.oracle_weights(x, fact)
-        base = float(np.sum((oracle.estimate(fact) - x) ** 2))
+        base = float(np.sum((linalg.compose(fact, oracle.values) - x) ** 2))
         for k in range(fact.rank_bound):
             for bump in (-1e-3, 1e-3):
                 values = oracle.values.copy()
