@@ -94,6 +94,11 @@ def _model_from_args(args) -> Gaussian | Gamma | Poisson:
     return Poisson()
 
 
+def _check_epsilon(args) -> None:
+    if not args.epsilon > 0:
+        raise UsageError(f"--epsilon must be positive, got {args.epsilon}")
+
+
 def _fit_method(args, model) -> experiments.FitMethod:
     """The fit request the flags describe, checked as estimator tags are."""
     if args.rank is not None and args.active_set is not None:
@@ -119,6 +124,7 @@ def _cmd_denoise(args) -> int:
     # Flag validation happens before any data-dependent work so that bad
     # combinations exit as usage errors, not domain errors.
     method = _fit_method(args, model)
+    _check_epsilon(args)
     objective = method.objective or ("sure" if model.family == "gaussian" else None)
     y = matrixio.read_matrix(path)
     rng = np.random.default_rng(args.seed)
@@ -149,6 +155,7 @@ def _cmd_activeset(args) -> int:
         raise UsageError(f"input file not found: {path}")
     y = matrixio.read_matrix(path)
     model = _model_from_args(args)
+    _check_epsilon(args)
     method = args.method or ("bulk" if model.family == "gaussian" else "greedy")
     if method == "bulk":
         if model.family != "gaussian":

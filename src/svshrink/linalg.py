@@ -10,6 +10,7 @@ singular value ``sigma_k`` by ``f_k(sigma_k)``.  Everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,9 +75,54 @@ class SvdFactorization:
         """min(n, m), the number of stored singular triplets."""
         return len(self.singular_values)
 
+    @cached_property
+    def tie_mask(self) -> np.ndarray:
+        """Read-only boolean vector, shape ``(k,)``: entry ``k`` is set when
+        ``sigma_k`` is tied with another singular value, i.e.
+        ``|sigma_k^2 - sigma_l^2| < 1e-12 sigma_1^2`` for some ``l != k``.
+
+        The values are sorted, so an index tied with any other is tied with a
+        neighbour, and comparing neighbours finds every tied index in O(k).
+        Computed on first use and kept for the factorization's lifetime.
+        """
+        sq = self.singular_values**2
+        close = np.abs(np.diff(sq)) < _tie_tolerance(self.singular_values)
+        mask = np.zeros(len(sq), dtype=bool)
+        mask[:-1] |= close
+        mask[1:] |= close
+        return _read_only(mask)
+
+    @cached_property
+    def pair_sums(self) -> np.ndarray:
+        """Read-only vector, shape ``(k,)``, of the pair sums
+        ``P_k = sum_{l != k} sigma_k / (sigma_k^2 - sigma_l^2)`` over untied
+        pairs (tied pairs and ``l = k`` contribute 0).
+
+        ``P`` carries every pair interaction of the spectral-map divergence
+        (:func:`svshrink.risk.divergence_closed_form`) and of the Gaussian
+        weight formula, and depends on the singular values alone.  Computed
+        on first use in O(k^2) and kept for the factorization's lifetime.
+        """
+        s = self.singular_values
+        sq = s**2
+        diff = sq[:, None] - sq[None, :]
+        tied = np.abs(diff) < _tie_tolerance(s)  # includes the diagonal
+        pair = np.where(tied, 0.0, s[:, None] / np.where(tied, 1.0, diff))
+        return _read_only(pair.sum(axis=1))
+
     def transposed(self) -> "SvdFactorization":
-        """Factorization of ``Y^T`` (swap the singular-vector roles)."""
-        return SvdFactorization(self.singular_values, self.right_vectors, self.left_vectors)
+        """Factorization of ``Y^T`` (swap the singular-vector roles); it shares
+        the cached :attr:`tie_mask` and :attr:`pair_sums` already computed."""
+        out = SvdFactorization(self.singular_values, self.right_vectors, self.left_vectors)
+        for name in ("tie_mask", "pair_sums"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -205,61 +251,54 @@ def _tie_tolerance(sigmas: np.ndarray) -> float:
 
 
 def check_distinct(
-    sigmas: np.ndarray,
-    values: Optional[np.ndarray] = None,
+    fact: SvdFactorization,
+    values: np.ndarray,
     derivs: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> None:
     """Verify the pairwise separation needed by the spectral-derivative formulas.
 
     A near-tie ``|sigma_k^2 - sigma_l^2| < 1e-12 sigma_1^2`` is harmless only
-    when the map vanishes identically on the tied pair (both values and both
-    derivatives zero), e.g. a thresholded tail of an exactly low-rank matrix.
-    Any other near-tie raises :class:`DegenerateSpectrumError` naming the
-    offending pair (1-based).
+    when the map vanishes identically on the tied pair (both values and, when
+    given, both derivatives zero), e.g. a thresholded tail of an exactly
+    low-rank matrix.  Any other near-tie raises
+    :class:`DegenerateSpectrumError` naming the first offending pair (1-based,
+    in row-major order of the pair matrix).
 
-    Returns the boolean matrix of exempt (tied but harmless) pairs, which the
-    caller zeroes out of its pair interactions.
+    Reads the factorization's cached :attr:`SvdFactorization.tie_mask`; the
+    pair matrix is built only to name a pair that is about to be reported.
+    Callers skip the call when ``fact.tie_mask`` is all false.
     """
-    s = np.asarray(sigmas, dtype=float)
-    k = len(s)
-    if k < 2:
-        return np.zeros((k, k), dtype=bool)
+    inert = np.asarray(values) == 0.0
+    if derivs is not None:
+        inert &= np.asarray(derivs) == 0.0
+    if not np.any(fact.tie_mask & ~inert):
+        return
+    s = fact.singular_values
     sq = s**2
     tied = np.abs(sq[:, None] - sq[None, :]) < _tie_tolerance(s)
     np.fill_diagonal(tied, False)
-    if values is None:
-        inert = np.zeros(k, dtype=bool)
-    else:
-        inert = np.asarray(values) == 0.0
-        if derivs is not None:
-            inert &= np.asarray(derivs) == 0.0
-    exempt = tied & inert[:, None] & inert[None, :]
-    offending = tied & ~exempt
-    if offending.any():
-        i, j = np.argwhere(offending)[0]
-        raise DegenerateSpectrumError(
-            f"singular values {min(i, j) + 1} and {max(i, j) + 1} coincide to working "
-            f"precision (sigma={s[i]:.6g} vs {s[j]:.6g}); spectral-derivative "
-            "formulas are singular at ties"
-        )
-    return exempt
+    i, j = np.argwhere(tied & ~(inert[:, None] & inert[None, :]))[0]
+    raise DegenerateSpectrumError(
+        f"singular values {min(i, j) + 1} and {max(i, j) + 1} coincide to working "
+        f"precision (sigma={s[i]:.6g} vs {s[j]:.6g}); spectral-derivative "
+        "formulas are singular at ties"
+    )
 
 
 def _safe_ratio(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """``f_k / sigma_k`` with the 0/0 -> 0 convention for collapsed components."""
     num = np.asarray(values, dtype=float)
     den = np.asarray(sigmas, dtype=float)
-    zero = (num == 0.0) & (den == 0.0)
-    bad = (den == 0.0) & ~zero
-    if bad.any():
-        k = int(np.argwhere(bad)[0]) + 1
-        raise DegenerateSpectrumError(
-            f"singular value {k} is zero but the spectral map does not vanish there"
-        )
-    out = np.zeros_like(num)
-    nz = den != 0.0
-    out[nz] = num[nz] / den[nz]
-    return out
+    zero = den == 0.0
+    if zero.any():
+        bad = zero & (num != 0.0)
+        if bad.any():
+            k = int(np.argwhere(bad)[0]) + 1
+            raise DegenerateSpectrumError(
+                f"singular value {k} is zero but the spectral map does not vanish there"
+            )
+        den = np.where(zero, 1.0, den)  # num is 0 there, so the ratio is 0
+    return num / den
 
 
 def directional_derivative(
@@ -307,13 +346,16 @@ def directional_derivative(
     d = np.asarray(shrink_derivs, dtype=float)
     if f.shape != s.shape or d.shape != s.shape:
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    exempt = check_distinct(s, f, d)
+    if fact.tie_mask.any():
+        check_distinct(fact, f, d)
 
     u, v = fact.left_vectors, fact.right_vectors
     dbar = u.T @ delta @ v  # square coupling block, (k, k)
     sym = 0.5 * (dbar + dbar.T)
     asym = 0.5 * (dbar - dbar.T)
 
+    # A tied pair passed the check only if f vanishes on both indices, so its
+    # couplings below are 0 without special-casing.
     fdiff = f[:, None] - f[None, :]
     sdiff = s[:, None] - s[None, :]
     fsum = f[:, None] + f[None, :]
@@ -321,8 +363,6 @@ def directional_derivative(
     with np.errstate(divide="ignore", invalid="ignore"):
         m_diff = np.where(sdiff != 0.0, fdiff / np.where(sdiff == 0.0, 1.0, sdiff), 0.0)
         m_sum = np.where(ssum != 0.0, fsum / np.where(ssum == 0.0, 1.0, ssum), 0.0)
-    m_diff[exempt] = 0.0
-    m_sum[exempt] = 0.0
     np.fill_diagonal(m_diff, 0.0)
     np.fill_diagonal(m_sum, 0.0)
 

@@ -80,28 +80,27 @@ def divergence_closed_form(
 
     For per-value maps ``sigma_k -> f_k`` the divergence equals::
 
-        |m - n| sum_k f_k / sigma_k  +  sum_k f_k'
-          +  2 sum_k f_k sum_{l != k} sigma_k / (sigma_k^2 - sigma_l^2)
+        |m - n| sum_k f_k / sigma_k  +  sum_k f_k'  +  2 sum_k f_k P_k,
+        P_k = sum_{l != k} sigma_k / (sigma_k^2 - sigma_l^2)
 
-    which for the identity map telescopes to exactly ``n * m``.
+    (Candes, Sing-Long & Trzasko, IEEE TSP 2013), which for the identity map
+    telescopes to exactly ``n * m``.  ``P`` depends on the singular values
+    alone and is cached on the factorization
+    (:attr:`SvdFactorization.pair_sums`), so each call costs O(k).  A tie
+    between singular values raises :class:`DegenerateSpectrumError` unless
+    the map vanishes on both tied indices (:func:`linalg.check_distinct`).
     """
     s = fact.singular_values
     f = np.asarray(shrink_values, dtype=float)
     d = np.asarray(shrink_derivs, dtype=float)
     if f.shape != s.shape or d.shape != s.shape:
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    exempt = linalg.check_distinct(s, f, d)
+    if fact.tie_mask.any():
+        linalg.check_distinct(fact, f, d)
 
     ratio = linalg._safe_ratio(f, s)
-    total = abs(fact.m - fact.n) * float(np.sum(ratio)) + float(np.sum(d))
-
-    sq = s**2
-    diff = sq[:, None] - sq[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pair = np.where(diff != 0.0, s[:, None] / np.where(diff == 0.0, 1.0, diff), 0.0)
-    pair[exempt] = 0.0
-    np.fill_diagonal(pair, 0.0)
-    total += 2.0 * float(f @ pair.sum(axis=1))
+    total = abs(fact.m - fact.n) * float(ratio.sum()) + float(d.sum())
+    total += 2.0 * float(f @ fact.pair_sums)
     return total
 
 
@@ -186,15 +185,45 @@ def sure_gaussian(
 
     ``-n m tau^2 + ||estimate - Y||_F^2 + 2 tau^2 divergence``.
     """
-    if not tau > 0:
-        raise ParameterError("tau must be positive")
     y = np.asarray(observed, dtype=float)
     est = np.asarray(estimate, dtype=float)
     if y.shape != est.shape:
         raise DomainError("estimate must match the observation shape")
+    return _sure(y.shape, float(np.sum((est - y) ** 2)), tau, divergence)
+
+
+def sure_gaussian_spectral(
+    fact: SvdFactorization,
+    shrink_values: np.ndarray,
+    tau: float,
+    divergence: Union[float, MonteCarloDivergence],
+) -> RiskEstimate:
+    """:func:`sure_gaussian` of the unclamped spectral estimate
+    ``sum_k f_k u_k v_k^T`` of the factorized observation, without forming it.
+
+    The singular vectors are orthonormal and the thin SVD holds all of ``Y``,
+    so ``||estimate - Y||_F^2 = sum_k (f_k - sigma_k)^2``: O(k) instead of
+    O(n m k).  Equal to the entrywise value up to floating-point rounding.
+    """
+    f = np.asarray(shrink_values, dtype=float)
+    if f.shape != fact.singular_values.shape:
+        raise DomainError("shrink_values must match the singular values")
+    residual = float(np.sum((f - fact.singular_values) ** 2))
+    return _sure((fact.n, fact.m), residual, tau, divergence)
+
+
+def _sure(
+    shape: tuple[int, int],
+    residual: float,
+    tau: float,
+    divergence: Union[float, MonteCarloDivergence],
+) -> RiskEstimate:
+    """SURE from the squared residual ``||estimate - Y||_F^2``."""
+    if not tau > 0:
+        raise ParameterError("tau must be positive")
     div, kind, samples, dstderr = _divergence_fields(divergence)
-    n, m = y.shape
-    value = -n * m * tau**2 + float(np.sum((est - y) ** 2)) + 2.0 * tau**2 * div
+    n, m = shape
+    value = -n * m * tau**2 + residual + 2.0 * tau**2 * div
     stderr = 2.0 * tau**2 * dstderr if dstderr is not None else None
     return RiskEstimate(value, "SURE", kind, samples, stderr, offset_note="estimates the MSE itself")
 

@@ -17,35 +17,14 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import linalg, metrics, risk
-from .errors import DegenerateSpectrumError, DomainError, ParameterError, SvshrinkError
+from .errors import (
+    DegenerateSpectrumError, DomainError, NumericalError, ParameterError, SvshrinkError,
+)
 from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
 from .models import NoiseModel, validate_counts
 
 BOUNDED_XATOL = 1e-6
 BOUNDED_MAXITER = 200
-
-
-def _pair_ratio_sum(sigmas: np.ndarray, index: int) -> float:
-    """``sum_{l != k} sigma_k^2 / (sigma_k^2 - sigma_l^2)`` for 0-based ``index``.
-
-    Only pairs involving ``index`` matter here, so ties elsewhere in the
-    spectrum (e.g. an exactly low-rank tail) are allowed.
-    """
-    sq = sigmas**2
-    diff = sq[index] - np.delete(sq, index)
-    tol = linalg._tie_tolerance(sigmas)
-    if np.any(np.abs(diff) < tol):
-        other = int(np.argwhere(np.abs(sq - sq[index]) < tol).ravel()[0])
-        pair = sorted((index + 1, other + 1 if other != index else index + 2))
-        raise DegenerateSpectrumError(
-            f"singular values {pair[0]} and {pair[1]} coincide to working precision"
-        )
-    return float(np.sum(sq[index] / diff))
-
-
-def _divergence_factor(fact: SvdFactorization, index: int) -> float:
-    """``1 + |m - n| + 2 sum_{l != k} sigma_k^2 / (sigma_k^2 - sigma_l^2)``."""
-    return 1.0 + abs(fact.m - fact.n) + 2.0 * _pair_ratio_sum(fact.singular_values, index)
 
 
 def weights_gaussian(
@@ -62,8 +41,11 @@ def weights_gaussian(
         w_k = clip(1 - tau^2 / sigma_k^2 * (1 + |m - n|
                    + 2 sum_{l != k} sigma_k^2 / (sigma_k^2 - sigma_l^2)), 0, 1)
 
-    Indices outside ``active_set`` get weight zero (they are simply absent
-    from the returned plan).  ``active_set=None`` activates every index.
+    The pair sum equals ``sigma_k P_k`` with ``P`` cached on the
+    factorization (:attr:`SvdFactorization.pair_sums`).  Indices outside
+    ``active_set`` get weight zero (they are simply absent from the returned
+    plan).  ``active_set=None`` activates every index.  A zero or tied active
+    singular value raises :class:`DegenerateSpectrumError`.
     """
     if not tau > 0:
         raise ParameterError("tau must be positive")
@@ -74,14 +56,25 @@ def weights_gaussian(
         active = tuple(sorted(set(int(k) for k in active_set)))
     if active and (active[0] < 1 or active[-1] > fact.rank_bound):
         raise DomainError("active-set indices out of range")
-    weights = {}
-    for k in active:
-        sk2 = s[k - 1] ** 2
-        if sk2 == 0.0:
-            raise DegenerateSpectrumError(f"singular value {k} is zero; weight formula undefined")
-        w = 1.0 - tau**2 / sk2 * _divergence_factor(fact, k - 1)
-        weights[k] = float(np.clip(w, 0.0, 1.0))
-    return ShrinkagePlan(active, weights, clamp_floor)
+    idx = np.asarray(active, dtype=int) - 1
+    sk = s[idx]
+    zero = np.flatnonzero(sk == 0.0)
+    if zero.size:
+        k = active[zero[0]]
+        raise DegenerateSpectrumError(f"singular value {k} is zero; weight formula undefined")
+    _check_untied(fact, idx)
+    factor = 1.0 + abs(fact.m - fact.n) + 2.0 * sk * fact.pair_sums[idx]
+    w = np.clip(1.0 - tau**2 / sk**2 * factor, 0.0, 1.0)
+    return ShrinkagePlan(active, {k: float(wk) for k, wk in zip(active, w)}, clamp_floor)
+
+
+def _check_untied(fact: SvdFactorization, idx: np.ndarray) -> None:
+    """Raise :class:`DegenerateSpectrumError` naming the pair when a singular
+    value at a 0-based index in ``idx`` is tied with another."""
+    if fact.tie_mask[idx].any():
+        used = np.zeros(fact.rank_bound)
+        used[idx] = 1.0
+        linalg.check_distinct(fact, used)
 
 
 def weight1_gamma_sukls(
@@ -107,7 +100,9 @@ def weight1_gamma_sukls(
     n, m = y.shape
     rank1 = fact.singular_values[0] * np.outer(fact.left_vectors[:, 0], fact.right_vectors[:, 0])
     bracket = (L - 1.0) / (L * m * n) * float(np.sum(rank1 / y))
-    bracket += _divergence_factor(fact, 0) / (L * m * n)
+    _check_untied(fact, np.array([0]))
+    s1 = fact.singular_values[0]
+    bracket += (1.0 + abs(m - n) + 2.0 * s1 * fact.pair_sums[0]) / (L * m * n)
     if bracket <= 0:
         return 1.0
     return float(np.clip(1.0 / bracket, 0.0, 1.0))
@@ -161,11 +156,21 @@ def minimize_bounded(
     xatol: float = BOUNDED_XATOL,
     maxiter: int = BOUNDED_MAXITER,
 ) -> float:
-    """Bounded scalar minimization (golden section with parabolic steps)."""
+    """Bounded scalar minimization (golden section with parabolic steps).
+
+    Raises :class:`NumericalError` when the search stops without reaching
+    ``xatol`` (e.g. after ``maxiter`` iterations), instead of returning the
+    last iterate.
+    """
     res = minimize_scalar(
         fn, bounds=(lower, upper), method="bounded",
         options={"xatol": xatol, "maxiter": maxiter},
     )
+    if not res.success:
+        raise NumericalError(
+            f"bounded minimization on [{lower:.6g}, {upper:.6g}] did not converge after "
+            f"{res.nit} iterations (maxiter={maxiter}, xatol={xatol:g}): {res.message}"
+        )
     return float(res.x)
 
 
@@ -206,6 +211,8 @@ def make_risk_objective(
     function suitable for bounded minimization.  SURE and SUKLS use the
     closed-form divergence; they draw their probes only when an evaluation
     finds the clamp floor active, since a clamped estimate has no closed form.
+    SURE of a map without a clamp floor is scored from the spectrum alone
+    (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed.
     ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
     ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
     one fit.
@@ -239,6 +246,11 @@ def make_risk_objective(
             return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions)
         if objective == "pukla":
             return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions)
+        if objective == "sure" and fn.clamp_floor is None:
+            s = fact.singular_values
+            values = fn.values(s)
+            div = risk.divergence_closed_form(fact, values, fn.derivs(s))
+            return risk.sure_gaussian_spectral(fact, values, model.tau, div)
         estimate = fn.apply_to_factorization(fact)
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(

@@ -139,6 +139,21 @@ class TestDenoise:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("method", ["pca", "soft", "weights"])
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_nonpositive_epsilon_is_usage_error(self, tmp_path, method, epsilon):
+        y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))
+        path = tmp_path / "counts.csv"
+        matrixio.write_matrix_csv(path, y)
+        code = cli.main(
+            [
+                "denoise", "--input", str(path), "--family", "poisson", "--method", method,
+                "--rank", "1", "--epsilon", epsilon, "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_rejected(self, tmp_path, spiked_csv):
         path, _ = spiked_csv
         code = cli.main(["denoise", "--input", str(path), "--frobnicate", "1"])
@@ -177,6 +192,17 @@ class TestActiveSetCommand:
         report = json.loads(capsys.readouterr().out)
         expected = activeset.active_set_gaussian(linalg.svd(y), 1 / np.sqrt(30))
         assert report["selected"] == list(expected.selected)
+
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_nonpositive_epsilon_is_usage_error(self, tmp_path, epsilon):
+        y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))
+        path = tmp_path / "counts.csv"
+        matrixio.write_matrix_csv(path, y)
+        code = cli.main(
+            ["activeset", "--input", str(path), "--family", "poisson", "--epsilon", epsilon]
+        )
+        assert code == 1
 
 
 class TestExperimentCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from svshrink import linalg, risk, shrinkage
-from svshrink.errors import DegenerateSpectrumError, DomainError, ParameterError
+from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, ParameterError
 from svshrink.experiments import FitMethod, fit_estimator
 from svshrink.linalg import SvdFactorization
 from svshrink.models import Gamma, Gaussian, Poisson
@@ -375,3 +375,7 @@ class TestMinimizeBounded:
 
     def test_boundary_minimum(self):
         assert shrinkage.minimize_bounded(lambda t: t, 0, 1) <= 1e-4
+
+    def test_nonconvergence_raises(self):
+        with pytest.raises(NumericalError, match="after 3 iterations"):
+            shrinkage.minimize_bounded(lambda t: (t - 0.3) ** 2, 0, 1, maxiter=3)
