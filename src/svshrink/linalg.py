@@ -331,6 +331,13 @@ def directional_derivative(
     rectangular matrices, a residual block scaled by ``f_k / sigma_k``.
     Singular values tied to working precision make those denominators blow
     up, hence the distinctness guard.
+
+    Only the map's support ``A = {k : f_k != 0 or f_k' != 0}`` enters: the
+    coupling of two indices outside ``A`` is 0, and so is their residual
+    block.  The product therefore needs only rows ``A`` and columns ``A`` of
+    the coupling block ``U^T delta V``, at a cost of
+    O(n m |A| + (n + m) k |A|) with ``k = min(n, m)``; at full support that is
+    the dense product's O(n m k).
     """
     n, m = fact.n, fact.m
     delta = np.asarray(delta, dtype=float)
@@ -349,32 +356,42 @@ def directional_derivative(
     if fact.tie_mask.any():
         check_distinct(fact, f, d)
 
+    inside = (f != 0.0) | (d != 0.0)  # the support A, as a mask
+    if not inside.any():
+        return np.zeros((n, m))
+    full = inside.all()
+    a = np.flatnonzero(inside)
     u, v = fact.left_vectors, fact.right_vectors
-    dbar = u.T @ delta @ v  # square coupling block, (k, k)
-    sym = 0.5 * (dbar + dbar.T)
-    asym = 0.5 * (dbar - dbar.T)
+    ua, va = (u, v) if full else (u[:, a], v[:, a])  # no copies at full support
+    fa, sa = f[a], s[a]
+
+    rows = ua.T @ delta  # rows A of U^T delta, (|A|, m)
+    dbar_rows = rows @ v  # rows A of the coupling block, (|A|, k)
+    # Columns A of the block, transposed.
+    dbar_cols = dbar_rows.T if full else (u.T @ (delta @ va)).T
+    sym = 0.5 * (dbar_rows + dbar_cols)
+    asym = 0.5 * (dbar_rows - dbar_cols)
 
     # A tied pair passed the check only if f vanishes on both indices, so its
-    # couplings below are 0 without special-casing.
-    fdiff = f[:, None] - f[None, :]
-    sdiff = s[:, None] - s[None, :]
-    fsum = f[:, None] + f[None, :]
-    ssum = s[:, None] + s[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m_diff = np.where(sdiff != 0.0, fdiff / np.where(sdiff == 0.0, 1.0, sdiff), 0.0)
-        m_sum = np.where(ssum != 0.0, fsum / np.where(ssum == 0.0, 1.0, ssum), 0.0)
-    np.fill_diagonal(m_diff, 0.0)
-    np.fill_diagonal(m_sum, 0.0)
+    # couplings below are 0 without special-casing.  The diagonal is set last.
+    sdiff = sa[:, None] - s[None, :]
+    ssum = sa[:, None] + s[None, :]
+    m_diff = np.divide(fa[:, None] - f[None, :], sdiff, out=np.zeros_like(sdiff), where=sdiff != 0.0)
+    m_sum = np.divide(fa[:, None] + f[None, :], ssum, out=np.zeros_like(ssum), where=ssum != 0.0)
 
-    core = sym * m_diff + asym * m_sum
-    np.fill_diagonal(core, np.diagonal(dbar) * d)
-    out = u @ core @ v.T
-
+    # Rows A of the core; its columns A outside rows A follow from the pair
+    # symmetry, with the antisymmetric part changing sign.
+    core_rows = sym * m_diff + asym * m_sum
+    diag = (np.arange(len(a)), a)
+    core_rows[diag] = dbar_rows[diag] * d[a]
+    block = core_rows @ v.T
     if n < m:
         # Couplings with the null right-singular directions reduce to f_k/sigma_k.
-        ratio = _safe_ratio(f, s)
-        resid = delta - (delta @ v) @ v.T
-        out = out + (u * ratio) @ (u.T @ resid)
+        block += _safe_ratio(f, s)[a][:, None] * (rows - dbar_rows @ v.T)
+    out = ua @ block
+    if not full:
+        core_cols = np.where(inside, 0.0, sym * m_diff - asym * m_sum)
+        out += (u @ core_cols.T) @ va.T
     return out
 
 

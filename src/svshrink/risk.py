@@ -109,6 +109,57 @@ def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
+def probe_directions(
+    shape: tuple[int, int],
+    samples: int,
+    rng: Optional[np.random.Generator],
+    directions: Optional[Sequence[np.ndarray]] = None,
+) -> list[np.ndarray]:
+    """The probe directions of a Monte-Carlo estimate: ``directions`` when
+    given, else ``samples`` Rademacher draws from ``rng``.
+
+    Raises :class:`DomainError` when there would be no probe (an average
+    over none is NaN) or no rng to draw from.
+    """
+    if directions is None:
+        if samples < 1:
+            raise DomainError("samples must be >= 1")
+        if rng is None:
+            raise DomainError("an rng is required when directions are not supplied")
+        return [rademacher(shape, rng) for _ in range(samples)]
+    directions = list(directions)
+    if not directions:
+        raise DomainError("at least one probe direction is required")
+    return directions
+
+
+def _factorization(matrix: np.ndarray, fact: Optional[SvdFactorization]) -> SvdFactorization:
+    """The factorization of ``matrix`` a spectral map is evaluated on:
+    ``fact`` when given, checked against ``matrix``'s shape; else computed
+    once here."""
+    if fact is None:
+        return linalg.svd(matrix)
+    if (fact.n, fact.m) != matrix.shape:
+        raise DomainError(
+            f"the factorization is of a {fact.n}x{fact.m} matrix, "
+            f"but the observation is {matrix.shape[0]}x{matrix.shape[1]}"
+        )
+    return fact
+
+
+def _estimate(
+    estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
+    matrix: np.ndarray,
+    fact: Optional[SvdFactorization],
+) -> tuple[np.ndarray, Optional[SvdFactorization]]:
+    """The estimate at ``matrix`` and, for a spectral estimator, the
+    factorization it was built from."""
+    if not isinstance(estimator, SpectralFunction):
+        return estimator(matrix), None
+    fact = _factorization(matrix, fact)
+    return estimator.apply_to_factorization(fact), fact
+
+
 def _jacobian_probe(
     apply: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
     matrix: np.ndarray,
@@ -133,6 +184,7 @@ def mc_divergence(
     directions: Optional[Sequence[np.ndarray]] = None,
     weights: Optional[np.ndarray] = None,
     fd_step: float = 1e-6,
+    fact: Optional[SvdFactorization] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo divergence of a matrix map by random trace probing.
 
@@ -149,15 +201,14 @@ def mc_divergence(
     directions : sequence of np.ndarray, optional
         Explicit probe directions (overrides ``samples``/``rng``); useful for
         full enumeration and for freezing an objective during optimization.
+    fact : SvdFactorization, optional
+        Factorization of ``matrix``, used by a spectral map; it is computed
+        once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
-    fact = linalg.svd(matrix) if isinstance(apply, SpectralFunction) else None
-    if directions is None:
-        if samples < 1:
-            raise DomainError("samples must be >= 1")
-        if rng is None:
-            raise DomainError("an rng is required when directions are not supplied")
-        directions = [rademacher(matrix.shape, rng) for _ in range(samples)]
+    directions = probe_directions(matrix.shape, samples, rng, directions)
+    if isinstance(apply, SpectralFunction):
+        fact = _factorization(matrix, fact)
     probes = []
     for delta in directions:
         dd = _jacobian_probe(apply, matrix, fact, delta, fd_step)
@@ -277,17 +328,23 @@ def mc_theta_divergence_gamma(
     rng: Optional[np.random.Generator] = None,
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
+    fact: Optional[SvdFactorization] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo estimate of the natural-parameter divergence for Gamma.
 
     Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` with entrywise weights
-    ``L / f_ij^2`` applied to the divergence trace estimator.
+    ``L / f_ij^2`` applied to the divergence trace estimator.  ``fact``, the
+    factorization of ``matrix``, is computed once here when not given.
     """
-    f = spectral_fn(np.asarray(matrix, dtype=float))
+    matrix = np.asarray(matrix, dtype=float)
+    directions = probe_directions(matrix.shape, samples, rng, directions)
+    f, fact = _estimate(spectral_fn, matrix, fact)
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
     weights = float(shape) / f**2
-    return mc_divergence(spectral_fn, matrix, samples, rng, directions=directions, weights=weights)
+    return mc_divergence(
+        spectral_fn, matrix, samples, directions=directions, weights=weights, fact=fact
+    )
 
 
 def sukls_gamma(
@@ -387,16 +444,23 @@ def pure_poisson(
     samples: int = 1,
     rng: Optional[np.random.Generator] = None,
     directions: Optional[Sequence[np.ndarray]] = None,
+    fact: Optional[SvdFactorization] = None,
 ) -> RiskEstimate:
     """Unbiased estimate of ``MSE - ||X||_F^2`` under Poisson noise.
 
     ``mode="exact"`` evaluates the estimator on every one-count downdate
     (guarded to small matrices); ``mode="approx"`` replaces each downdated
     entry by its first-order expansion probed along +-1 directions, which
-    requires a spectral estimator.
+    requires a spectral estimator.  ``fact``, the factorization of
+    ``observed``, is computed once here for a spectral estimator when not
+    given.
     """
     y = validate_counts(observed)
-    fhat = estimator(y)
+    if mode == "approx":
+        directions = _approx_directions(estimator, y, samples, rng, directions)
+    elif mode != "exact":
+        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    fhat, fact = _estimate(estimator, y, fact)
     norm_sq = float(np.sum(fhat**2))
     nonzero = np.argwhere(y > 0)
 
@@ -412,15 +476,6 @@ def pure_poisson(
             offset_note="estimates MSE minus the squared Frobenius norm of the signal",
         )
 
-    if mode != "approx":
-        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    if not isinstance(estimator, SpectralFunction):
-        raise ParameterError("the first-order approximation requires a spectral estimator")
-    fact = linalg.svd(y)
-    if directions is None:
-        if rng is None:
-            raise DomainError("an rng is required when directions are not supplied")
-        directions = [rademacher(y.shape, rng) for _ in range(samples)]
     crosses = []
     for delta in directions:
         dd = estimator.derivative_probe(fact, delta)
@@ -436,6 +491,14 @@ def pure_poisson(
     )
 
 
+def _approx_directions(estimator, y, samples, rng, directions) -> list[np.ndarray]:
+    """The probes of a first-order Poisson estimate, which needs a spectral
+    estimator."""
+    if not isinstance(estimator, SpectralFunction):
+        raise ParameterError("the first-order approximation requires a spectral estimator")
+    return probe_directions(y.shape, samples, rng, directions)
+
+
 def pukla_poisson(
     observed: np.ndarray,
     estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
@@ -445,18 +508,24 @@ def pukla_poisson(
     rng: Optional[np.random.Generator] = None,
     directions: Optional[Sequence[np.ndarray]] = None,
     log_floor: float = 1e-6,
+    fact: Optional[SvdFactorization] = None,
 ) -> RiskEstimate:
     """Unbiased estimate (up to a signal-only constant) of the analysis
     Kullback-Leibler risk under Poisson noise.
 
     ``sum_ij f_ij(Y) - y_ij log f_ij(Y - e_i e_j^T)`` with the convention that
     ``y_ij = 0`` terms contribute nothing; log arguments are floored at
-    ``log_floor`` (or the estimator's own clamp floor if larger).
+    ``log_floor`` (or the estimator's own clamp floor if larger).  ``mode``
+    and ``fact`` are as in :func:`pure_poisson`.
     """
     y = validate_counts(observed)
+    if mode == "approx":
+        directions = _approx_directions(estimator, y, samples, rng, directions)
+    elif mode != "exact":
+        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
     if isinstance(estimator, SpectralFunction) and estimator.clamp_floor is not None:
         log_floor = max(log_floor, estimator.clamp_floor)
-    fhat = estimator(y)
+    fhat, fact = _estimate(estimator, y, fact)
     lead = float(np.sum(fhat))
     nonzero = np.argwhere(y > 0)
     counts = y[nonzero[:, 0], nonzero[:, 1]] if len(nonzero) else np.zeros(0)
@@ -470,15 +539,6 @@ def pukla_poisson(
         value = lead - float(np.sum(counts * np.log(down)))
         return RiskEstimate(value, "PUKLA", "exact", offset_note=note)
 
-    if mode != "approx":
-        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    if not isinstance(estimator, SpectralFunction):
-        raise ParameterError("the first-order approximation requires a spectral estimator")
-    fact = linalg.svd(y)
-    if directions is None:
-        if rng is None:
-            raise DomainError("an rng is required when directions are not supplied")
-        directions = [rademacher(y.shape, rng) for _ in range(samples)]
     terms = []
     for delta in directions:
         dd = estimator.derivative_probe(fact, delta)

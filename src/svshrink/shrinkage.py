@@ -215,7 +215,8 @@ def make_risk_objective(
     (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed.
     ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
     ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
-    one fit.
+    one fit.  Every evaluation reuses ``fact``; none factors ``observed``
+    again.
     """
     objective = resolve_objective(model, objective)
     y = np.asarray(observed, dtype=float)
@@ -228,7 +229,7 @@ def make_risk_objective(
                 raise ParameterError(
                     f"objective {objective!r} needs an rng for its probe directions"
                 )
-            directions.extend(risk.rademacher(y.shape, rng) for _ in range(samples))
+            directions.extend(risk.probe_directions(y.shape, samples, rng))
         return directions
 
     if objective == "gsure" or (objective in ("pure", "pukla") and poisson_mode == "approx"):
@@ -238,14 +239,14 @@ def make_risk_objective(
         s = fact.singular_values
         values = fn.values(s)
         if fn.clamp_floor is not None and np.any(linalg.compose(fact, values) < fn.clamp_floor):
-            return risk.mc_divergence(fn, y, samples, directions=probes())
+            return risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact)
         return risk.divergence_closed_form(fact, values, fn.derivs(s))
 
     def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
         if objective == "pure":
-            return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions)
+            return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
         if objective == "pukla":
-            return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions)
+            return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
         if objective == "sure" and fn.clamp_floor is None:
             s = fact.singular_values
             values = fn.values(s)
@@ -254,7 +255,7 @@ def make_risk_objective(
         estimate = fn.apply_to_factorization(fact)
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(
-                fn, y, model.shape, samples, directions=directions
+                fn, y, model.shape, samples, directions=directions, fact=fact
             )
             return risk.gsure_gamma(y, estimate, model.shape, theta_div)
         div = closed_or_probed_divergence(fn)

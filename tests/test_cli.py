@@ -7,7 +7,7 @@ import pytest
 
 from svshrink import activeset, cli, linalg, matrixio, risk, rmt, shrinkage
 from svshrink.linalg import ShrinkagePlan, SpectralFunction
-from svshrink.models import Poisson
+from svshrink.models import Gamma, Poisson
 
 from helpers import rank_one_positive, spiked_signal
 
@@ -101,6 +101,39 @@ class TestDenoise:
         ).value
         assert sidecar["risk"]["divergence_kind"] == "exact"
         assert sidecar["risk"]["value"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["soft", "weights"])
+    @pytest.mark.parametrize(
+        "family, objective",
+        [("gaussian", "sure"), ("gamma", "sukls"), ("gamma", "gsure"),
+         ("poisson", "pure"), ("poisson", "pukla")],
+    )
+    def test_one_svd_per_request(self, tmp_path, monkeypatch, family, objective, method):
+        # The fit, its Monte-Carlo probes and the reported risk all reuse the
+        # observation's one factorization.  Two blocks on a near-zero
+        # background make trial estimates reach the clamp floor, so SUKLS
+        # takes its Monte-Carlo path too.
+        rng = np.random.default_rng(2)
+        x = np.full((12, 9), 0.01)
+        x[:6, :5], x[6:, 5:] = 10.0, 4.0
+        if family == "gaussian":
+            y = x + 0.2 * rng.standard_normal(x.shape)
+        elif family == "gamma":
+            y = Gamma(4.0).sample(x, rng)
+        else:
+            y = Poisson().sample(x, rng)
+        path = tmp_path / "y.csv"
+        matrixio.write_matrix_csv(path, y)
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda matrix: calls.append(1) or svd(matrix))
+        noise = {"gaussian": ["--tau", "0.2"], "gamma": ["--L", "4"], "poisson": []}[family]
+        code = cli.main(
+            ["denoise", "--input", str(path), "--family", family, *noise, "--method", method,
+             "--objective", objective, "--output", str(tmp_path / "xhat.csv")]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_invalid_objective_combination_is_usage_error(self, tmp_path, spiked_csv):
         path, _ = spiked_csv

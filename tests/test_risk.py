@@ -350,6 +350,36 @@ class TestPuklaPoisson:
         assert abs(diffs.mean()) <= 4 * stderr
 
 
+class TestEmptyProbeSets:
+    """An average over no probe is NaN: each Monte-Carlo estimate refuses an
+    empty probe set with DomainError before it factors anything."""
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        y = Poisson().sample(rank_one_positive(8, 6, 40.0), np.random.default_rng(5))
+
+        def no_svd(matrix):
+            raise AssertionError("work started before the probe set was checked")
+
+        monkeypatch.setattr(linalg, "svd", no_svd)
+        return y, weighted_rank1(0.8, clamp=1e-6)
+
+    def test_mc_divergence(self, case):
+        y, fn = case
+        with pytest.raises(DomainError, match="probe direction"):
+            risk.mc_divergence(fn, y, 5, directions=[])
+
+    def test_pure_poisson(self, case):
+        y, fn = case
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            risk.pure_poisson(y, fn, mode="approx", samples=0, rng=np.random.default_rng(0))
+
+    def test_pukla_poisson(self, case):
+        y, fn = case
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            risk.pukla_poisson(y, fn, mode="approx", samples=0, rng=np.random.default_rng(0))
+
+
 class TestRiskEstimateSerialization:
     def test_json_fields(self):
         est = risk.RiskEstimate(1.5, "SURE", "monte_carlo", samples=8, stderr=0.1, offset_note="x")
