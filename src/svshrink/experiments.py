@@ -9,6 +9,7 @@ results are reproducible and independent of any thread schedule.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -413,14 +414,27 @@ class ExperimentConfig:
         )
 
 
-def validate_config(config: dict) -> None:
-    """Schema-check a raw config dict, reporting the JSON location on failure."""
+@functools.cache
+def _config_validator():
+    """The validator of :data:`CONFIG_SCHEMA`, built on first use.  Building
+    it once skips the metaschema check ``jsonschema.validate`` repeats on
+    every call; jsonschema is imported here, not at module import."""
     import jsonschema
 
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ParameterError(f"invalid experiment config at {exc.json_path}: {exc.message}") from exc
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def validate_config(config: dict) -> None:
+    """Schema-check a raw config dict, reporting the JSON location on failure.
+
+    Raises the error ``jsonschema.validate`` would raise (the best match
+    among all errors), as a :class:`ParameterError`.
+    """
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_config_validator().iter_errors(config))
+    if error is not None:
+        raise ParameterError(f"invalid experiment config at {error.json_path}: {error.message}") from error
 
 
 @dataclass
@@ -506,6 +520,9 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
     caps = [None] if parameter != "rank_cap" else [int(v) for v in config.sweep_values]
     sweep_labels = [value] if parameter != "rank_cap" else list(config.sweep_values)
 
+    # Quadratic metrics of unclamped estimates are scored from the spectrum;
+    # clamped estimates and the other metrics need the n x m estimate.
+    spectral = metrics.SpectralScore(x, fact)
     records = []
     for est_idx, tag in enumerate(config.estimators):
         method = parse_estimator_tag(tag, model)
@@ -519,15 +536,21 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
             if cap is not None:
                 capped = values.copy()
                 capped[cap:] = 0.0
-            xhat = linalg.compose_clamped(fact, capped, fn.clamp_floor)
+            xhat = None
             for metric_name in config.metrics:
+                if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
+                    score = spectral.metric(metric_name, capped)
+                else:
+                    if xhat is None:
+                        xhat = linalg.compose_clamped(fact, capped, fn.clamp_floor)
+                    score = metrics.metric(metric_name, xhat, x, model)
                 records.append(
                     {
                         "sweep_param": label,
                         "estimator": tag,
                         "replication": rep,
                         "metric_name": metric_name,
-                        "value": metrics.metric(metric_name, xhat, x, model),
+                        "value": score,
                     }
                 )
     return records

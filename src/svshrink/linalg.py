@@ -226,10 +226,13 @@ def compose_clamped(
 ) -> np.ndarray:
     """:func:`compose`, then every entry raised to at least ``clamp_floor``
     when one is given: the estimate of every spectral estimator."""
-    out = compose(fact, spectral_values)
-    if clamp_floor is not None:
-        out = np.maximum(out, clamp_floor)
-    return out
+    return clamp(compose(fact, spectral_values), clamp_floor)
+
+
+def clamp(raw: np.ndarray, clamp_floor: Optional[float]) -> np.ndarray:
+    """Every entry of the unclamped estimate ``raw`` raised to at least
+    ``clamp_floor``; ``raw`` itself when there is no floor."""
+    return raw if clamp_floor is None else np.maximum(raw, clamp_floor)
 
 
 def reconstruct(fact: SvdFactorization, plan: ShrinkagePlan) -> np.ndarray:
@@ -422,13 +425,22 @@ class SpectralFunction:
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
         return self.apply_to_factorization(svd(matrix))
 
-    def derivative_probe(self, fact: SvdFactorization, delta: np.ndarray) -> np.ndarray:
-        """Jacobian-vector product of the (possibly clamped) map."""
+    def derivative_probe(
+        self, fact: SvdFactorization, delta: np.ndarray, free: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Jacobian-vector product of the (possibly clamped) map.
+
+        ``free`` marks the entries where the unclamped estimate is at or above
+        the clamp floor, the only ones the clamp lets vary.  It does not
+        depend on ``delta``, so a caller probing many directions passes it in;
+        otherwise it is composed here.
+        """
         s = fact.singular_values
         dd = directional_derivative(fact, self.values(s), self.derivs(s), delta)
         if self.clamp_floor is not None:
-            raw = compose(fact, self.values(s))
-            dd = np.where(raw >= self.clamp_floor, dd, 0.0)
+            if free is None:
+                free = compose(fact, self.values(s)) >= self.clamp_floor
+            dd = np.where(free, dd, 0.0)
         return dd
 
 

@@ -147,29 +147,54 @@ def _factorization(matrix: np.ndarray, fact: Optional[SvdFactorization]) -> SvdF
     return fact
 
 
+def _unclamped(
+    fn: SpectralFunction, fact: SvdFactorization, raw: Optional[np.ndarray]
+) -> np.ndarray:
+    """The unclamped estimate ``sum_k f_k u_k v_k^T`` of ``fn`` on ``fact``:
+    ``raw`` when given, else composed here."""
+    if raw is None:
+        return linalg.compose(fact, fn.values(fact.singular_values))
+    raw = np.asarray(raw, dtype=float)
+    if raw.shape != (fact.n, fact.m):
+        raise DomainError(
+            f"the unclamped estimate has shape {raw.shape}, expected {(fact.n, fact.m)}"
+        )
+    return raw
+
+
+def _free_entries(fn: SpectralFunction, raw: np.ndarray) -> Optional[np.ndarray]:
+    """Where the clamp floor leaves the estimate free to vary (``None``
+    without a floor): the mask every probe of one evaluation shares."""
+    return None if fn.clamp_floor is None else raw >= fn.clamp_floor
+
+
 def _estimate(
     estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
     matrix: np.ndarray,
     fact: Optional[SvdFactorization],
-) -> tuple[np.ndarray, Optional[SvdFactorization]]:
+    raw: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, Optional[SvdFactorization], Optional[np.ndarray]]:
     """The estimate at ``matrix`` and, for a spectral estimator, the
-    factorization it was built from."""
+    factorization it was built from and the unclamped estimate it clamps
+    (one compose gives both)."""
     if not isinstance(estimator, SpectralFunction):
-        return estimator(matrix), None
+        return estimator(matrix), None, None
     fact = _factorization(matrix, fact)
-    return estimator.apply_to_factorization(fact), fact
+    raw = _unclamped(estimator, fact, raw)
+    return linalg.clamp(raw, estimator.clamp_floor), fact, raw
 
 
 def _jacobian_probe(
     apply: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
     matrix: np.ndarray,
     fact: Optional[SvdFactorization],
+    free: Optional[np.ndarray],
     delta: np.ndarray,
     fd_step: float,
 ) -> np.ndarray:
     """Jacobian-vector product of ``apply`` at ``matrix`` along ``delta``."""
     if isinstance(apply, SpectralFunction):
-        return apply.derivative_probe(fact, delta)
+        return apply.derivative_probe(fact, delta, free)
     plus = apply(matrix + fd_step * delta)
     minus = apply(matrix - fd_step * delta)
     return (plus - minus) / (2.0 * fd_step)
@@ -185,6 +210,7 @@ def mc_divergence(
     weights: Optional[np.ndarray] = None,
     fd_step: float = 1e-6,
     fact: Optional[SvdFactorization] = None,
+    raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo divergence of a matrix map by random trace probing.
 
@@ -204,14 +230,21 @@ def mc_divergence(
     fact : SvdFactorization, optional
         Factorization of ``matrix``, used by a spectral map; it is computed
         once here when not given.
+    raw : np.ndarray, optional
+        The unclamped estimate of a spectral map with a clamp floor, from
+        which the entries the floor holds fixed are read; it is composed
+        once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
+    free = None
     if isinstance(apply, SpectralFunction):
         fact = _factorization(matrix, fact)
+        if apply.clamp_floor is not None:
+            free = _free_entries(apply, _unclamped(apply, fact, raw))
     probes = []
     for delta in directions:
-        dd = _jacobian_probe(apply, matrix, fact, delta, fd_step)
+        dd = _jacobian_probe(apply, matrix, fact, free, delta, fd_step)
         term = delta * dd if weights is None else weights * delta * dd
         probes.append(float(np.sum(term)))
     probes = np.asarray(probes)
@@ -329,21 +362,23 @@ def mc_theta_divergence_gamma(
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
+    raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo estimate of the natural-parameter divergence for Gamma.
 
     Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` with entrywise weights
     ``L / f_ij^2`` applied to the divergence trace estimator.  ``fact``, the
-    factorization of ``matrix``, is computed once here when not given.
+    factorization of ``matrix``, and ``raw``, the unclamped estimate, are
+    computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    f, fact = _estimate(spectral_fn, matrix, fact)
+    f, fact, raw = _estimate(spectral_fn, matrix, fact, raw)
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
     weights = float(shape) / f**2
     return mc_divergence(
-        spectral_fn, matrix, samples, directions=directions, weights=weights, fact=fact
+        spectral_fn, matrix, samples, directions=directions, weights=weights, fact=fact, raw=raw
     )
 
 
@@ -460,7 +495,7 @@ def pure_poisson(
         directions = _approx_directions(estimator, y, samples, rng, directions)
     elif mode != "exact":
         raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    fhat, fact = _estimate(estimator, y, fact)
+    fhat, fact, raw = _estimate(estimator, y, fact)
     norm_sq = float(np.sum(fhat**2))
     nonzero = np.argwhere(y > 0)
 
@@ -476,9 +511,10 @@ def pure_poisson(
             offset_note="estimates MSE minus the squared Frobenius norm of the signal",
         )
 
+    free = _free_entries(estimator, raw)
     crosses = []
     for delta in directions:
-        dd = estimator.derivative_probe(fact, delta)
+        dd = estimator.derivative_probe(fact, delta, free)
         crosses.append(float(np.sum(y * (fhat - delta * dd))))
     crosses = np.asarray(crosses)
     value = norm_sq - 2.0 * float(np.mean(crosses))
@@ -525,7 +561,7 @@ def pukla_poisson(
         raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
     if isinstance(estimator, SpectralFunction) and estimator.clamp_floor is not None:
         log_floor = max(log_floor, estimator.clamp_floor)
-    fhat, fact = _estimate(estimator, y, fact)
+    fhat, fact, raw = _estimate(estimator, y, fact)
     lead = float(np.sum(fhat))
     nonzero = np.argwhere(y > 0)
     counts = y[nonzero[:, 0], nonzero[:, 1]] if len(nonzero) else np.zeros(0)
@@ -539,9 +575,10 @@ def pukla_poisson(
         value = lead - float(np.sum(counts * np.log(down)))
         return RiskEstimate(value, "PUKLA", "exact", offset_note=note)
 
+    free = _free_entries(estimator, raw)
     terms = []
     for delta in directions:
-        dd = estimator.derivative_probe(fact, delta)
+        dd = estimator.derivative_probe(fact, delta, free)
         approx = np.maximum(fhat - delta * dd, log_floor)
         if len(nonzero) == 0:
             terms.append(0.0)

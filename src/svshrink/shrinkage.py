@@ -235,12 +235,11 @@ def make_risk_objective(
     if objective == "gsure" or (objective in ("pure", "pukla") and poisson_mode == "approx"):
         probes()
 
-    def closed_or_probed_divergence(fn: SpectralFunction):
+    def closed_or_probed_divergence(fn: SpectralFunction, raw: np.ndarray):
+        if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
+            return risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact, raw=raw)
         s = fact.singular_values
-        values = fn.values(s)
-        if fn.clamp_floor is not None and np.any(linalg.compose(fact, values) < fn.clamp_floor):
-            return risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact)
-        return risk.divergence_closed_form(fact, values, fn.derivs(s))
+        return risk.divergence_closed_form(fact, fn.values(s), fn.derivs(s))
 
     def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
         if objective == "pure":
@@ -252,13 +251,16 @@ def make_risk_objective(
             values = fn.values(s)
             div = risk.divergence_closed_form(fact, values, fn.derivs(s))
             return risk.sure_gaussian_spectral(fact, values, model.tau, div)
-        estimate = fn.apply_to_factorization(fact)
+        # One compose per evaluation: the clamped estimate and the entries
+        # the floor holds fixed both follow from the unclamped one.
+        raw = linalg.compose(fact, fn.values(fact.singular_values))
+        estimate = linalg.clamp(raw, fn.clamp_floor)
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(
-                fn, y, model.shape, samples, directions=directions, fact=fact
+                fn, y, model.shape, samples, directions=directions, fact=fact, raw=raw
             )
             return risk.gsure_gamma(y, estimate, model.shape, theta_div)
-        div = closed_or_probed_divergence(fn)
+        div = closed_or_probed_divergence(fn, raw)
         if objective == "sure":
             return risk.sure_gaussian(y, estimate, model.tau, div)
         return risk.sukls_gamma(y, estimate, model.shape, div)
@@ -380,10 +382,7 @@ def oracle_weights(
     ``u_k^T X v_k`` onto the observed singular pair; it is a benchmark, not a
     practical estimator.
     """
-    x = np.asarray(signal, dtype=float)
-    if x.shape != (fact.n, fact.m):
-        raise DomainError("signal shape must match the factorized observation")
-    values = np.einsum("ik,ij,jk->k", fact.left_vectors, x, fact.right_vectors)
+    values = metrics.signal_projections(signal, fact)
     s = fact.singular_values
     raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
     active = tuple(range(1, fact.rank_bound + 1))
