@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import activeset, linalg, metrics, rmt, shrinkage
-from .errors import DomainError, ParameterError, SvshrinkError
+from .errors import DomainError, NumericalError, ParameterError, SvshrinkError
 from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
 from .models import Gaussian, NoiseModel, model_from_config
 
@@ -560,7 +560,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     """Run every (sweep point, replication, estimator, metric) cell.
 
     Individual replication failures are recorded rather than fatal; the run
-    aborts only if more than 10% of the replication tasks fail.
+    aborts with :class:`NumericalError` only if more than 10% of the replication
+    tasks fail.
     """
     parameter = config.sweep_parameter
     if parameter in ("rank_cap", None):
@@ -593,7 +594,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         if failure is not None:
             failures.append(failure)
     if failures and len(failures) > 0.1 * len(tasks):
-        raise RuntimeError(
+        raise NumericalError(
             f"{len(failures)} of {len(tasks)} replication tasks failed; first: {failures[0]}"
         )
 

@@ -6,13 +6,16 @@ Gamma noise, and the Poisson estimates built from one-count downdates (exact
 enumeration or a first-order Monte-Carlo approximation).  The degrees-of-
 freedom term common to all of them is the divergence of the spectral map,
 available in closed form or by Monte-Carlo trace probing.
+
+Estimators are :class:`~svshrink.linalg.SpectralFunction` maps (anything else is
+a :class:`ParameterError`); every Monte-Carlo estimate reduces ``delta * (J delta)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -133,6 +136,12 @@ def probe_directions(
     return directions
 
 
+def _require_spectral(estimator) -> SpectralFunction:
+    if not isinstance(estimator, SpectralFunction):
+        raise ParameterError(f"risk estimates take a SpectralFunction, got {type(estimator).__name__}")
+    return estimator
+
+
 def _factorization(matrix: np.ndarray, fact: Optional[SvdFactorization]) -> SvdFactorization:
     """The factorization of ``matrix`` a spectral map is evaluated on:
     ``fact`` when given, checked against ``matrix``'s shape; else computed
@@ -162,62 +171,53 @@ def _unclamped(
     return raw
 
 
-def _free_entries(fn: SpectralFunction, raw: np.ndarray) -> Optional[np.ndarray]:
-    """Where the clamp floor leaves the estimate free to vary (``None``
-    without a floor): the mask every probe of one evaluation shares."""
-    return None if fn.clamp_floor is None else raw >= fn.clamp_floor
-
-
-def _estimate(
-    estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
-    matrix: np.ndarray,
-    fact: Optional[SvdFactorization],
-    raw: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, Optional[SvdFactorization], Optional[np.ndarray]]:
-    """The estimate at ``matrix`` and, for a spectral estimator, the
-    factorization it was built from and the unclamped estimate it clamps
-    (one compose gives both)."""
-    if not isinstance(estimator, SpectralFunction):
-        return estimator(matrix), None, None
+def _estimate(fn, matrix, fact, raw=None) -> tuple[np.ndarray, SvdFactorization, np.ndarray]:
+    """The estimate of the spectral map ``fn`` at ``matrix``, the factorization
+    it was built from and the unclamped estimate it clamps (one compose gives
+    both)."""
+    fn = _require_spectral(fn)
     fact = _factorization(matrix, fact)
-    raw = _unclamped(estimator, fact, raw)
-    return linalg.clamp(raw, estimator.clamp_floor), fact, raw
+    raw = _unclamped(fn, fact, raw)
+    return linalg.clamp(raw, fn.clamp_floor), fact, raw
 
 
-def _jacobian_probe(
-    apply: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
-    matrix: np.ndarray,
-    fact: Optional[SvdFactorization],
-    free: Optional[np.ndarray],
-    delta: np.ndarray,
-    fd_step: float,
-) -> np.ndarray:
-    """Jacobian-vector product of ``apply`` at ``matrix`` along ``delta``."""
-    if isinstance(apply, SpectralFunction):
-        return apply.derivative_probe(fact, delta, free)
-    plus = apply(matrix + fd_step * delta)
-    minus = apply(matrix - fd_step * delta)
-    return (plus - minus) / (2.0 * fd_step)
+def _probe_products(fn: SpectralFunction, fact, directions, raw=None) -> Iterator[np.ndarray]:
+    """``delta * (J delta)`` for each probe ``delta``, ``J`` the Jacobian of
+    ``fn`` at ``fact``.  For +-1 probes its expectation is the Jacobian
+    diagonal ``dF_ij/dY_ij`` (Ramani, Blu & Unser, IEEE TIP 2008).  The
+    entries the clamp floor holds fixed are read once, from the unclamped
+    estimate ``raw`` (composed here when the map has a floor and it is not
+    given)."""
+    free = None
+    if fn.clamp_floor is not None:
+        free = _unclamped(fn, fact, raw) >= fn.clamp_floor
+    for delta in directions:
+        yield delta * fn.derivative_probe(fact, delta, free)
+
+
+def _mean_stderr(samples: Sequence[float]) -> tuple[float, Optional[float], int]:
+    """Mean, standard error (``None`` for one sample) and count of samples."""
+    count = len(samples)
+    stderr = float(np.std(samples, ddof=1) / np.sqrt(count)) if count > 1 else None
+    return float(np.mean(samples)), stderr, count
 
 
 def mc_divergence(
-    apply: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
+    apply: SpectralFunction,
     matrix: np.ndarray,
     samples: int,
     rng: Optional[np.random.Generator] = None,
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
     weights: Optional[np.ndarray] = None,
-    fd_step: float = 1e-6,
     fact: Optional[SvdFactorization] = None,
     raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
-    """Monte-Carlo divergence of a matrix map by random trace probing.
+    """Monte-Carlo divergence of a spectral map by random trace probing.
 
     Averages ``trace(delta^T (dF/dY) delta)`` over +-1 directions, which is
     unbiased for the divergence because off-diagonal Jacobian terms cancel in
-    expectation.  Spectral maps use the exact Jacobian-vector product; any
-    other callable is probed by central finite differences.
+    expectation.
 
     Parameters
     ----------
@@ -227,30 +227,19 @@ def mc_divergence(
     directions : sequence of np.ndarray, optional
         Explicit probe directions (overrides ``samples``/``rng``); useful for
         full enumeration and for freezing an objective during optimization.
-    fact : SvdFactorization, optional
-        Factorization of ``matrix``, used by a spectral map; it is computed
-        once here when not given.
-    raw : np.ndarray, optional
-        The unclamped estimate of a spectral map with a clamp floor, from
-        which the entries the floor holds fixed are read; it is composed
-        once here when not given.
+    fact, raw : optional
+        The factorization of ``matrix`` and the unclamped estimate of a map
+        with a clamp floor; each is computed once here when needed and not
+        given.
     """
+    _require_spectral(apply)
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    free = None
-    if isinstance(apply, SpectralFunction):
-        fact = _factorization(matrix, fact)
-        if apply.clamp_floor is not None:
-            free = _free_entries(apply, _unclamped(apply, fact, raw))
-    probes = []
-    for delta in directions:
-        dd = _jacobian_probe(apply, matrix, fact, free, delta, fd_step)
-        term = delta * dd if weights is None else weights * delta * dd
-        probes.append(float(np.sum(term)))
-    probes = np.asarray(probes)
-    nprobe = len(probes)
-    stderr = float(np.std(probes, ddof=1) / np.sqrt(nprobe)) if nprobe > 1 else None
-    return MonteCarloDivergence(float(np.mean(probes)), stderr, nprobe)
+    fact = _factorization(matrix, fact)
+    products = _probe_products(apply, fact, directions, raw)
+    if weights is not None:
+        products = (weights * product for product in products)
+    return MonteCarloDivergence(*_mean_stderr([float(np.sum(p)) for p in products]))
 
 
 def _divergence_fields(divergence) -> tuple[float, DivergenceKind, Optional[int], Optional[float]]:
@@ -312,6 +301,22 @@ def _sure(
     return RiskEstimate(value, "SURE", kind, samples, stderr, offset_note="estimates the MSE itself")
 
 
+def _gamma_inputs(observed, estimate, shape, name: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """The checked shape ``L``, observation and estimate of a Gamma risk estimate."""
+    L = float(shape)
+    if L <= 2:
+        raise ParameterError(f"the {name} requires L > 2, got {L}")
+    y = np.asarray(observed, dtype=float)
+    f = np.asarray(estimate, dtype=float)
+    if y.shape != f.shape:
+        raise DomainError("estimate must match the observation shape")
+    if np.any(y <= 0):
+        raise DomainError("Gamma observations must be positive")
+    if np.any(f <= 0):
+        raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
+    return L, y, f
+
+
 def gsure_gamma(
     observed: np.ndarray,
     estimate: np.ndarray,
@@ -330,17 +335,7 @@ def gsure_gamma(
     ``E[h'/h] = -theta`` and ``E[h''/h] = theta^2`` this is what makes the
     expectation collapse to ``sum (theta_hat - theta)^2``.
     """
-    L = float(shape)
-    if L <= 2:
-        raise ParameterError(f"the natural-parameter risk estimate requires L > 2, got {L}")
-    y = np.asarray(observed, dtype=float)
-    f = np.asarray(estimate, dtype=float)
-    if y.shape != f.shape:
-        raise DomainError("estimate must match the observation shape")
-    if np.any(y <= 0):
-        raise DomainError("Gamma observations must be positive")
-    if np.any(f <= 0):
-        raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
+    L, y, f = _gamma_inputs(observed, estimate, shape, "natural-parameter risk estimate")
     div, kind, samples, dstderr = _divergence_fields(theta_divergence)
     value = float(
         np.sum(L**2 / f**2 - 2.0 * L * (L - 1.0) / (y * f) + (L - 1.0) * (L - 2.0) / y**2)
@@ -376,9 +371,9 @@ def mc_theta_divergence_gamma(
     f, fact, raw = _estimate(spectral_fn, matrix, fact, raw)
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
-    weights = float(shape) / f**2
     return mc_divergence(
-        spectral_fn, matrix, samples, directions=directions, weights=weights, fact=fact, raw=raw
+        spectral_fn, matrix, samples, directions=directions, weights=float(shape) / f**2,
+        fact=fact, raw=raw,
     )
 
 
@@ -393,17 +388,7 @@ def sukls_gamma(
 
     ``sum_ij [(L-1) f_ij / y_ij - L log f_ij] - L n m + div f(Y)``.
     """
-    L = float(shape)
-    if L <= 2:
-        raise ParameterError(f"the synthesis KL risk estimate requires L > 2, got {L}")
-    y = np.asarray(observed, dtype=float)
-    f = np.asarray(estimate, dtype=float)
-    if y.shape != f.shape:
-        raise DomainError("estimate must match the observation shape")
-    if np.any(y <= 0):
-        raise DomainError("Gamma observations must be positive")
-    if np.any(f <= 0):
-        raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
+    L, y, f = _gamma_inputs(observed, estimate, shape, "synthesis KL risk estimate")
     div, kind, samples, dstderr = _divergence_fields(divergence)
     n, m = y.shape
     value = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * n * m + div
@@ -413,52 +398,35 @@ def sukls_gamma(
     )
 
 
-def _spectral_downdated_entries(
-    spectral_fn: SpectralFunction,
+def downdated_entries(
+    estimator: SpectralFunction,
     matrix: np.ndarray,
-    positions: np.ndarray,
+    positions: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``f_ij(Y - e_i e_j^T)`` for the requested positions, via batched SVDs."""
+    """Entries ``f_ij(Y - e_i e_j^T)`` of the estimator on one-count downdates,
+    via batched SVDs.
+
+    ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations;
+    all ``n * m`` positions are used when omitted.  The result is returned in
+    the order of ``positions``.
+    """
+    fn = _require_spectral(estimator)
+    matrix = np.asarray(matrix, dtype=float)
     n, m = matrix.shape
+    if positions is None:
+        positions = np.argwhere(np.ones((n, m), dtype=bool))
+    positions = np.asarray(positions, dtype=int)
     out = np.empty(len(positions))
     for start in range(0, len(positions), _DOWNDATE_BATCH):
         chunk = positions[start : start + _DOWNDATE_BATCH]
         stack = np.broadcast_to(matrix, (len(chunk), n, m)).copy()
         stack[np.arange(len(chunk)), chunk[:, 0], chunk[:, 1]] -= 1.0
         u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        values = np.stack([np.asarray(spectral_fn.values_fn(row), dtype=float) for row in s])
+        values = np.stack([fn.values(row) for row in s])
         rows = u[np.arange(len(chunk)), chunk[:, 0], :]
         cols = vt[np.arange(len(chunk)), :, chunk[:, 1]]
         entries = np.sum(values * rows * cols, axis=1)
-        if spectral_fn.clamp_floor is not None:
-            entries = np.maximum(entries, spectral_fn.clamp_floor)
-        out[start : start + len(chunk)] = entries
-    return out
-
-
-def downdated_entries(
-    estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
-    matrix: np.ndarray,
-    positions: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Entries ``f_ij(Y - e_i e_j^T)`` of the estimator on one-count downdates.
-
-    ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations;
-    all ``n * m`` positions are used when omitted.  The result is returned in
-    the order of ``positions``.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n, m = matrix.shape
-    if positions is None:
-        positions = np.argwhere(np.ones((n, m), dtype=bool))
-    positions = np.asarray(positions, dtype=int)
-    if isinstance(estimator, SpectralFunction):
-        return _spectral_downdated_entries(estimator, matrix, positions)
-    out = np.empty(len(positions))
-    for idx, (i, j) in enumerate(positions):
-        downdated = matrix.copy()
-        downdated[i, j] -= 1.0
-        out[idx] = estimator(downdated)[i, j]
+        out[start : start + len(chunk)] = linalg.clamp(entries, fn.clamp_floor)
     return out
 
 
@@ -471,9 +439,45 @@ def _guard_exact_size(matrix: np.ndarray) -> None:
         )
 
 
+def _poisson_downdates(
+    observed, fn: SpectralFunction, mode: str, samples, rng, directions, fact
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """What PURE and PUKLA share: the estimate ``f(Y)``, the nonzero counts
+    ``y_ij`` and samples of ``f_ij(Y - e_i e_j^T)`` at those entries.
+    ``mode="exact"`` gives one sample, evaluated on every one-count downdate
+    (guarded to small matrices); ``mode="approx"`` gives one first-order
+    sample ``f - delta * (J delta)`` per probe direction."""
+    y = validate_counts(observed)
+    if mode == "approx":
+        directions = probe_directions(y.shape, samples, rng, directions)
+    elif mode == "exact":
+        _guard_exact_size(y)
+    else:
+        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
+    fhat, fact, raw = _estimate(fn, y, fact)
+    nonzero = y > 0  # a boolean mask reads the entries in the order np.argwhere lists them
+    if mode == "exact":
+        down = [downdated_entries(fn, y, np.argwhere(nonzero))]
+    else:
+        base = fhat[nonzero]
+        down = [base - p[nonzero] for p in _probe_products(fn, fact, directions, raw)]
+    return fhat, y[nonzero], down
+
+
+def _poisson_estimate(lead, scale, terms, mode, kind: EstimatorKind, note: str) -> RiskEstimate:
+    """``lead - scale * mean(terms)``: exact for one term per enumeration,
+    else a Monte-Carlo estimate with its standard error."""
+    mean, stderr, count = _mean_stderr(terms)
+    value = lead - scale * mean
+    if mode == "exact":
+        return RiskEstimate(value, kind, "exact", offset_note=note)
+    stderr = scale * stderr if stderr is not None else None
+    return RiskEstimate(value, kind, "monte_carlo", count, stderr, offset_note=note)
+
+
 def pure_poisson(
     observed: np.ndarray,
-    estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
+    estimator: SpectralFunction,
     *,
     mode: str = "exact",
     samples: int = 1,
@@ -483,61 +487,23 @@ def pure_poisson(
 ) -> RiskEstimate:
     """Unbiased estimate of ``MSE - ||X||_F^2`` under Poisson noise.
 
-    ``mode="exact"`` evaluates the estimator on every one-count downdate
-    (guarded to small matrices); ``mode="approx"`` replaces each downdated
-    entry by its first-order expansion probed along +-1 directions, which
-    requires a spectral estimator.  ``fact``, the factorization of
-    ``observed``, is computed once here for a spectral estimator when not
-    given.
+    ``||f(Y)||_F^2 - 2 sum_ij y_ij f_ij(Y - e_i e_j^T)``.  ``mode="exact"``
+    evaluates the estimator on every one-count downdate (guarded to small
+    matrices); ``mode="approx"`` replaces each downdated entry by its
+    first-order expansion probed along +-1 directions.  ``fact``, the
+    factorization of ``observed``, is computed once here when not given.
     """
-    y = validate_counts(observed)
-    if mode == "approx":
-        directions = _approx_directions(estimator, y, samples, rng, directions)
-    elif mode != "exact":
-        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    fhat, fact, raw = _estimate(estimator, y, fact)
-    norm_sq = float(np.sum(fhat**2))
-    nonzero = np.argwhere(y > 0)
-
-    if mode == "exact":
-        _guard_exact_size(y)
-        if len(nonzero) == 0:
-            cross = 0.0
-        else:
-            down = downdated_entries(estimator, y, nonzero)
-            cross = float(np.sum(y[nonzero[:, 0], nonzero[:, 1]] * down))
-        return RiskEstimate(
-            norm_sq - 2.0 * cross, "PURE", "exact",
-            offset_note="estimates MSE minus the squared Frobenius norm of the signal",
-        )
-
-    free = _free_entries(estimator, raw)
-    crosses = []
-    for delta in directions:
-        dd = estimator.derivative_probe(fact, delta, free)
-        crosses.append(float(np.sum(y * (fhat - delta * dd))))
-    crosses = np.asarray(crosses)
-    value = norm_sq - 2.0 * float(np.mean(crosses))
-    stderr = (
-        2.0 * float(np.std(crosses, ddof=1) / np.sqrt(len(crosses))) if len(crosses) > 1 else None
+    fhat, counts, down = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact)
+    crosses = [float(np.sum(counts * d)) for d in down]
+    return _poisson_estimate(
+        float(np.sum(fhat**2)), 2.0, crosses, mode, "PURE",
+        "estimates MSE minus the squared Frobenius norm of the signal",
     )
-    return RiskEstimate(
-        value, "PURE", "monte_carlo", len(crosses), stderr,
-        offset_note="estimates MSE minus the squared Frobenius norm of the signal",
-    )
-
-
-def _approx_directions(estimator, y, samples, rng, directions) -> list[np.ndarray]:
-    """The probes of a first-order Poisson estimate, which needs a spectral
-    estimator."""
-    if not isinstance(estimator, SpectralFunction):
-        raise ParameterError("the first-order approximation requires a spectral estimator")
-    return probe_directions(y.shape, samples, rng, directions)
 
 
 def pukla_poisson(
     observed: np.ndarray,
-    estimator: Union[SpectralFunction, Callable[[np.ndarray], np.ndarray]],
+    estimator: SpectralFunction,
     *,
     mode: str = "exact",
     samples: int = 1,
@@ -554,38 +520,11 @@ def pukla_poisson(
     ``log_floor`` (or the estimator's own clamp floor if larger).  ``mode``
     and ``fact`` are as in :func:`pure_poisson`.
     """
-    y = validate_counts(observed)
-    if mode == "approx":
-        directions = _approx_directions(estimator, y, samples, rng, directions)
-    elif mode != "exact":
-        raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    if isinstance(estimator, SpectralFunction) and estimator.clamp_floor is not None:
+    fhat, counts, down = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact)
+    if estimator.clamp_floor is not None:
         log_floor = max(log_floor, estimator.clamp_floor)
-    fhat, fact, raw = _estimate(estimator, y, fact)
-    lead = float(np.sum(fhat))
-    nonzero = np.argwhere(y > 0)
-    counts = y[nonzero[:, 0], nonzero[:, 1]] if len(nonzero) else np.zeros(0)
-    note = "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)"
-
-    if mode == "exact":
-        _guard_exact_size(y)
-        if len(nonzero) == 0:
-            return RiskEstimate(lead, "PUKLA", "exact", offset_note=note)
-        down = np.maximum(downdated_entries(estimator, y, nonzero), log_floor)
-        value = lead - float(np.sum(counts * np.log(down)))
-        return RiskEstimate(value, "PUKLA", "exact", offset_note=note)
-
-    free = _free_entries(estimator, raw)
-    terms = []
-    for delta in directions:
-        dd = estimator.derivative_probe(fact, delta, free)
-        approx = np.maximum(fhat - delta * dd, log_floor)
-        if len(nonzero) == 0:
-            terms.append(0.0)
-        else:
-            logs = np.log(approx[nonzero[:, 0], nonzero[:, 1]])
-            terms.append(float(np.sum(counts * logs)))
-    terms = np.asarray(terms)
-    value = lead - float(np.mean(terms))
-    stderr = float(np.std(terms, ddof=1) / np.sqrt(len(terms))) if len(terms) > 1 else None
-    return RiskEstimate(value, "PUKLA", "monte_carlo", len(terms), stderr, offset_note=note)
+    terms = [float(np.sum(counts * np.log(np.maximum(d, log_floor)))) for d in down]
+    return _poisson_estimate(
+        float(np.sum(fhat)), 1.0, terms, mode, "PUKLA",
+        "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)",
+    )

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from svshrink import activeset, cli, linalg, matrixio, risk, rmt, shrinkage
+from svshrink import activeset, cli, experiments, linalg, matrixio, risk, rmt, shrinkage
+from svshrink.errors import DomainError
 from svshrink.linalg import ShrinkagePlan, SpectralFunction
 from svshrink.models import Gamma, Poisson
 
@@ -289,6 +290,19 @@ class TestExperimentCommand:
         )
         assert (out1 / "records.csv").read_bytes() == (out8 / "records.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out8 / "summary.json").read_bytes()
+
+    def test_too_many_failed_tasks_exit_2(self, tmp_path, monkeypatch, capsys):
+        def failing_fit(*args, **kwargs):
+            raise DomainError("the fit failed")
+
+        monkeypatch.setattr(experiments, "fit_estimator", failing_fit)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 8 of 8 replication tasks failed")
+        assert "the fit failed" in err
 
     def test_bundled_fig2_config_validates(self):
         raw = json.loads(open("configs/fig2.json").read())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svshrink import linalg
 from svshrink.errors import DegenerateSpectrumError, DomainError
@@ -55,6 +57,41 @@ class TestSvd:
         y[0, 1] = np.nan
         with pytest.raises(DomainError):
             linalg.svd(y)
+
+
+def edge_matrix(kind, n, m, seed):
+    """A 1 x m, m x 1, rank-deficient, all-zero or generic matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "row":
+        return rng.standard_normal((1, m))
+    if kind == "column":
+        return rng.standard_normal((n, 1))
+    if kind == "zero":
+        return np.zeros((n, m))
+    if kind == "rank_deficient":
+        r = int(rng.integers(0, min(n, m)))
+        return rng.standard_normal((n, r)) @ rng.standard_normal((r, m))
+    return rng.standard_normal((n, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["row", "column", "zero", "rank_deficient", "generic"]),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_sign_convention_property(kind, n, m, seed):
+    y = edge_matrix(kind, n, m, seed)
+    a, b = linalg.svd(y), linalg.svd(y.copy())
+    assert np.array_equal(a.singular_values, b.singular_values)
+    assert np.array_equal(a.left_vectors, b.left_vectors)
+    assert np.array_equal(a.right_vectors, b.right_vectors)
+    u = a.left_vectors
+    anchors = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    assert np.all(anchors > 0)
+    rebuilt = (u * a.singular_values) @ a.right_vectors.T
+    np.testing.assert_allclose(rebuilt, y, rtol=0, atol=1e-12 * max(1.0, float(np.abs(y).max())))
 
 
 class TestShrinkagePlan:

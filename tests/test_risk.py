@@ -17,6 +17,14 @@ def half_map(clamp=None):
     return SpectralFunction(lambda s: 0.5 * s, lambda s: 0.5 * np.ones_like(s), clamp)
 
 
+def zero_map(clamp=None):
+    return SpectralFunction(lambda s: np.zeros_like(s), lambda s: np.zeros_like(s), clamp)
+
+
+def identity_map():
+    return SpectralFunction(lambda s: s.copy(), lambda s: np.ones_like(s))
+
+
 def weighted_rank1(w, clamp=None):
     def values(s):
         out = np.zeros_like(s)
@@ -93,11 +101,30 @@ class TestMonteCarloDivergence:
         closed = risk.divergence_closed_form(fact, 0.5 * s, 0.5 * np.ones_like(s))
         assert abs(est.value - closed) <= 3 * est.stderr
 
-    def test_generic_callable_uses_finite_differences(self):
-        # The entrywise halving map is linear, so the probe is exact.
-        y = np.random.default_rng(8).standard_normal((4, 4))
-        est = risk.mc_divergence(lambda M: 0.5 * M, y, 5, np.random.default_rng(9))
-        assert est.value == pytest.approx(8.0, rel=1e-6)
+
+class TestSpectralOnly:
+    """Risk estimates take a SpectralFunction; a plain callable is a
+    ParameterError, in either Poisson mode."""
+
+    @pytest.mark.parametrize("name", [
+        "mc_divergence", "mc_theta_divergence_gamma", "downdated_entries",
+        "pure_exact", "pure_approx", "pukla_exact", "pukla_approx",
+    ])
+    def test_callable_is_parameter_error(self, name):
+        y = np.array([[2.0, 1.0, 3.0], [1.0, 4.0, 2.0]])
+        halve = lambda M: 0.5 * M  # noqa: E731
+        rng = np.random.default_rng(0)
+        calls = {
+            "mc_divergence": lambda: risk.mc_divergence(halve, y, 2, rng),
+            "mc_theta_divergence_gamma": lambda: risk.mc_theta_divergence_gamma(halve, y, 3.0, 2, rng),
+            "downdated_entries": lambda: risk.downdated_entries(halve, y),
+            "pure_exact": lambda: risk.pure_poisson(y, halve, mode="exact"),
+            "pure_approx": lambda: risk.pure_poisson(y, halve, mode="approx", rng=rng),
+            "pukla_exact": lambda: risk.pukla_poisson(y, halve, mode="exact"),
+            "pukla_approx": lambda: risk.pukla_poisson(y, halve, mode="approx", rng=rng),
+        }
+        with pytest.raises(ParameterError, match="take a SpectralFunction"):
+            calls[name]()
 
 
 class TestSureGaussian:
@@ -264,19 +291,19 @@ class TestSuklsGamma:
 class TestPurePoisson:
     def test_zero_estimator(self):
         y = np.array([[2.0, 0.0], [1.0, 3.0]])
-        out = risk.pure_poisson(y, lambda M: np.zeros_like(M), mode="exact")
+        out = risk.pure_poisson(y, zero_map(), mode="exact")
         assert out.value == 0.0
 
     def test_one_by_one_identity(self):
         for count in (0.0, 1.0, 4.0):
             y = np.array([[count]])
-            out = risk.pure_poisson(y, lambda M: M.copy(), mode="exact")
+            out = risk.pure_poisson(y, identity_map(), mode="exact")
             assert out.value == pytest.approx(-(count**2) + 2 * count, rel=1e-12)
 
     def test_capacity_guard(self):
         y = np.zeros((101, 101))
         with pytest.raises(CapacityError):
-            risk.pure_poisson(y, lambda M: M, mode="exact")
+            risk.pure_poisson(y, identity_map(), mode="exact")
 
     def test_approx_close_to_exact(self):
         x = rank_one_positive(15, 10, 60.0)
@@ -309,10 +336,12 @@ class TestPurePoisson:
 
 class TestPuklaPoisson:
     def test_constant_estimator_identity(self):
+        # The zero map clamped at c is the constant c, on Y and on every
+        # downdate: 30 c - log(c) sum y.
         rng = np.random.default_rng(20)
         y = rng.poisson(3.0, size=(6, 5)).astype(float)
         c = 2.5
-        out = risk.pukla_poisson(y, lambda M: np.full(M.shape, c), mode="exact")
+        out = risk.pukla_poisson(y, zero_map(clamp=c), mode="exact")
         assert out.value == pytest.approx(30 * c - np.log(c) * y.sum(), rel=1e-12)
 
     def test_all_zero_counts(self):
@@ -321,17 +350,19 @@ class TestPuklaPoisson:
         out = risk.pukla_poisson(y, fn, mode="exact")
         assert out.value == pytest.approx(float(np.sum(fn(y))), rel=1e-12)
 
-    def test_zero_count_entries_do_not_contribute(self):
+    def test_zero_count_entries_do_not_contribute(self, monkeypatch):
         y = np.array([[0.0, 2.0], [0.0, 1.0]])
         seen = []
+        downdated_entries = risk.downdated_entries
 
-        def probe(M):
-            seen.append(M.copy())
-            return np.full(M.shape, 3.0)
+        def record(fn, matrix, positions=None):
+            seen.append(np.asarray(positions).tolist())
+            return downdated_entries(fn, matrix, positions)
 
-        risk.pukla_poisson(y, probe, mode="exact")
-        # Downdates happen only at the two nonzero entries (plus the base call).
-        assert len(seen) == 3
+        monkeypatch.setattr(risk, "downdated_entries", record)
+        risk.pukla_poisson(y, zero_map(clamp=3.0), mode="exact")
+        # Downdates happen only at the two nonzero entries.
+        assert seen == [[[0, 1], [1, 1]]]
 
     def test_unbiased_up_to_signal_constant(self):
         x = rank_one_positive(10, 8, 40.0)
