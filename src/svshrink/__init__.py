@@ -10,7 +10,7 @@ from .errors import (
     SvshrinkError,
     UnsupportedFamilyError,
 )
-from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization, svd
+from .linalg import SpectralFunction, SvdFactorization, svd
 from .models import Gamma, Gaussian, Poisson, model_from_config
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "shrinkage",
     "svd",
     "SvdFactorization",
-    "ShrinkagePlan",
     "SpectralFunction",
     "Gaussian",
     "Gamma",

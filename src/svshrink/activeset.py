@@ -16,10 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, ParameterError
-from .linalg import ShrinkagePlan, SvdFactorization
+from .linalg import SvdFactorization
 from .models import Gaussian, NoiseModel
-
-DEFAULT_CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def aic(
     model: NoiseModel,
     subset,
     *,
-    clamp_floor: float = DEFAULT_CLAMP,
+    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
     fact: Optional[SvdFactorization] = None,
 ) -> float:
     """Penalized-likelihood score of keeping exactly the given indices.
@@ -67,10 +65,15 @@ def aic(
     if fact is None:
         fact = linalg.svd(y)
     floor = None if isinstance(model, Gaussian) else clamp_floor
-    subset = [int(k) for k in subset]
-    plan = ShrinkagePlan(subset, dict.fromkeys(subset, 1.0), floor)
-    xtilde = linalg.reconstruct(fact, plan)  # checks the indices against min(n, m)
-    complexity = 2.0 * len(plan.active_set) * penalty(fact.n, fact.m)
+    subset = sorted({int(k) for k in subset})
+    if subset and subset[0] < 1:
+        raise DomainError("active-set indices are 1-based and must be >= 1")
+    if subset and subset[-1] > fact.rank_bound:
+        raise DomainError(f"index {subset[-1]} exceeds min(n, m) = {fact.rank_bound}")
+    keep = np.zeros(fact.rank_bound)
+    keep[np.asarray(subset, dtype=int) - 1] = 1.0
+    xtilde = linalg.compose_clamped(fact, keep * fact.singular_values, floor)
+    complexity = 2.0 * len(subset) * penalty(fact.n, fact.m)
     return -2.0 * model.log_likelihood(y, xtilde) + complexity
 
 
@@ -90,7 +93,7 @@ def active_set_greedy(
     observed: np.ndarray,
     model: NoiseModel,
     *,
-    clamp_floor: float = DEFAULT_CLAMP,
+    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
     fact: Optional[SvdFactorization] = None,
 ) -> ActiveSetReport:
     """One-shot greedy selection: drop exactly the indices whose single

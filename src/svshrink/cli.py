@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     den.add_argument("--objective", choices=["sure", "gsure", "sukls", "pure", "pukla"])
     den.add_argument("--rank", type=int)
     den.add_argument("--active-set", choices=["bulk", "greedy", "all"])
-    den.add_argument("--epsilon", type=float, default=1e-6)
+    den.add_argument("--epsilon", type=float, default=linalg.DEFAULT_CLAMP_FLOOR)
     den.add_argument("--seed", type=int, default=0)
     den.add_argument("--output", required=True)
 
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     act.add_argument("--tau", type=float)
     act.add_argument("--L", type=float)
     act.add_argument("--method", choices=["bulk", "greedy"])
-    act.add_argument("--epsilon", type=float, default=1e-6)
+    act.add_argument("--epsilon", type=float, default=linalg.DEFAULT_CLAMP_FLOOR)
     act.add_argument("--output")
 
     exp = sub.add_parser("experiment", help="run a seeded replication sweep from a JSON config")
@@ -135,7 +135,7 @@ def _cmd_denoise(args) -> int:
     fn, sidecar = experiments.fit_estimator(method, y, fact, model, rng, clamp_floor=args.epsilon)
     if method.name == "soft":
         sidecar["active_set"] = list(experiments.resolve_active(method, y, fact, model, args.epsilon))
-    denoised = fn.apply_to_factorization(fact)
+    denoised = linalg.reconstruct(fact, fn)
     if objective is not None:
         evaluate = shrinkage.make_risk_objective(
             y, fact, model, objective, rng=rng, samples=REPORT_MC_SAMPLES, exact=True

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import activeset, linalg, metrics, rmt, shrinkage
 from .errors import DomainError, NumericalError, ParameterError, SvshrinkError
-from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
+from .linalg import SpectralFunction, SvdFactorization
 from .models import Gaussian, NoiseModel, model_from_config
 
 SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
@@ -280,12 +280,13 @@ def fit_estimator(
     model: NoiseModel,
     rng: np.random.Generator,
     signal: Optional[np.ndarray] = None,
-    clamp_floor: float = 1e-6,
+    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
 ) -> tuple[SpectralFunction, dict]:
     """Fit one resolved method on one realization.
 
     Returns the fitted estimator and what the fit chose (active set, weights,
-    threshold or scale).
+    threshold or scale).  This is the one place where fitted parameters
+    become an estimator.
     """
     y = np.asarray(observed, dtype=float)
     s = fact.singular_values
@@ -296,8 +297,9 @@ def fit_estimator(
 
     if method.name == "pca":
         active = resolve_active(method, y, fact, model, clamp_floor)
-        plan = ShrinkagePlan(active, dict.fromkeys(active, 1.0), floor)
-        return SpectralFunction(plan.values, plan.derivs, floor), {"active_set": list(active)}
+        keep = np.zeros(fact.rank_bound)
+        keep[np.asarray(active, dtype=int) - 1] = 1.0
+        return linalg.weights_function(keep, floor), {"active_set": list(active)}
 
     if method.name == "soft":
         lam = shrinkage.soft_threshold_fit(
@@ -307,9 +309,9 @@ def fit_estimator(
 
     if method.name == "weighted":
         active = resolve_active(method, y, fact, model, clamp_floor)
-        plan = _weighted_plan(y, fact, model, method.objective, active, floor, rng)
-        info = {"active_set": list(active), "weights": plan.to_json()["weights"]}
-        return SpectralFunction(plan.values, plan.derivs, floor), info
+        w = _fit_weights(y, fact, model, method.objective, active, floor, rng)
+        info = {"active_set": list(active), "weights": {str(k): float(w[k - 1]) for k in active}}
+        return linalg.weights_function(w, floor), info
 
     if method.name == "oracle-soft":
         lam = shrinkage.oracle_soft_threshold(
@@ -344,17 +346,19 @@ def fit_estimator(
     raise ParameterError(f"unhandled estimator {method.name!r}")
 
 
-def _weighted_plan(y, fact, model, objective, active, clamp_floor, rng) -> ShrinkagePlan:
-    """Weighted-plan fitting with the fast paths: the Gaussian closed form,
-    and the rank-one closed forms when the active set is exactly {1}."""
+def _fit_weights(y, fact, model, objective, active, clamp_floor, rng) -> np.ndarray:
+    """The weight vector of a weighted fit, with the fast paths: the Gaussian
+    closed form, and the rank-one closed forms when the active set is
+    exactly {1}."""
     if isinstance(model, Gaussian) and objective == "sure":
-        return shrinkage.weights_gaussian(fact, model.tau, active, clamp_floor)
-    if active == (1,) and objective == "sukls":
-        w1 = shrinkage.weight1_gamma_sukls(y, fact, model.shape, active)
-        return ShrinkagePlan.rank_one(w1, clamp_floor)
-    if active == (1,) and objective == "pukla":
-        w1 = shrinkage.weight1_poisson_pukla(y, fact, active)
-        return ShrinkagePlan.rank_one(w1, clamp_floor)
+        return shrinkage.weights_gaussian(fact, model.tau, active)
+    if active == (1,) and objective in ("sukls", "pukla"):
+        w = np.zeros(fact.rank_bound)
+        if objective == "sukls":
+            w[0] = shrinkage.weight1_gamma_sukls(y, fact, model.shape, active)
+        else:
+            w[0] = shrinkage.weight1_poisson_pukla(y, fact, active)
+        return w
     return shrinkage.optimize_weights_greedy(
         y, model, objective, active, clamp_floor=clamp_floor, rng=rng, fact=fact
     )
@@ -386,7 +390,7 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("nmse",)
     sweep_parameter: Optional[str] = None
     sweep_values: tuple[float, ...] = ()
-    clamp_floor: float = 1e-6
+    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR
 
     def __post_init__(self):
         # Both sweeps set the noise level by building a Gaussian model.
@@ -410,7 +414,7 @@ class ExperimentConfig:
             metrics=tuple(config.get("metrics", ("nmse",))),
             sweep_parameter=None if sweep is None else sweep["parameter"],
             sweep_values=() if sweep is None else tuple(float(v) for v in sweep["values"]),
-            clamp_floor=float(config.get("clamp_floor", 1e-6)),
+            clamp_floor=float(config.get("clamp_floor", linalg.DEFAULT_CLAMP_FLOOR)),
         )
 
 
@@ -478,9 +482,10 @@ class ExperimentResult:
         raise KeyError((sweep_value, estimator, metric_name))
 
 
-def _apply_sweep(config: ExperimentConfig, parameter: str, value: float):
-    """Return (model, signal_spec, rank_cap) for one sweep point."""
-    model, signal, rank_cap = config.model, config.signal, None
+def _apply_sweep(config: ExperimentConfig, parameter: Optional[str], value):
+    """Return (model, signal_spec) for one sweep point; a rank_cap sweep, or
+    no sweep, keeps the config's."""
+    model, signal = config.model, config.signal
     if parameter == "sigma1":
         if signal.kind != "spike":
             raise ParameterError("the sigma1 sweep needs a spike signal")
@@ -498,9 +503,7 @@ def _apply_sweep(config: ExperimentConfig, parameter: str, value: float):
         x = generate_signal(signal, config.n, config.m)
         sd = float(np.sqrt(np.mean((x - x.mean()) ** 2)))
         model = Gaussian(tau=sd / float(value))
-    elif parameter == "rank_cap":
-        rank_cap = int(value)
-    return model, signal, rank_cap
+    return model, signal
 
 
 def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: int) -> list[dict]:
@@ -508,9 +511,7 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
     sweeps a single call covers every sweep value (shared data and fits)."""
     parameter = config.sweep_parameter
     shared_data = parameter == "rank_cap" or parameter is None
-    model, signal_spec, _ = _apply_sweep(config, parameter, value) if parameter else (
-        config.model, config.signal, None,
-    )
+    model, signal_spec = _apply_sweep(config, parameter, value)
     data_key = [config.root_seed, 0 if shared_data else sweep_idx, rep]
     rng = np.random.default_rng(np.random.SeedSequence(data_key))
     x = generate_signal(signal_spec, config.n, config.m, model)

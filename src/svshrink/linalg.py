@@ -9,7 +9,7 @@ singular value ``sigma_k`` by ``f_k(sigma_k)``.  Everything downstream
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -21,6 +21,10 @@ from .errors import DegenerateSpectrumError, DomainError, NumericalError
 # are treated as ties: the pair-interaction formulas are numerically singular
 # there even though they hold almost everywhere under continuous noise.
 DEGENERACY_RTOL = 1e-12
+
+# Default entrywise lower bound of Gamma and Poisson estimates, which must
+# stay positive for their likelihoods and risk estimates.
+DEFAULT_CLAMP_FLOOR = 1e-6
 
 
 def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -125,65 +129,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ShrinkagePlan:
-    """Active index set with per-index shrinkage weights.
-
-    Singular-value indices are 1-based: ``k = 1`` refers to the largest
-    singular value.  Indices outside ``active_set`` always receive weight 0.
-    ``clamp_floor``, when set, applies an entrywise lower bound to the
-    reconstructed matrix (positivity constraint for Gamma/Poisson signals).
-    """
-
-    active_set: tuple[int, ...]
-    weights: dict[int, float] = field(default_factory=dict)
-    clamp_floor: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "active_set", tuple(sorted(set(int(k) for k in self.active_set))))
-        if any(k < 1 for k in self.active_set):
-            raise DomainError("active-set indices are 1-based and must be >= 1")
-        if set(self.weights) != set(self.active_set):
-            raise DomainError("weights must be given for exactly the active-set indices")
-        for k, w in self.weights.items():
-            if not (0.0 <= w <= 1.0):
-                raise DomainError(f"weight for index {k} is {w}, outside [0, 1]")
-        if self.clamp_floor is not None and not self.clamp_floor > 0:
-            raise DomainError("clamp_floor must be positive when given")
-
-    @classmethod
-    def identity(cls, k: int, clamp_floor: Optional[float] = None) -> "ShrinkagePlan":
-        """Keep all ``k`` singular values unchanged."""
-        idx = tuple(range(1, k + 1))
-        return cls(idx, {i: 1.0 for i in idx}, clamp_floor)
-
-    @classmethod
-    def rank_one(cls, weight: float, clamp_floor: Optional[float] = None) -> "ShrinkagePlan":
-        return cls((1,), {1: float(weight)}, clamp_floor)
-
-    def values(self, sigmas: np.ndarray) -> np.ndarray:
-        """Per-index shrunk singular values ``w_k * sigma_k`` (0 off the set)."""
-        out = np.zeros_like(sigmas)
-        for k in self.active_set:
-            if k <= len(sigmas):
-                out[k - 1] = self.weights[k] * sigmas[k - 1]
-        return out
-
-    def derivs(self, sigmas: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(sigmas)
-        for k in self.active_set:
-            if k <= len(sigmas):
-                out[k - 1] = self.weights[k]
-        return out
-
-    def to_json(self) -> dict:
-        return {
-            "active_set": list(self.active_set),
-            "weights": {str(k): self.weights[k] for k in self.active_set},
-            "clamp_floor": self.clamp_floor,
-        }
-
-
 def svd(matrix: np.ndarray) -> SvdFactorization:
     """Thin SVD with the package-wide deterministic sign convention.
 
@@ -235,17 +180,11 @@ def clamp(raw: np.ndarray, clamp_floor: Optional[float]) -> np.ndarray:
     return raw if clamp_floor is None else np.maximum(raw, clamp_floor)
 
 
-def reconstruct(fact: SvdFactorization, plan: ShrinkagePlan) -> np.ndarray:
-    """Weighted reconstruction ``sum_{k in s} w_k sigma_k u_k v_k^T``.
-
-    With ``plan.clamp_floor`` set, every entry is raised to at least that
-    floor after summation.
-    """
-    if plan.active_set and plan.active_set[-1] > fact.rank_bound:
-        raise DomainError(
-            f"plan index {plan.active_set[-1]} exceeds min(n, m) = {fact.rank_bound}"
-        )
-    return compose_clamped(fact, plan.values(fact.singular_values), plan.clamp_floor)
+def reconstruct(fact: SvdFactorization, fn: SpectralFunction) -> np.ndarray:
+    """The estimate of the spectral estimator ``fn`` at the factorized
+    observation: ``sum_k f_k(sigma_k) u_k v_k^T``, clamped at
+    ``fn.clamp_floor`` when one is set."""
+    return compose_clamped(fact, fn.values(fact.singular_values), fn.clamp_floor)
 
 
 def _tie_tolerance(sigmas: np.ndarray) -> float:
@@ -413,17 +352,18 @@ class SpectralFunction:
     derivs_fn: Callable[[np.ndarray], np.ndarray]
     clamp_floor: Optional[float] = None
 
+    def __post_init__(self):
+        if self.clamp_floor is not None and not self.clamp_floor > 0:
+            raise DomainError("clamp_floor must be positive when given")
+
     def values(self, sigmas: np.ndarray) -> np.ndarray:
         return np.asarray(self.values_fn(np.asarray(sigmas, dtype=float)), dtype=float)
 
     def derivs(self, sigmas: np.ndarray) -> np.ndarray:
         return np.asarray(self.derivs_fn(np.asarray(sigmas, dtype=float)), dtype=float)
 
-    def apply_to_factorization(self, fact: SvdFactorization) -> np.ndarray:
-        return compose_clamped(fact, self.values(fact.singular_values), self.clamp_floor)
-
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
-        return self.apply_to_factorization(svd(matrix))
+        return reconstruct(svd(matrix), self)
 
     def derivative_probe(
         self, fact: SvdFactorization, delta: np.ndarray, free: Optional[np.ndarray] = None
@@ -464,3 +404,22 @@ def soft_threshold_function(lam: float, clamp_floor: Optional[float] = None) -> 
         lambda s: soft_threshold_derivs(s, lam),
         clamp_floor,
     )
+
+
+def weights_function(weights: np.ndarray, clamp_floor: Optional[float] = None) -> SpectralFunction:
+    """Per-index weighting ``f_k(sigma_k) = w_k sigma_k``, one weight in
+    [0, 1] per singular value (weight 0 drops the index)."""
+    w = np.array(weights, dtype=float)  # a copy: the map stays fixed
+    if w.ndim != 1:
+        raise DomainError(f"weights must be a 1-D array, got shape {w.shape}")
+    outside = np.flatnonzero(~((w >= 0.0) & (w <= 1.0)))
+    if outside.size:
+        k = outside[0]
+        raise DomainError(f"weight for index {k + 1} is {w[k]}, outside [0, 1]")
+
+    def values(sigmas: np.ndarray) -> np.ndarray:
+        if sigmas.shape != w.shape:
+            raise DomainError(f"{len(w)} weights given for {len(sigmas)} singular values")
+        return w * sigmas
+
+    return SpectralFunction(values, lambda sigmas: w.copy(), clamp_floor)

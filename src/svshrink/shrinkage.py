@@ -1,17 +1,19 @@
-"""Spectral estimator constructors and data-driven weight selection.
+"""Data-driven selection of spectral-estimator parameters.
 
 The estimators keep the observation's singular vectors and modify its
 singular values: hard truncation, soft thresholding, or per-index weighting.
-Weights are chosen by minimizing an unbiased risk estimate: a closed form
-under Gaussian noise, rank-one closed forms for the Gamma synthesis-KL and
-Poisson analysis-KL criteria, and a greedy per-coordinate bounded search for
-everything else.
+The fits here return parameters, a soft threshold or a weight vector, and
+:func:`svshrink.experiments.fit_estimator` turns them into a
+:class:`~svshrink.linalg.SpectralFunction`.  Weights are chosen by
+minimizing an unbiased risk estimate: a closed form under Gaussian noise,
+rank-one closed forms for the Gamma synthesis-KL and Poisson analysis-KL
+criteria, and a greedy per-coordinate bounded search for everything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -20,7 +22,7 @@ from . import linalg, metrics, risk
 from .errors import (
     DegenerateSpectrumError, DomainError, NumericalError, ParameterError, SvshrinkError,
 )
-from .linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
+from .linalg import SpectralFunction, SvdFactorization
 from .models import NoiseModel, validate_counts
 
 BOUNDED_XATOL = 1e-6
@@ -31,8 +33,7 @@ def weights_gaussian(
     fact: SvdFactorization,
     tau: float,
     active_set: Optional[Iterable[int]] = None,
-    clamp_floor: Optional[float] = None,
-) -> ShrinkagePlan:
+) -> np.ndarray:
     """Closed-form weights minimizing the Gaussian MSE estimate per index.
 
     For each active index ``k`` (1-based) the unbiased-risk objective is a
@@ -42,10 +43,10 @@ def weights_gaussian(
                    + 2 sum_{l != k} sigma_k^2 / (sigma_k^2 - sigma_l^2)), 0, 1)
 
     The pair sum equals ``sigma_k P_k`` with ``P`` cached on the
-    factorization (:attr:`SvdFactorization.pair_sums`).  Indices outside
-    ``active_set`` get weight zero (they are simply absent from the returned
-    plan).  ``active_set=None`` activates every index.  A zero or tied active
-    singular value raises :class:`DegenerateSpectrumError`.
+    factorization (:attr:`SvdFactorization.pair_sums`).  Returns the weight
+    vector, shape ``(min(n, m),)``, with weight zero at every index outside
+    ``active_set``; ``active_set=None`` activates every index.  A zero or
+    tied active singular value raises :class:`DegenerateSpectrumError`.
     """
     if not tau > 0:
         raise ParameterError("tau must be positive")
@@ -64,8 +65,9 @@ def weights_gaussian(
         raise DegenerateSpectrumError(f"singular value {k} is zero; weight formula undefined")
     _check_untied(fact, idx)
     factor = 1.0 + abs(fact.m - fact.n) + 2.0 * sk * fact.pair_sums[idx]
-    w = np.clip(1.0 - tau**2 / sk**2 * factor, 0.0, 1.0)
-    return ShrinkagePlan(active, {k: float(wk) for k, wk in zip(active, w)}, clamp_floor)
+    weights = np.zeros(fact.rank_bound)
+    weights[idx] = np.clip(1.0 - tau**2 / sk**2 * factor, 0.0, 1.0)
+    return weights
 
 
 def _check_untied(fact: SvdFactorization, idx: np.ndarray) -> None:
@@ -143,8 +145,9 @@ def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactoriza
     nonzero = np.argwhere(y > 0)
     if len(nonzero) == 0:
         return 0.0
-    plan = ShrinkagePlan.rank_one(1.0)
-    down = risk.downdated_entries(SpectralFunction(plan.values, plan.derivs), y, nonzero)
+    leading = np.zeros(fact.rank_bound)
+    leading[0] = 1.0
+    down = risk.downdated_entries(linalg.weights_function(leading), y, nonzero)
     total = float(np.sum(y[nonzero[:, 0], nonzero[:, 1]] * down))
     return float(np.clip(total / top**2, 0.0, 1.0))
 
@@ -271,21 +274,20 @@ def make_risk_objective(
 def optimize_weights_greedy(
     observed: np.ndarray,
     model: NoiseModel,
-    objective: Union[str, Callable[[np.ndarray], float]],
+    objective: str,
     active_set: Iterable[int],
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
     samples: int = 1,
-    passes: int = 1,
     fact: Optional[SvdFactorization] = None,
-) -> ShrinkagePlan:
+) -> np.ndarray:
     """Greedy per-coordinate weight optimization.
 
-    Sweeps the indices in ascending order; each active weight is replaced by
-    the bounded minimizer of the objective over [0, 1] with the other weights
-    held fixed, and inactive weights stay at zero.  A single sweep is the
-    default; ``passes`` repeats it from the previous sweep's result.
+    One sweep over the active indices in ascending order; each weight is
+    replaced by the bounded minimizer of the risk estimate over [0, 1] with
+    the other weights held fixed.  Returns the weight vector, shape
+    ``(min(n, m),)``, with weight zero at every inactive index.
     """
     y = np.asarray(observed, dtype=float)
     if fact is None:
@@ -294,46 +296,29 @@ def optimize_weights_greedy(
     if active and (active[0] < 1 or active[-1] > fact.rank_bound):
         raise DomainError("active-set indices out of range")
 
-    if callable(objective):
-        weight_objective = objective
-    else:
-        evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
-
-        def weight_objective(weights: np.ndarray) -> float:
-            fn = SpectralFunction(
-                lambda s, w=weights.copy(): w * s,
-                lambda s, w=weights.copy(): w.copy(),
-                clamp_floor,
-            )
-            return evaluate(fn).value
-
+    evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
     weights = np.zeros(fact.rank_bound)
-    active_mask = set(active)
-    for _ in range(max(1, passes)):
-        for idx in range(1, fact.rank_bound + 1):
-            if idx not in active_mask:
-                weights[idx - 1] = 0.0
-                continue
+    for idx in active:
 
-            def coordinate(t: float, i: int = idx - 1) -> float:
-                trial = weights.copy()
-                trial[i] = t
-                try:
-                    return weight_objective(trial)
-                except SvshrinkError as exc:
-                    # Extend the message in place: the exception keeps its type
-                    # and attributes, and no constructor is called again.
-                    exc.args = (f"objective failed at weight index {i + 1}: {exc}",)
-                    raise
+        def coordinate(t: float, i: int = idx - 1) -> float:
+            trial = weights.copy()
+            trial[i] = t
+            try:
+                return evaluate(linalg.weights_function(trial, clamp_floor)).value
+            except SvshrinkError as exc:
+                # Extend the message in place: the exception keeps its type
+                # and attributes, and no constructor is called again.
+                exc.args = (f"objective failed at weight index {i + 1}: {exc}",)
+                raise
 
-            weights[idx - 1] = minimize_bounded(coordinate, 0.0, 1.0)
-    return ShrinkagePlan(active, {k: float(weights[k - 1]) for k in active}, clamp_floor)
+        weights[idx - 1] = minimize_bounded(coordinate, 0.0, 1.0)
+    return weights
 
 
 def soft_threshold_fit(
     observed: np.ndarray,
     model: NoiseModel,
-    objective: Union[str, Callable[[float], float]],
+    objective: str,
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
@@ -348,13 +333,10 @@ def soft_threshold_fit(
     top = float(fact.singular_values[0])
     if top == 0.0:
         return 0.0
-    if callable(objective):
-        lam_objective = objective
-    else:
-        evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
+    evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
 
-        def lam_objective(lam: float) -> float:
-            return evaluate(linalg.soft_threshold_function(lam, clamp_floor)).value
+    def lam_objective(lam: float) -> float:
+        return evaluate(linalg.soft_threshold_function(lam, clamp_floor)).value
 
     return minimize_bounded(lam_objective, 0.0, top)
 
@@ -365,17 +347,14 @@ class OracleWeights:
 
     ``values`` holds the raw optimal spectral values ``u_k^T X v_k`` (kept
     unclipped for squared-error evaluation); ``raw_weights`` their ratios to
-    the observed singular values; ``plan`` the [0, 1]-clipped reporting plan.
+    the observed singular values, which need not lie in [0, 1].
     """
 
     values: np.ndarray
     raw_weights: np.ndarray
-    plan: ShrinkagePlan
 
 
-def oracle_weights(
-    signal: np.ndarray, fact: SvdFactorization, clamp_floor: Optional[float] = None
-) -> OracleWeights:
+def oracle_weights(signal: np.ndarray, fact: SvdFactorization) -> OracleWeights:
     """Per-index squared-error-optimal shrinkage given the true signal.
 
     The optimal spectral value for index ``k`` is the signal's projection
@@ -385,9 +364,7 @@ def oracle_weights(
     values = metrics.signal_projections(signal, fact)
     s = fact.singular_values
     raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
-    active = tuple(range(1, fact.rank_bound + 1))
-    clipped = {k: float(np.clip(raw[k - 1], 0.0, 1.0)) for k in active}
-    return OracleWeights(values, raw, ShrinkagePlan(active, clipped, clamp_floor))
+    return OracleWeights(values, raw)
 
 
 def oracle_soft_threshold(
@@ -411,8 +388,7 @@ def oracle_soft_threshold(
         return 0.0
 
     def lam_objective(lam: float) -> float:
-        fn = linalg.soft_threshold_function(lam, clamp_floor)
-        xhat = fn.apply_to_factorization(fact)
+        xhat = linalg.reconstruct(fact, linalg.soft_threshold_function(lam, clamp_floor))
         if loss == "se":
             return float(np.sum((xhat - x) ** 2))
         return metrics.metric(loss, xhat, x, model)

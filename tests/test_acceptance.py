@@ -133,7 +133,7 @@ def test_criterion_03_risk_estimates_are_unbiased():
         y = gamma.sample(xg, r)
         fact = linalg.svd(y)
         s = fact.singular_values
-        est = fng.apply_to_factorization(fact)
+        est = linalg.reconstruct(fact, fng)
         theta_div = risk.mc_theta_divergence_gamma(fng, y, L, 4, r)
         diffs_gsure.append(
             risk.gsure_gamma(y, est, L, theta_div).value - metrics.mse_eta_gamma(est, xg, L)
@@ -239,13 +239,13 @@ def test_criterion_06_gaussian_weight_optimality_and_limit():
         tau = float(rng.uniform(0.1, 0.5))
         y = spiked_signal(n, m, [3.0, 2.0], rng) + tau * rng.standard_normal((n, m))
         fact = linalg.svd(y)
-        plan = shrinkage.weights_gaussian(fact, tau)
+        closed = shrinkage.weights_gaussian(fact, tau)
         s = fact.singular_values
         k_all = fact.rank_bound
         for k in range(1, k_all + 1):
 
             def sure_at(w, k=k):
-                weights = np.array([plan.weights[i] for i in range(1, k_all + 1)])
+                weights = closed.copy()
                 weights[k - 1] = w
                 values, derivs = weights * s, weights
                 est = linalg.compose(fact, values)
@@ -253,7 +253,7 @@ def test_criterion_06_gaussian_weight_optimality_and_limit():
                 return risk.sure_gaussian(y, est, tau, div).value
 
             best = grid_argmin(sure_at, 0.0, 1.0, 1e-4)
-            worst = max(worst, abs(plan.weights[k] - best))
+            worst = max(worst, abs(closed[k - 1] - best))
     grid_ok = worst <= 1e-4 + 1e-12
 
     fitted = []
@@ -263,7 +263,7 @@ def test_criterion_06_gaussian_weight_optimality_and_limit():
         x = spiked_signal(n, m, [2.0], rng_i)
         y = x + rng_i.standard_normal((n, m)) / np.sqrt(m)
         fact = linalg.svd(y)
-        fitted.append(shrinkage.weights_gaussian(fact, 1 / np.sqrt(m), [1]).weights[1])
+        fitted.append(shrinkage.weights_gaussian(fact, 1 / np.sqrt(m), [1])[0])
     w_limit = rmt.asymptotic_optimal_weight(2.0, 1.0)
     gap = abs(float(np.median(fitted)) - w_limit)
     elapsed = time.perf_counter() - started

@@ -7,7 +7,6 @@ import pytest
 
 from svshrink import activeset, cli, experiments, linalg, matrixio, risk, rmt, shrinkage
 from svshrink.errors import DomainError
-from svshrink.linalg import ShrinkagePlan, SpectralFunction
 from svshrink.models import Gamma, Poisson
 
 from helpers import rank_one_positive, spiked_signal
@@ -39,12 +38,14 @@ class TestDenoise:
         sidecar = json.loads((tmp_path / "xhat.csv.json").read_text())
         fact = linalg.svd(y)
         report = activeset.active_set_gaussian(fact, tau)
-        plan = shrinkage.weights_gaussian(fact, tau, report.selected)
+        weights = shrinkage.weights_gaussian(fact, tau, report.selected)
         assert sidecar["active_set"] == list(report.selected)
+        assert sorted(int(key) for key in sidecar["weights"]) == list(report.selected)
         for key, value in sidecar["weights"].items():
-            assert value == pytest.approx(plan.weights[int(key)], rel=1e-12)
+            assert value == pytest.approx(weights[int(key) - 1], rel=1e-12)
         denoised = matrixio.read_matrix_csv(out)
-        np.testing.assert_allclose(denoised, linalg.reconstruct(fact, plan), rtol=1e-10, atol=1e-12)
+        expected = linalg.reconstruct(fact, linalg.weights_function(weights))
+        np.testing.assert_allclose(denoised, expected, rtol=1e-10, atol=1e-12)
         assert sidecar["risk"]["kind"] == "SURE"
 
     def test_pca_rank_zero_gives_zero_matrix(self, tmp_path, spiked_csv):
@@ -95,10 +96,11 @@ class TestDenoise:
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "xhat.csv.json").read_text())
-        weights = sidecar.get("weights", {"1": 1.0, "2": 1.0})
-        plan = ShrinkagePlan((1, 2), {int(k): w for k, w in weights.items()}, 1e-6)
+        weights = np.zeros(10)
+        for key, w in sidecar.get("weights", {"1": 1.0, "2": 1.0}).items():
+            weights[int(key) - 1] = w
         expected = risk.pure_poisson(
-            y, SpectralFunction(plan.values, plan.derivs, 1e-6), mode="exact"
+            y, linalg.weights_function(weights, 1e-6), mode="exact"
         ).value
         assert sidecar["risk"]["divergence_kind"] == "exact"
         assert sidecar["risk"]["value"] == pytest.approx(expected, rel=1e-12)

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from svshrink import experiments, linalg, metrics
-from svshrink.errors import DomainError, ParameterError
-from svshrink.experiments import ExperimentConfig, SignalSpec
-from svshrink.models import Gamma, Poisson
+from svshrink import experiments, linalg, metrics, shrinkage
+from svshrink.errors import DomainError, ParameterError, SvshrinkError
+from svshrink.experiments import ExperimentConfig, FitMethod, SignalSpec
+from svshrink.models import Gamma, Gaussian, Poisson
 
 
 def small_config(**overrides):
@@ -227,3 +229,64 @@ class TestRunner:
         result = experiments.run_experiment(cfg)
         assert len(result.records) == 6
         assert all(np.isfinite(r["value"]) for r in result.records)
+
+
+# -- edge shapes ---------------------------------------------------------------
+
+EDGE_MODELS = {"gaussian": Gaussian(0.5), "gamma": Gamma(4.0), "poisson": Poisson()}
+
+
+def edge_observation(family, kind, size, seed):
+    """A 1 x m, m x 1 or all-zero observation drawn for ``family``."""
+    shape = {"row": (1, size), "column": (size, 1), "zero": (size, size + 1)}[kind]
+    if kind == "zero":
+        return np.zeros(shape)
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        return rng.standard_normal(shape)
+    if family == "gamma":
+        return rng.gamma(4.0, 0.5, shape)
+    return rng.poisson(3.0, shape).astype(float)
+
+
+def rebuild_from_info(info, fact, floor):
+    """The estimate recomputed from what the fit reports, as a reader of the
+    ``svshrink denoise`` sidecar would."""
+    s = fact.singular_values
+    if "lambda" in info:
+        values = linalg.soft_threshold_values(s, info["lambda"])
+    else:
+        weights = np.zeros(fact.rank_bound)
+        for k in info["active_set"]:
+            weights[k - 1] = info["weights"][str(k)] if "weights" in info else 1.0
+        values = linalg.weights_function(weights).values(s)
+    return linalg.clamp(linalg.compose(fact, values), floor)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(sorted(EDGE_MODELS)),
+    st.sampled_from(["pca", "soft", "weighted"]),
+    st.sampled_from(["row", "column", "zero"]),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_edge_shape_fits_raise_typed_or_match_their_info(family, name, kind, size, seed, data):
+    model = EDGE_MODELS[family]
+    objective = None
+    if name != "pca":
+        objectives = shrinkage.VALID_OBJECTIVES[family]
+        objective = data.draw(st.sampled_from(objectives), label="objective")
+    method = experiments.resolve_method(FitMethod(name, objective), model)
+    y = edge_observation(family, kind, size, seed)
+    try:
+        fact = linalg.svd(y)
+        fn, info = experiments.fit_estimator(method, y, fact, model, np.random.default_rng(seed))
+        estimate = linalg.reconstruct(fact, fn)
+    except SvshrinkError:
+        return
+    floor = None if family == "gaussian" else linalg.DEFAULT_CLAMP_FLOOR
+    assert fn.clamp_floor == floor
+    assert np.all(np.isfinite(estimate))
+    np.testing.assert_array_equal(estimate, rebuild_from_info(info, fact, floor))

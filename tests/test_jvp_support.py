@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from svshrink import linalg, risk
 from svshrink.errors import DegenerateSpectrumError, DomainError
-from svshrink.linalg import ShrinkagePlan, SpectralFunction, SvdFactorization
+from svshrink.linalg import SvdFactorization
 from svshrink.models import Poisson
 
 from helpers import rank_one_positive
@@ -153,8 +153,10 @@ def test_tied_active_pair_raises_naming_the_same_pair(shape, seed):
 
 def clamped_map(rng, k):
     active = tuple(int(i) for i in 1 + np.flatnonzero(rng.random(k) < 0.5)) or (1,)
-    plan = ShrinkagePlan(active, {i: float(rng.uniform(0.2, 1.0)) for i in active}, 1e-6)
-    return SpectralFunction(plan.values, plan.derivs, plan.clamp_floor)
+    weights = np.zeros(k)
+    for i in active:
+        weights[i - 1] = rng.uniform(0.2, 1.0)
+    return linalg.weights_function(weights, 1e-6)
 
 
 def risk_calls(y, fn, directions):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from svshrink import linalg
 from svshrink.errors import DegenerateSpectrumError, DomainError
-from svshrink.linalg import ShrinkagePlan, SpectralFunction
+from svshrink.linalg import SpectralFunction, weights_function
 
 from helpers import apply_spectral
 
@@ -27,7 +27,7 @@ class TestSvd:
         rng = np.random.default_rng(0)
         y = rng.standard_normal((10, 7))
         fact = linalg.svd(y)
-        recon = linalg.reconstruct(fact, ShrinkagePlan.identity(7))
+        recon = linalg.reconstruct(fact, weights_function(np.ones(7)))
         assert np.linalg.norm(recon - y) <= 1e-10 * np.linalg.norm(y)
 
     def test_orthonormal_columns(self):
@@ -94,18 +94,30 @@ def test_sign_convention_property(kind, n, m, seed):
     np.testing.assert_allclose(rebuilt, y, rtol=0, atol=1e-12 * max(1.0, float(np.abs(y).max())))
 
 
-class TestShrinkagePlan:
+class TestWeightsFunction:
     def test_weight_bounds(self):
-        with pytest.raises(DomainError):
-            ShrinkagePlan((1,), {1: 1.2})
+        for bad in (1.2, -0.1, np.nan):
+            with pytest.raises(DomainError, match="index 2"):
+                weights_function([0.5, bad])
+        with pytest.raises(DomainError, match="1-D"):
+            weights_function([[0.5]])
 
-    def test_weights_match_active_set(self):
-        with pytest.raises(DomainError):
-            ShrinkagePlan((1, 2), {1: 0.5})
+    def test_weights_match_spectrum(self):
+        fact = linalg.svd(np.eye(2))
+        with pytest.raises(DomainError, match="1 weights given for 2 singular values"):
+            linalg.reconstruct(fact, weights_function([0.5]))
 
-    def test_clamp_floor_positive(self):
-        with pytest.raises(DomainError):
-            ShrinkagePlan((1,), {1: 0.5}, clamp_floor=0.0)
+    def test_values_and_derivs(self):
+        fn = weights_function([0.25, 1.0, 0.0])
+        s = np.array([4.0, 2.0, 1.0])
+        np.testing.assert_array_equal(fn.values(s), [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(fn.derivs(s), [0.25, 1.0, 0.0])
+
+    def test_copies_its_weights(self):
+        weights = np.array([0.5, 0.5])
+        fn = weights_function(weights)
+        weights[0] = 1.0
+        np.testing.assert_array_equal(fn.values(np.ones(2)), [0.5, 0.5])
 
 
 class TestReconstruct:
@@ -113,24 +125,24 @@ class TestReconstruct:
         rng = np.random.default_rng(4)
         y = rng.standard_normal((5, 8))
         fact = linalg.svd(y)
-        recon = linalg.reconstruct(fact, ShrinkagePlan.identity(5))
+        recon = linalg.reconstruct(fact, weights_function(np.ones(5)))
         assert np.linalg.norm(recon - y) <= 1e-10 * np.linalg.norm(y)
 
     def test_empty_set_gives_zero(self):
         fact = linalg.svd(np.random.default_rng(5).standard_normal((4, 4)))
-        out = linalg.reconstruct(fact, ShrinkagePlan(()))
+        out = linalg.reconstruct(fact, weights_function(np.zeros(4)))
         np.testing.assert_array_equal(out, np.zeros((4, 4)))
 
     def test_empty_set_with_clamp_gives_constant(self):
         fact = linalg.svd(np.random.default_rng(6).standard_normal((3, 4)))
-        out = linalg.reconstruct(fact, ShrinkagePlan((), clamp_floor=1e-6))
+        out = linalg.reconstruct(fact, weights_function(np.zeros(3), clamp_floor=1e-6))
         np.testing.assert_array_equal(out, np.full((3, 4), 1e-6))
 
     def test_rank_one_weighted_sum(self):
         rng = np.random.default_rng(7)
         y = rng.standard_normal((6, 5))
         fact = linalg.svd(y)
-        out = linalg.reconstruct(fact, ShrinkagePlan.rank_one(0.8))
+        out = linalg.reconstruct(fact, weights_function([0.8, 0.0, 0.0, 0.0, 0.0]))
         expected = (
             0.8
             * fact.singular_values[0]
@@ -142,7 +154,7 @@ class TestReconstruct:
     def test_out_of_range_index(self):
         fact = linalg.svd(np.eye(3))
         with pytest.raises(DomainError):
-            linalg.reconstruct(fact, ShrinkagePlan((4,), {4: 0.5}))
+            linalg.reconstruct(fact, weights_function([0.0, 0.0, 0.0, 0.5]))
 
 
 class TestDirectionalDerivative:
@@ -235,6 +247,13 @@ class TestSpectralFunction:
         y = rng.standard_normal((4, 4))
         fn = SpectralFunction(lambda s: s.copy(), lambda s: np.ones_like(s), clamp_floor=0.1)
         assert fn(y).min() >= 0.1
+
+    def test_clamp_floor_positive(self):
+        for floor in (0.0, -1e-6):
+            with pytest.raises(DomainError, match="clamp_floor must be positive"):
+                SpectralFunction(lambda s: s, np.ones_like, clamp_floor=floor)
+            with pytest.raises(DomainError, match="clamp_floor must be positive"):
+                weights_function([0.5], clamp_floor=floor)
 
     def test_soft_threshold_tie_derivative(self):
         s = np.array([3.0, 2.0, 1.0])

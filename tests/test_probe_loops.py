@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from svshrink import linalg, risk
-from svshrink.linalg import ShrinkagePlan, SpectralFunction
 from svshrink.models import Poisson
 
 from helpers import rank_one_positive
@@ -44,7 +43,7 @@ def reference_divergence(fn, fact, directions, weights=None):
 
 
 def reference_pure(y, fn, fact, directions):
-    fhat = fn.apply_to_factorization(fact)
+    fhat = linalg.reconstruct(fact, fn)
     free = free_mask(fn, fact)
     crosses = []
     for delta in directions:
@@ -55,7 +54,7 @@ def reference_pure(y, fn, fact, directions):
 
 
 def reference_pukla(y, fn, fact, directions):
-    fhat = fn.apply_to_factorization(fact)
+    fhat = linalg.reconstruct(fact, fn)
     free = free_mask(fn, fact)
     floor = LOG_FLOOR if fn.clamp_floor is None else max(LOG_FLOOR, fn.clamp_floor)
     nonzero = np.argwhere(y > 0)
@@ -71,9 +70,9 @@ def reference_pukla(y, fn, fact, directions):
 
 def spectral_map(k, clamp):
     """Weights on the leading two indices (or one, for a single value)."""
-    weights = {1: 0.95, 2: 0.6} if k > 1 else {1: 0.95}
-    plan = ShrinkagePlan(tuple(weights), weights, clamp)
-    return SpectralFunction(plan.values, plan.derivs, plan.clamp_floor)
+    weights = np.zeros(k)
+    weights[:2] = [0.95, 0.6][:k]
+    return linalg.weights_function(weights, clamp)
 
 
 def case(shape, seed, clamp):
@@ -122,7 +121,7 @@ def test_gamma_weighted_divergence_matches_per_probe_loop(shape, seed):
     y = y + 0.5
     fact = linalg.svd(y)
     L = 4.0
-    f = fn.apply_to_factorization(fact)
+    f = linalg.reconstruct(fact, fn)
     got = risk.mc_theta_divergence_gamma(fn, y, L, 0, directions=directions, fact=fact)
     expected = reference_divergence(fn, fact, directions, weights=L / f**2)
     assert (got.value, got.stderr) == expected
@@ -145,7 +144,7 @@ def test_exact_modes_match_the_enumeration(shape, clamp):
     nonzero = np.argwhere(y > 0)
     counts = y[nonzero[:, 0], nonzero[:, 1]]
     down = risk.downdated_entries(fn, y, nonzero)
-    fhat = fn.apply_to_factorization(fact)
+    fhat = linalg.reconstruct(fact, fn)
     floor = LOG_FLOOR if clamp is None else max(LOG_FLOOR, clamp)
 
     got = risk.pure_poisson(y, fn, mode="exact", fact=fact)

@@ -278,7 +278,7 @@ class TestSuklsGamma:
             y = model.sample(x, r)
             fact = linalg.svd(y)
             s = fact.singular_values
-            est = fn.apply_to_factorization(fact)
+            est = linalg.reconstruct(fact, fn)
             div = risk.divergence_closed_form(fact, fn.values(s), fn.derivs(s))
             value = risk.sukls_gamma(y, est, L, div).value
             target = metrics.kls_gamma(est, x, L) + constant

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from svshrink import experiments, linalg, metrics, risk, shrinkage
 from svshrink.errors import DomainError, ParameterError
 from svshrink.experiments import ExperimentConfig
-from svshrink.linalg import ShrinkagePlan, SpectralFunction
 from svshrink.models import Gamma, Poisson
 
 from helpers import rank_one_positive, spiked_signal
@@ -279,9 +278,10 @@ def poisson_input(n=100, m=120, seed=5):
     return Poisson().sample(np.maximum(x, 0.05), rng)
 
 
-def rank_two_map():
-    plan = ShrinkagePlan((1, 2), {1: 0.95, 2: 0.6}, 1e-6)
-    return SpectralFunction(plan.values, plan.derivs, plan.clamp_floor)
+def rank_two_map(k):
+    weights = np.zeros(k)
+    weights[:2] = 0.95, 0.6
+    return linalg.weights_function(weights, 1e-6)
 
 
 def test_approximate_pukla_report_composes_once(monkeypatch):
@@ -291,7 +291,7 @@ def test_approximate_pukla_report_composes_once(monkeypatch):
     evaluate = shrinkage.make_risk_objective(
         y, fact, Poisson(), "pukla", rng=np.random.default_rng(0), samples=64, exact=True
     )
-    fn = rank_two_map()
+    fn = rank_two_map(fact.rank_bound)
     calls = count_composes(monkeypatch)
     report = evaluate(fn)
     assert report.samples == 64
@@ -316,8 +316,9 @@ def test_every_clamped_objective_composes_once_per_evaluation(monkeypatch, objec
         y, fact, model, objective, rng=np.random.default_rng(1), samples=5
     )
     # Indices 2 and 3 alone change sign across the matrix.
-    plan = ShrinkagePlan((2, 3), {2: 1.0, 3: 1.0}, 1e-6)
-    fn = SpectralFunction(plan.values, plan.derivs, plan.clamp_floor)
+    weights = np.zeros(fact.rank_bound)
+    weights[1:3] = 1.0
+    fn = linalg.weights_function(weights, 1e-6)
     assert np.any(linalg.compose(fact, fn.values(fact.singular_values)) < fn.clamp_floor)
     calls = count_composes(monkeypatch)
     evaluate(fn)
@@ -327,7 +328,7 @@ def test_every_clamped_objective_composes_once_per_evaluation(monkeypatch, objec
 def per_probe_pukla(y, fn, fact, directions, log_floor=1e-6):
     """The approximate PUKLA value with each probe composing its own floor
     mask, as before the mask was shared."""
-    fhat = fn.apply_to_factorization(fact)
+    fhat = linalg.reconstruct(fact, fn)
     nonzero = np.argwhere(y > 0)
     counts = y[nonzero[:, 0], nonzero[:, 1]]
     terms = []
@@ -341,7 +342,7 @@ def per_probe_pukla(y, fn, fact, directions, log_floor=1e-6):
 def test_shared_floor_mask_gives_bit_identical_estimates():
     y = blocks_input(Poisson())
     fact = linalg.svd(y)
-    fn = rank_two_map()
+    fn = rank_two_map(fact.rank_bound)
     assert np.any(linalg.compose(fact, fn.values(fact.singular_values)) < fn.clamp_floor)
     directions = risk.probe_directions(y.shape, 6, np.random.default_rng(2))
     got = risk.pukla_poisson(y, fn, mode="approx", directions=directions, fact=fact)
@@ -355,5 +356,5 @@ def test_mismatched_unclamped_estimate_is_domain_error():
     y = poisson_input(10, 12)
     fact = linalg.svd(y)
     with pytest.raises(DomainError, match="unclamped estimate"):
-        risk.mc_divergence(rank_two_map(), y, 2, np.random.default_rng(0),
+        risk.mc_divergence(rank_two_map(fact.rank_bound), y, 2, np.random.default_rng(0),
                            fact=fact, raw=np.ones((12, 10)))
