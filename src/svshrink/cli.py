@@ -99,8 +99,16 @@ def _check_epsilon(args) -> None:
         raise UsageError(f"--epsilon must be positive, got {args.epsilon}")
 
 
+def _resolve(method: experiments.FitMethod, model) -> experiments.FitMethod:
+    """``method`` checked and completed as estimator tags are."""
+    try:
+        return experiments.resolve_method(method, model)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _fit_method(args, model) -> experiments.FitMethod:
-    """The fit request the flags describe, checked as estimator tags are."""
+    """The fit request the flags describe."""
     if args.rank is not None and args.active_set is not None:
         raise UsageError("--rank and --active-set are mutually exclusive")
     method = experiments.FitMethod(
@@ -109,10 +117,7 @@ def _fit_method(args, model) -> experiments.FitMethod:
         "all" if args.rank is not None else args.active_set or "default",
         args.rank,
     )
-    try:
-        return experiments.resolve_method(method, model)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    return _resolve(method, model)
 
 
 def _cmd_denoise(args) -> int:
@@ -129,7 +134,7 @@ def _cmd_denoise(args) -> int:
     y = matrixio.read_matrix(path)
     rng = np.random.default_rng(args.seed)
     fact = linalg.svd(y)
-    if args.rank is not None and not 0 <= args.rank <= fact.rank_bound:
+    if args.rank is not None and args.rank > fact.rank_bound:
         raise UsageError(f"--rank must be in [0, {fact.rank_bound}]")
 
     fn, sidecar = experiments.fit_estimator(method, y, fact, model, rng, clamp_floor=args.epsilon)
@@ -156,10 +161,9 @@ def _cmd_activeset(args) -> int:
     y = matrixio.read_matrix(path)
     model = _model_from_args(args)
     _check_epsilon(args)
-    method = args.method or ("bulk" if model.family == "gaussian" else "greedy")
-    if method == "bulk":
-        if model.family != "gaussian":
-            raise UsageError("--method bulk needs --family gaussian; use greedy")
+    # The set a pca fit keeps: one rule picks the default and checks bulk.
+    method = _resolve(experiments.FitMethod("pca", active=args.method or "default"), model)
+    if method.active == "bulk":
         report = activeset.active_set_gaussian(linalg.svd(y), model.tau)
     else:
         report = activeset.active_set_greedy(y, model, clamp_floor=args.epsilon)

@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import functools
 import json
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .linalg import SpectralFunction, SvdFactorization
 from .models import Gaussian, NoiseModel, model_from_config
 
 SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
-_DATA_SWEEPS = ("sigma1", "true_rank", "tau", "rsnr")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -185,10 +185,6 @@ def generate_signal(spec: SignalSpec, n: int, m: int, model: Optional[NoiseModel
     return x
 
 
-def generate_observation(signal: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
-    return model.sample(signal, rng)
-
-
 def rsnr(signal: np.ndarray, tau: float) -> float:
     """Root signal-to-noise ratio of a square signal matrix:
     entrywise standard deviation about the grand mean, divided by ``tau``."""
@@ -211,7 +207,7 @@ class FitMethod:
     name: str  # pca | soft | weighted | shrinker | oracle-shrinker | oracle-weights | oracle-soft
     objective: Optional[str] = None
     active: str = "default"  # bulk | greedy | all | default
-    rank: Optional[int] = None
+    rank: Union[int, str, None] = None  # an int once resolve_method has checked it
     loss: str = "se"  # oracle-soft target
 
     @property
@@ -227,7 +223,8 @@ ESTIMATOR_NAMES = (
 def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
     """Check a fit request against the noise model and fill the family
     defaults (the objective of soft and weighted fits, and the active set).
-    Estimator tags and ``svshrink denoise`` flags both pass through here."""
+    ``rank`` must be a nonnegative integer or its digits.  Estimator tags and
+    ``svshrink denoise`` flags both pass through here."""
     if method.name not in ESTIMATOR_NAMES:
         raise ParameterError(f"unknown estimator {method.name!r}; known: {list(ESTIMATOR_NAMES)}")
     gaussian = isinstance(model, Gaussian)
@@ -243,11 +240,18 @@ def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
         raise ParameterError(f"active must be bulk, greedy, or all, got {active!r}")
     if active == "bulk" and not gaussian:
         raise ParameterError("the bulk-edge active set needs Gaussian noise; use greedy")
-    return replace(method, objective=objective, active=active)
+    rank = method.rank
+    if rank is not None:
+        if not str(rank).isdecimal():
+            raise ParameterError(f"rank must be a nonnegative integer, got {rank!r}")
+        rank = int(rank)
+    metrics.check_metric(method.loss, model)
+    return replace(method, objective=objective, active=active, rank=rank)
 
 
 def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
-    """Parse ``name[:key=value,...]`` tags, filling family defaults."""
+    """Parse ``name[:key=value,...]`` tags, filling family defaults; every
+    :class:`ParameterError` names the tag."""
     name, _, opts = tag.partition(":")
     fields = {"objective": None, "active": "default", "rank": None, "loss": "se"}
     if opts:
@@ -256,8 +260,11 @@ def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
             key = key.strip()
             if key not in fields or not value:
                 raise ParameterError(f"bad option {item!r} in estimator tag {tag!r}")
-            fields[key] = int(value) if key == "rank" else value.strip()
-    return resolve_method(FitMethod(name.strip(), **fields), model)
+            fields[key] = value.strip()
+    try:
+        return resolve_method(FitMethod(name.strip(), **fields), model)
+    except ParameterError as exc:
+        raise ParameterError(f"estimator tag {tag!r}: {exc}") from exc
 
 
 def resolve_active(method: FitMethod, y, fact, model, clamp_floor) -> tuple[int, ...]:
@@ -355,9 +362,9 @@ def _fit_weights(y, fact, model, objective, active, clamp_floor, rng) -> np.ndar
     if active == (1,) and objective in ("sukls", "pukla"):
         w = np.zeros(fact.rank_bound)
         if objective == "sukls":
-            w[0] = shrinkage.weight1_gamma_sukls(y, fact, model.shape, active)
+            w[0] = shrinkage.weight1_gamma_sukls(y, fact, model.shape)
         else:
-            w[0] = shrinkage.weight1_poisson_pukla(y, fact, active)
+            w[0] = shrinkage.weight1_poisson_pukla(y, fact)
         return w
     return shrinkage.optimize_weights_greedy(
         y, model, objective, active, clamp_floor=clamp_floor, rng=rng, fact=fact
@@ -380,6 +387,9 @@ def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralF
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment: construction raises :class:`ParameterError` for
+    invalid combinations of fields and resolves every tag into ``methods``."""
+
     n: int
     m: int
     model: NoiseModel
@@ -391,13 +401,27 @@ class ExperimentConfig:
     sweep_parameter: Optional[str] = None
     sweep_values: tuple[float, ...] = ()
     clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR
+    methods: tuple[FitMethod, ...] = field(init=False)
 
     def __post_init__(self):
+        parameter = self.sweep_parameter
         # Both sweeps set the noise level by building a Gaussian model.
-        if self.sweep_parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
-            raise ParameterError(
-                f"the {self.sweep_parameter} sweep needs Gaussian noise, not {self.model.family}"
-            )
+        if parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
+            raise ParameterError(f"the {parameter} sweep needs Gaussian noise, not {self.model.family}")
+        if parameter == "rsnr" and self.n != self.m:
+            raise ParameterError(f"the rsnr sweep needs a square signal (n = m), got {self.n}x{self.m}")
+        kind = {"sigma1": "spike", "true_rank": "equal_spikes"}.get(parameter, self.signal.kind)
+        if self.signal.kind != kind:
+            raise ParameterError(f"the {parameter} sweep needs a {kind!r} signal")
+        least = {"rank_cap": 0, "true_rank": 1}.get(parameter)
+        if least is not None and not all(float(v).is_integer() and v >= least for v in self.sweep_values):
+            raise ParameterError(f"{parameter} sweep values must be integers >= {least}")
+        for name in self.metrics:
+            metrics.check_metric(name, self.model)
+        # No sweep changes the noise family, and a tag resolves against the
+        # family alone, so one resolution serves every task.
+        methods = tuple(parse_estimator_tag(tag, self.model) for tag in self.estimators)
+        object.__setattr__(self, "methods", methods)
 
     @classmethod
     def from_config(cls, config: dict) -> "ExperimentConfig":
@@ -482,61 +506,48 @@ class ExperimentResult:
         raise KeyError((sweep_value, estimator, metric_name))
 
 
-def _apply_sweep(config: ExperimentConfig, parameter: Optional[str], value):
-    """Return (model, signal_spec) for one sweep point; a rank_cap sweep, or
-    no sweep, keeps the config's."""
+def _apply_sweep(config: ExperimentConfig, value):
+    """Return (model, signal_spec) at one data point; a rank_cap sweep, or no
+    sweep, has the single point ``None`` and keeps the config's."""
     model, signal = config.model, config.signal
+    parameter = config.sweep_parameter
     if parameter == "sigma1":
-        if signal.kind != "spike":
-            raise ParameterError("the sigma1 sweep needs a spike signal")
-        sigmas = (float(value),) + signal.sigmas[1:]
-        signal = SignalSpec("spike", sigmas=sigmas, recipe=signal.recipe)
+        signal = replace(signal, sigmas=(float(value),) + signal.sigmas[1:])
     elif parameter == "true_rank":
-        if signal.kind != "equal_spikes":
-            raise ParameterError("the true_rank sweep needs an equal_spikes signal")
-        signal = SignalSpec(
-            "equal_spikes", gamma=signal.gamma, rank=int(value), recipe=signal.recipe
-        )
+        signal = replace(signal, rank=int(value))
     elif parameter == "tau":
         model = Gaussian(tau=float(value))
     elif parameter == "rsnr":
-        x = generate_signal(signal, config.n, config.m)
-        sd = float(np.sqrt(np.mean((x - x.mean()) ** 2)))
-        model = Gaussian(tau=sd / float(value))
+        model = Gaussian(tau=rsnr(generate_signal(signal, config.n, config.m), 1.0) / float(value))
     return model, signal
 
 
 def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: int) -> list[dict]:
-    """All records for one (sweep point, replication) cell; for rank_cap
-    sweeps a single call covers every sweep value (shared data and fits)."""
-    parameter = config.sweep_parameter
-    shared_data = parameter == "rank_cap" or parameter is None
-    model, signal_spec = _apply_sweep(config, parameter, value)
-    data_key = [config.root_seed, 0 if shared_data else sweep_idx, rep]
-    rng = np.random.default_rng(np.random.SeedSequence(data_key))
+    """All records of one task: replication ``rep`` at data point
+    ``sweep_idx`` with value ``value``.  A rank_cap task records every cap."""
+    model, signal_spec = _apply_sweep(config, value)
+    rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, sweep_idx, rep]))
     x = generate_signal(signal_spec, config.n, config.m, model)
-    y = generate_observation(x, model, rng)
+    y = model.sample(x, rng)
     fact = linalg.svd(y)
 
-    caps = [None] if parameter != "rank_cap" else [int(v) for v in config.sweep_values]
-    sweep_labels = [value] if parameter != "rank_cap" else list(config.sweep_values)
+    caps = [(value, fact.rank_bound)]  # (sweep_param label, rank cap)
+    if config.sweep_parameter == "rank_cap":
+        caps = [(cap, int(cap)) for cap in config.sweep_values]
 
     # Quadratic metrics of unclamped estimates are scored from the spectrum;
     # clamped estimates and the other metrics need the n x m estimate.
     spectral = metrics.SpectralScore(x, fact)
     records = []
-    for est_idx, tag in enumerate(config.estimators):
-        method = parse_estimator_tag(tag, model)
+    for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
         est_rng = np.random.default_rng(
-            np.random.SeedSequence([config.root_seed, 0 if shared_data else sweep_idx, rep, est_idx])
+            np.random.SeedSequence([config.root_seed, sweep_idx, rep, est_idx])
         )
         fn, _ = fit_estimator(method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor)
         values = fn.values(fact.singular_values)
-        for cap, label in zip(caps, sweep_labels):
-            capped = values
-            if cap is not None:
-                capped = values.copy()
-                capped[cap:] = 0.0
+        for label, cap in caps:
+            capped = values.copy()
+            capped[cap:] = 0.0
             xhat = None
             for metric_name in config.metrics:
                 if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
@@ -558,30 +569,25 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
-    """Run every (sweep point, replication, estimator, metric) cell.
+    """Run every (data point, replication) task and summarize each
+    (sweep point, estimator, metric) cell.
 
     Individual replication failures are recorded rather than fatal; the run
     aborts with :class:`NumericalError` only if more than 10% of the replication
     tasks fail.
     """
-    parameter = config.sweep_parameter
-    if parameter in ("rank_cap", None):
-        tasks = [(0, config.sweep_values if parameter else None, rep) for rep in range(config.replications)]
-    else:
-        tasks = [
-            (idx, val, rep)
-            for idx, val in enumerate(config.sweep_values)
-            for rep in range(config.replications)
-        ]
+    # A rank_cap sweep has one data point, shared by its caps, as has no sweep.
+    points = enumerate(config.sweep_values)
+    if config.sweep_parameter in (None, "rank_cap"):
+        points = [(0, None)]
+    tasks = [(idx, value, rep) for idx, value in points for rep in range(config.replications)]
 
     def run_task(task):
-        idx, val, rep = task
-        label = val if parameter not in ("rank_cap", None) else (None if parameter is None else 0.0)
+        idx, value, rep = task
         try:
-            return _replication_records(config, idx, label, rep), None
+            return _replication_records(config, idx, value, rep), None
         except (SvshrinkError, np.linalg.LinAlgError) as exc:
-            point = None if parameter in ("rank_cap", None) else val
-            return [], {"sweep_param": point, "replication": rep, "error": str(exc)}
+            return [], {"sweep_param": value, "replication": rep, "error": str(exc)}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -611,18 +617,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         )
     )
 
+    cells = defaultdict(list)
+    for r in records:
+        cells[r["sweep_param"], r["estimator"], r["metric_name"]].append(r["value"])
     summaries = []
-    for value in (config.sweep_values or (None,)):
-        label = value if parameter else None
+    for label in (config.sweep_values if config.sweep_parameter else (None,)):
         for tag in config.estimators:
             for metric_name in config.metrics:
-                cell = [
-                    r["value"]
-                    for r in records
-                    if r["sweep_param"] == label
-                    and r["estimator"] == tag
-                    and r["metric_name"] == metric_name
-                ]
+                cell = cells.get((label, tag, metric_name))
                 if not cell:
                     continue
                 q10, med, q90 = np.quantile(cell, [0.1, 0.5, 0.9], method="linear")

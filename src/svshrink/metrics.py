@@ -66,26 +66,31 @@ def kla_poisson(xhat: np.ndarray, x: np.ndarray) -> float:
 METRIC_NAMES = ("nmse", "se", "kls", "kla", "mse_eta")
 
 
+def check_metric(kind: str, model: Optional[NoiseModel] = None) -> str:
+    """The lowercased metric name, checked against ``model``: an unknown name,
+    or a Gamma-only metric without a Gamma model, raises
+    :class:`ParameterError`."""
+    kind = kind.lower()
+    if kind not in METRIC_NAMES:
+        raise ParameterError(f"unknown metric {kind!r}; choose from {METRIC_NAMES}")
+    if kind in ("kls", "mse_eta") and not isinstance(model, Gamma):
+        raise ParameterError(f"the {kind} metric is implemented for the Gamma family only")
+    return kind
+
+
 def metric(kind: str, xhat: np.ndarray, x: np.ndarray, model: Optional[NoiseModel] = None) -> float:
     """Dispatch on the metric name; Gamma-specific metrics read ``L`` from the
     model."""
-    kind = kind.lower()
+    kind = check_metric(kind, model)
     if kind == "nmse":
         return nmse(xhat, x)
     if kind == "se":
         return squared_error(xhat, x)
     if kind == "kls":
-        if not isinstance(model, Gamma):
-            raise ParameterError("the synthesis KL metric is implemented for the Gamma family")
         return kls_gamma(xhat, x, model.shape)
     if kind == "kla":
         return kla_poisson(xhat, x)
-    if kind == "mse_eta":
-        if not isinstance(model, Gamma):
-            raise ParameterError("the natural-parameter MSE metric is implemented for the Gamma family")
-        return mse_eta_gamma(xhat, x, model.shape)
-    raise ParameterError(f"unknown metric {kind!r}; choose from {METRIC_NAMES}")
-
+    return mse_eta_gamma(xhat, x, model.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .models import validate_counts
 
 EXACT_DOWNDATE_CAP = 10_000  # largest n*m for exact one-count enumerations
 _DOWNDATE_BATCH = 256
+PUKLA_LOG_FLOOR = 1e-6  # least log argument of a PUKLA estimate
 
 EstimatorKind = str  # "SURE" | "GSURE" | "SUKLS" | "PURE" | "PUKLA"
 DivergenceKind = str  # "closed_form" | "monte_carlo" | "exact"
@@ -509,7 +510,6 @@ def pukla_poisson(
     samples: int = 1,
     rng: Optional[np.random.Generator] = None,
     directions: Optional[Sequence[np.ndarray]] = None,
-    log_floor: float = 1e-6,
     fact: Optional[SvdFactorization] = None,
 ) -> RiskEstimate:
     """Unbiased estimate (up to a signal-only constant) of the analysis
@@ -517,12 +517,11 @@ def pukla_poisson(
 
     ``sum_ij f_ij(Y) - y_ij log f_ij(Y - e_i e_j^T)`` with the convention that
     ``y_ij = 0`` terms contribute nothing; log arguments are floored at
-    ``log_floor`` (or the estimator's own clamp floor if larger).  ``mode``
-    and ``fact`` are as in :func:`pure_poisson`.
+    :data:`PUKLA_LOG_FLOOR` (or the estimator's own clamp floor if larger).
+    ``mode`` and ``fact`` are as in :func:`pure_poisson`.
     """
     fhat, counts, down = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact)
-    if estimator.clamp_floor is not None:
-        log_floor = max(log_floor, estimator.clamp_floor)
+    log_floor = max(PUKLA_LOG_FLOOR, estimator.clamp_floor or 0.0)
     terms = [float(np.sum(counts * np.log(np.maximum(d, log_floor)))) for d in down]
     return _poisson_estimate(
         float(np.sum(fhat)), 1.0, terms, mode, "PUKLA",

@@ -79,17 +79,11 @@ def _check_untied(fact: SvdFactorization, idx: np.ndarray) -> None:
         linalg.check_distinct(fact, used)
 
 
-def weight1_gamma_sukls(
-    observed: np.ndarray,
-    fact: SvdFactorization,
-    shape: float,
-    active_set: Optional[Iterable[int]] = None,
-) -> float:
+def weight1_gamma_sukls(observed: np.ndarray, fact: SvdFactorization, shape: float) -> float:
     """Closed-form leading weight minimizing the Gamma synthesis-KL estimate.
 
     Requires strictly positive observations (which make the leading singular
     vectors positive, hence a positive rank-one estimate) and ``L > 2``.
-    Returns 0 when index 1 is not in the active set.
     """
     L = float(shape)
     if L <= 2:
@@ -97,8 +91,6 @@ def weight1_gamma_sukls(
     y = np.asarray(observed, dtype=float)
     if np.any(y <= 0):
         raise DomainError("all observations must be strictly positive")
-    if active_set is not None and 1 not in set(int(k) for k in active_set):
-        return 0.0
     n, m = y.shape
     rank1 = fact.singular_values[0] * np.outer(fact.left_vectors[:, 0], fact.right_vectors[:, 0])
     bracket = (L - 1.0) / (L * m * n) * float(np.sum(rank1 / y))
@@ -110,16 +102,10 @@ def weight1_gamma_sukls(
     return float(np.clip(1.0 / bracket, 0.0, 1.0))
 
 
-def weight1_poisson_pukla(
-    observed: np.ndarray,
-    fact: SvdFactorization,
-    active_set: Optional[Iterable[int]] = None,
-) -> float:
+def weight1_poisson_pukla(observed: np.ndarray, fact: SvdFactorization) -> float:
     """Closed-form leading weight minimizing the Poisson analysis-KL estimate:
-    ``min(1, sum Y / sum Xhat1)`` gated by the active set."""
+    ``min(1, sum Y / sum Xhat1)``."""
     y = validate_counts(observed)
-    if active_set is not None and 1 not in set(int(k) for k in active_set):
-        return 0.0
     rank1_total = fact.singular_values[0] * float(
         np.sum(fact.left_vectors[:, 0]) * np.sum(fact.right_vectors[:, 0])
     )
@@ -279,7 +265,6 @@ def optimize_weights_greedy(
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    samples: int = 1,
     fact: Optional[SvdFactorization] = None,
 ) -> np.ndarray:
     """Greedy per-coordinate weight optimization.
@@ -296,7 +281,7 @@ def optimize_weights_greedy(
     if active and (active[0] < 1 or active[-1] > fact.rank_bound):
         raise DomainError("active-set indices out of range")
 
-    evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
+    evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
     weights = np.zeros(fact.rank_bound)
     for idx in active:
 
@@ -322,18 +307,22 @@ def soft_threshold_fit(
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    samples: int = 1,
     fact: Optional[SvdFactorization] = None,
 ) -> float:
     """Fit the soft threshold by bounded minimization of a risk estimate over
-    ``[0, sigma_1]``."""
+    ``[0, sigma_1]``.  An all-zero observation gets threshold 0 without a
+    search, unless the family excludes it."""
     y = np.asarray(observed, dtype=float)
     if fact is None:
         fact = linalg.svd(y)
     top = float(fact.singular_values[0])
     if top == 0.0:
+        # The risk estimates that reject a non-positive Gamma observation
+        # are never evaluated on this path.
+        if model.family == "gamma":
+            raise DomainError("Gamma observations must be positive")
         return 0.0
-    evaluate = make_risk_objective(y, fact, model, objective, rng=rng, samples=samples)
+    evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
 
     def lam_objective(lam: float) -> float:
         return evaluate(linalg.soft_threshold_function(lam, clamp_floor)).value

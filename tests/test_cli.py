@@ -230,6 +230,18 @@ class TestActiveSetCommand:
         assert report["selected"] == list(expected.selected)
 
 
+    def test_poisson_defaults_to_greedy_and_rejects_bulk(self, tmp_path, capsys):
+        y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))
+        path = tmp_path / "counts.csv"
+        matrixio.write_matrix_csv(path, y)
+        argv = ["activeset", "--input", str(path), "--family", "poisson"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = activeset.active_set_greedy(matrixio.read_matrix(path), Poisson())
+        assert report == expected.to_json()
+        assert cli.main(argv + ["--method", "bulk"]) == 1
+        assert "needs Gaussian noise" in capsys.readouterr().err
+
     @pytest.mark.parametrize("epsilon", ["0", "-1"])
     def test_nonpositive_epsilon_is_usage_error(self, tmp_path, epsilon):
         y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))
@@ -277,6 +289,15 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(bad))
         code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_estimator_tag_is_usage_error(self, tmp_path, capsys):
+        bad = dict(self.CONFIG, estimators=["pca:rank=1,active=all", "bogus"])
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: estimator tag 'bogus': unknown estimator")
         assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_outputs(self, tmp_path):

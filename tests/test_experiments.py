@@ -185,6 +185,70 @@ class TestRunner:
             with pytest.raises(ParameterError, match=f"the {parameter} sweep needs Gaussian noise"):
                 ExperimentConfig.from_config(bad)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"estimators": ["bogus"]}, "unknown estimator"),
+            ({"estimators": ["weighted:objective=pure"]}, "not defined for the gaussian family"),
+            ({"estimators": ["pca:rank=abc"]}, "'pca:rank=abc'.*nonnegative integer"),
+            ({"estimators": ["pca:rank=-1"]}, "'pca:rank=-1'.*nonnegative integer"),
+            ({"estimators": ["shrinker:rank=-1"]}, "nonnegative integer"),
+            ({"estimators": ["oracle-soft:loss=kls"]}, "kls metric is implemented for the Gamma"),
+            ({"metrics": ["kls"]}, "kls metric is implemented for the Gamma"),
+            ({"metrics": ["nmse", "mse_eta"]}, "mse_eta metric is implemented for the Gamma"),
+            ({"sweep": {"parameter": "rsnr", "values": [1.0]}}, "square signal"),
+            ({"sweep": {"parameter": "true_rank", "values": [1]}}, "'equal_spikes' signal"),
+            ({"sweep": {"parameter": "rank_cap", "values": [1, -1]}}, "integers >= 0"),
+        ],
+    )
+    def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig.from_config(small_config(n=20, m=30, **overrides))
+
+    def test_tags_are_resolved_once_at_load(self, monkeypatch):
+        cfg = ExperimentConfig.from_config(
+            small_config(estimators=["pca:rank=1,active=all", "soft"], replications=2)
+        )
+        assert cfg.methods == (
+            FitMethod("pca", None, "all", 1),
+            FitMethod("soft", "sure", "bulk"),
+        )
+        calls = []
+        parse = experiments.parse_estimator_tag
+        monkeypatch.setattr(
+            experiments, "parse_estimator_tag", lambda *a: calls.append(a) or parse(*a)
+        )
+        assert len(experiments.run_experiment(cfg).records) == 4
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "sweep, point, rep, records",
+        [
+            ({"parameter": "sigma1", "values": [1.5, 3.0]}, 3.0, 2, 9),
+            ({"parameter": "rank_cap", "values": [1, 2]}, None, 7, 9 * 2),
+        ],
+    )
+    def test_failure_records_name_their_data_point(self, monkeypatch, sweep, point, rep, records):
+        # With one thread the tasks run in order, one fit each: the eighth
+        # fit is replication 2 at sigma1 = 3.0 (five per point), or
+        # replication 7 of the rank_cap sweep's single data point.
+        fits = []
+        fit = experiments.fit_estimator
+
+        def fail_eighth(*args, **kwargs):
+            fits.append(1)
+            if len(fits) == 8:
+                raise DomainError("the fit failed")
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "fit_estimator", fail_eighth)
+        replications = 5 if point is not None else 10
+        cfg = ExperimentConfig.from_config(small_config(replications=replications, sweep=sweep))
+        result = experiments.run_experiment(cfg)
+        assert result.failures == [{"sweep_param": point, "replication": rep, "error": "the fit failed"}]
+        assert len(result.records) == records
+        assert not [r for r in result.records if r["replication"] == rep and point in (None, r["sweep_param"])]
+
     def test_rank_cap_sweep_shares_data(self):
         cfg = ExperimentConfig.from_config(
             small_config(

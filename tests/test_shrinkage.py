@@ -120,11 +120,6 @@ class TestWeightsGaussian:
 
 
 class TestWeight1GammaSukls:
-    def test_inactive_gate(self):
-        fact = synthetic_fact([3.0, 1.0])
-        y = np.ones((2, 2))
-        assert shrinkage.weight1_gamma_sukls(y, fact, 3.0, active_set=[2]) == 0.0
-
     def test_large_shape_limit_on_exact_rank_one(self):
         # Y exactly rank one and positive: the ratio sum equals m n, so the
         # bracket tends to 1 and the weight to 1 as L grows.
@@ -335,6 +330,17 @@ class TestSoftThresholdFit:
         top = fact.singular_values[0]
         best_grid = min(value_at(l) for l in np.arange(0.0, top + 1e-9, 1e-3 * top))
         assert value_at(lam) <= best_grid + 1e-6
+
+    def test_all_zero_observation(self):
+        # Zero lies in the Gaussian and Poisson supports, not in Gamma's,
+        # which the soft fit must say as the pca and weighted fits do.
+        y = np.zeros((4, 5))
+        for model, objective in ((Gaussian(0.5), "sure"), (Poisson(), "pure"), (Poisson(), "pukla")):
+            rng = np.random.default_rng(0)
+            assert shrinkage.soft_threshold_fit(y, model, objective, rng=rng) == 0.0
+        for objective in ("gsure", "sukls"):
+            with pytest.raises(DomainError, match="Gamma observations must be positive"):
+                shrinkage.soft_threshold_fit(y, Gamma(4.0), objective, rng=np.random.default_rng(0))
 
 
 class TestOracles:

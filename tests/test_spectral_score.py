@@ -145,7 +145,7 @@ def dense_records(config: ExperimentConfig, rep: int) -> list[dict]:
     model, signal_spec = config.model, config.signal
     rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, 0, rep]))
     x = experiments.generate_signal(signal_spec, config.n, config.m, model)
-    y = experiments.generate_observation(x, model, rng)
+    y = model.sample(x, rng)
     fact = linalg.svd(y)
     records = []
     for est_idx, tag in enumerate(config.estimators):
