@@ -158,11 +158,11 @@ def _cmd_activeset(args) -> int:
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    y = matrixio.read_matrix(path)
     model = _model_from_args(args)
     _check_epsilon(args)
     # The set a pca fit keeps: one rule picks the default and checks bulk.
     method = _resolve(experiments.FitMethod("pca", active=args.method or "default"), model)
+    y = matrixio.read_matrix(path)
     if method.active == "bulk":
         report = activeset.active_set_gaussian(linalg.svd(y), model.tau)
     else:
@@ -176,6 +176,8 @@ def _cmd_activeset(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     config_path = Path(args.config)
     if not config_path.exists():
         raise UsageError(f"config file not found: {config_path}")
@@ -187,8 +189,6 @@ def _cmd_experiment(args) -> int:
         config = experiments.ExperimentConfig.from_config(raw)
     except SvshrinkError as exc:
         raise UsageError(str(exc)) from exc
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = experiments.run_experiment(config, threads=args.threads)

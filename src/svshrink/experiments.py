@@ -130,15 +130,18 @@ class SignalSpec:
     rank: Optional[int] = None
     entries: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.kind == "spike":
+            if not self.sigmas or not all(s > 0 for s in self.sigmas):
+                raise ParameterError(f"spike signals need positive strengths, got {list(self.sigmas)}")
+            if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
+                raise ParameterError(f"spike strengths must be strictly decreasing, got {list(self.sigmas)}")
+
     @classmethod
     def from_config(cls, config: dict) -> "SignalSpec":
         kind = config["type"]
         if kind == "spike":
             sigmas = tuple(float(s) for s in config.get("sigmas", ()))
-            if not sigmas:
-                raise ParameterError("spike signals need a nonempty 'sigmas' list")
-            if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
-                raise ParameterError("spike strengths must be strictly decreasing")
             return cls("spike", sigmas=sigmas, recipe=config.get("recipe", "quadratic_profile"))
         if kind == "equal_spikes":
             if "gamma" not in config or "rank" not in config:
@@ -152,7 +155,10 @@ class SignalSpec:
         if kind == "explicit":
             if "entries" not in config:
                 raise ParameterError("explicit signals need 'entries'")
-            return cls("explicit", entries=np.asarray(config["entries"], dtype=float))
+            try:
+                return cls("explicit", entries=np.asarray(config["entries"], dtype=float))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"explicit signal entries must form a numeric matrix: {exc}") from exc
         raise ParameterError(f"unknown signal type {kind!r}")
 
     def spike_strengths(self, n: int, m: int) -> tuple[float, ...]:
@@ -164,12 +170,14 @@ class SignalSpec:
 
 
 def generate_signal(spec: SignalSpec, n: int, m: int, model: Optional[NoiseModel] = None) -> np.ndarray:
-    """Assemble the signal matrix; positive-support families get a positivity
-    check on the result."""
+    """Assemble a new signal matrix (an explicit one is copied); positive-support
+    families get a positivity check on the result."""
     if spec.kind == "explicit":
-        x = np.asarray(spec.entries, dtype=float)
+        x = np.array(spec.entries, dtype=float)
         if x.shape != (n, m):
             raise DomainError(f"explicit signal has shape {x.shape}, expected {(n, m)}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("explicit signal entries must be finite")
     else:
         sigmas = np.asarray(spec.spike_strengths(n, m), dtype=float)
         r = len(sigmas)
@@ -388,7 +396,7 @@ def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralF
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked experiment: construction raises :class:`ParameterError` for
-    invalid combinations of fields and resolves every tag into ``methods``."""
+    invalid fields, resolves every tag into ``methods`` and builds ``points``."""
 
     n: int
     m: int
@@ -402,14 +410,13 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
     clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR
     methods: tuple[FitMethod, ...] = field(init=False)
+    points: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parameter = self.sweep_parameter
         # Both sweeps set the noise level by building a Gaussian model.
         if parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
             raise ParameterError(f"the {parameter} sweep needs Gaussian noise, not {self.model.family}")
-        if parameter == "rsnr" and self.n != self.m:
-            raise ParameterError(f"the rsnr sweep needs a square signal (n = m), got {self.n}x{self.m}")
         kind = {"sigma1": "spike", "true_rank": "equal_spikes"}.get(parameter, self.signal.kind)
         if self.signal.kind != kind:
             raise ParameterError(f"the {parameter} sweep needs a {kind!r} signal")
@@ -422,6 +429,9 @@ class ExperimentConfig:
         # family alone, so one resolution serves every task.
         methods = tuple(parse_estimator_tag(tag, self.model) for tag in self.estimators)
         object.__setattr__(self, "methods", methods)
+        # A rank_cap sweep has one data point, shared by its caps, as has no sweep.
+        values = (None,) if parameter in (None, "rank_cap") else self.sweep_values
+        object.__setattr__(self, "points", tuple(_data_point(self, value) for value in values))
 
     @classmethod
     def from_config(cls, config: dict) -> "ExperimentConfig":
@@ -506,28 +516,34 @@ class ExperimentResult:
         raise KeyError((sweep_value, estimator, metric_name))
 
 
-def _apply_sweep(config: ExperimentConfig, value):
-    """Return (model, signal_spec) at one data point; a rank_cap sweep, or no
-    sweep, has the single point ``None`` and keeps the config's."""
-    model, signal = config.model, config.signal
-    parameter = config.sweep_parameter
-    if parameter == "sigma1":
-        signal = replace(signal, sigmas=(float(value),) + signal.sigmas[1:])
-    elif parameter == "true_rank":
-        signal = replace(signal, rank=int(value))
-    elif parameter == "tau":
-        model = Gaussian(tau=float(value))
-    elif parameter == "rsnr":
-        model = Gaussian(tau=rsnr(generate_signal(signal, config.n, config.m), 1.0) / float(value))
-    return model, signal
+def _data_point(config: ExperimentConfig, value) -> tuple:
+    """The (label, model, signal) at sweep value ``value``, or the config's own
+    at ``None``; any fault is a :class:`ParameterError` naming the point."""
+    model, spec, parameter = config.model, config.signal, config.sweep_parameter
+    try:
+        if parameter == "sigma1":
+            spec = replace(spec, sigmas=(float(value),) + spec.sigmas[1:])
+        elif parameter == "true_rank":
+            spec = replace(spec, rank=int(value))
+        elif parameter == "tau":
+            model = Gaussian(tau=float(value))
+        elif parameter == "rsnr" and not value > 0:
+            raise ParameterError("rsnr values must be positive")
+        x = generate_signal(spec, config.n, config.m, model)
+        if parameter == "rsnr":
+            model = Gaussian(tau=rsnr(x, 1.0) / float(value))
+    except SvshrinkError as exc:
+        where = "the signal" if value is None else f"sweep value {parameter}={value!r}"
+        raise ParameterError(f"{where}: {exc}") from exc
+    x.flags.writeable = False  # shared by every replication and thread
+    return value, model, x
 
 
-def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: int) -> list[dict]:
+def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> list[dict]:
     """All records of one task: replication ``rep`` at data point
-    ``sweep_idx`` with value ``value``.  A rank_cap task records every cap."""
-    model, signal_spec = _apply_sweep(config, value)
-    rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, sweep_idx, rep]))
-    x = generate_signal(signal_spec, config.n, config.m, model)
+    ``point_idx``.  A rank_cap task records every cap."""
+    value, model, x = config.points[point_idx]
+    rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, point_idx, rep]))
     y = model.sample(x, rng)
     fact = linalg.svd(y)
 
@@ -541,7 +557,7 @@ def _replication_records(config: ExperimentConfig, sweep_idx: int, value, rep: i
     records = []
     for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
         est_rng = np.random.default_rng(
-            np.random.SeedSequence([config.root_seed, sweep_idx, rep, est_idx])
+            np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
         )
         fn, _ = fit_estimator(method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor)
         values = fn.values(fact.singular_values)
@@ -576,18 +592,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     aborts with :class:`NumericalError` only if more than 10% of the replication
     tasks fail.
     """
-    # A rank_cap sweep has one data point, shared by its caps, as has no sweep.
-    points = enumerate(config.sweep_values)
-    if config.sweep_parameter in (None, "rank_cap"):
-        points = [(0, None)]
-    tasks = [(idx, value, rep) for idx, value in points for rep in range(config.replications)]
+    tasks = [(idx, rep) for idx in range(len(config.points)) for rep in range(config.replications)]
 
     def run_task(task):
-        idx, value, rep = task
+        idx, rep = task
         try:
-            return _replication_records(config, idx, value, rep), None
+            return _replication_records(config, idx, rep), None
         except (SvshrinkError, np.linalg.LinAlgError) as exc:
-            return [], {"sweep_param": value, "replication": rep, "error": str(exc)}
+            return [], {"sweep_param": config.points[idx][0], "replication": rep, "error": str(exc)}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

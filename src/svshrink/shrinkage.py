@@ -197,10 +197,10 @@ def make_risk_objective(
 
     Monte-Carlo criteria draw their ``samples`` probe directions once, here,
     and reuse them for every evaluation, so the returned objective is a fixed
-    function suitable for bounded minimization.  SURE and SUKLS use the
-    closed-form divergence; they draw their probes only when an evaluation
-    finds the clamp floor active, since a clamped estimate has no closed form.
-    SURE of a map without a clamp floor is scored from the spectrum alone
+    function suitable for bounded minimization.  SUKLS uses the closed-form
+    divergence; it draws its probes only when an evaluation finds the clamp
+    floor active, since a clamped estimate has no closed form.  SURE scores
+    maps without a clamp floor only, from the spectrum alone
     (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed.
     ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
     ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
@@ -224,34 +224,31 @@ def make_risk_objective(
     if objective == "gsure" or (objective in ("pure", "pukla") and poisson_mode == "approx"):
         probes()
 
-    def closed_or_probed_divergence(fn: SpectralFunction, raw: np.ndarray):
-        if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
-            return risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact, raw=raw)
-        s = fact.singular_values
-        return risk.divergence_closed_form(fact, fn.values(s), fn.derivs(s))
-
     def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
         if objective == "pure":
             return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
         if objective == "pukla":
             return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
-        if objective == "sure" and fn.clamp_floor is None:
-            s = fact.singular_values
-            values = fn.values(s)
+        s = fact.singular_values
+        values = fn.values(s)
+        if objective == "sure":
+            if fn.clamp_floor is not None:
+                raise ParameterError("SURE scores estimates without a clamp floor only")
             div = risk.divergence_closed_form(fact, values, fn.derivs(s))
             return risk.sure_gaussian_spectral(fact, values, model.tau, div)
         # One compose per evaluation: the clamped estimate and the entries
         # the floor holds fixed both follow from the unclamped one.
-        raw = linalg.compose(fact, fn.values(fact.singular_values))
+        raw = linalg.compose(fact, values)
         estimate = linalg.clamp(raw, fn.clamp_floor)
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(
                 fn, y, model.shape, samples, directions=directions, fact=fact, raw=raw
             )
             return risk.gsure_gamma(y, estimate, model.shape, theta_div)
-        div = closed_or_probed_divergence(fn, raw)
-        if objective == "sure":
-            return risk.sure_gaussian(y, estimate, model.tau, div)
+        if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
+            div = risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact, raw=raw)
+        else:
+            div = risk.divergence_closed_form(fact, values, fn.derivs(s))
         return risk.sukls_gamma(y, estimate, model.shape, div)
 
     return evaluate

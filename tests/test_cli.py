@@ -252,6 +252,13 @@ class TestActiveSetCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--family", "gaussian"], ["--family", "poisson", "--epsilon", "0"]])
+    def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, flags):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,x\n")
+        assert cli.main(["activeset", "--input", str(path)] + flags) == 1
+        assert capsys.readouterr().err.startswith("usage error: --")
+
 
 class TestExperimentCommand:
     CONFIG = {
@@ -298,6 +305,15 @@ class TestExperimentCommand:
         code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error: estimator tag 'bogus': unknown estimator")
+        assert not (tmp_path / "o").exists()
+
+    def test_faulty_data_point_is_usage_error(self, tmp_path, capsys):
+        bad = dict(self.CONFIG, sweep={"parameter": "sigma1", "values": [3.0, -1.0]})
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: sweep value sigma1=-1.0: ")
         assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_outputs(self, tmp_path):

@@ -1,6 +1,7 @@
 """Signal recipes, metrics, and the seeded replication runner."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +205,87 @@ class TestRunner:
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
         with pytest.raises(ParameterError, match=message):
             ExperimentConfig.from_config(small_config(n=20, m=30, **overrides))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sweep": {"parameter": "tau", "values": [0.1, 0]}}, "tau=0.0: tau must be positive"),
+            ({"sweep": {"parameter": "tau", "values": [-1]}}, "tau=-1.0: tau must be positive"),
+            ({"sweep": {"parameter": "rsnr", "values": [0]}}, "rsnr=0.0: rsnr values must be positive"),
+            ({"sweep": {"parameter": "rsnr", "values": [-2]}}, "rsnr=-2.0: rsnr values must be positive"),
+            ({"sweep": {"parameter": "sigma1", "values": [0.5]}}, "sigma1=0.5: .*strictly decreasing"),
+            ({"sweep": {"parameter": "sigma1", "values": [-3.0]}}, r"sigma1=-3.0: .*positive.*\[-3.0, 1.0\]"),
+            (
+                {
+                    "signal": {"type": "equal_spikes", "gamma": 2.0, "rank": 1},
+                    "sweep": {"parameter": "true_rank", "values": [13]},
+                },
+                "true_rank=13.0: cannot build 13 orthonormal vectors",
+            ),
+            (
+                {"signal": {"type": "spike", "sigmas": [13.0 - k for k in range(13)]}},
+                "the signal: cannot build 13 orthonormal vectors",
+            ),
+            (
+                {"signal": {"type": "explicit", "entries": [[1.0, 2.0], [3.0, 4.0]]}},
+                r"the signal: explicit signal has shape \(2, 2\), expected \(12, 12\)",
+            ),
+            (
+                {"signal": {"type": "explicit", "entries": [[float("nan")] * 12] * 12}},
+                "the signal: explicit signal entries must be finite",
+            ),
+            ({"signal": {"type": "explicit", "entries": [[1.0, 2.0], [3.0]]}}, "numeric matrix"),
+            ({"signal": {"type": "explicit", "entries": [["a", "b"]]}}, "numeric matrix"),
+            (
+                {
+                    "model": {"family": "poisson"},
+                    "signal": {"type": "spike", "sigmas": [3.0, 2.9], "recipe": "cosine"},
+                },
+                "the signal: the generated signal must be strictly positive",
+            ),
+        ],
+    )
+    def test_faulty_data_points_are_rejected_at_load(self, overrides, message):
+        # Signal generation is deterministic, so each fault shows at load.
+        base = small_config(
+            n=12, m=12, replications=2,
+            signal={"type": "spike", "sigmas": [3.0, 1.0], "recipe": "quadratic_profile"},
+        )
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig.from_config(dict(base, **overrides))
+
+    def test_each_signal_is_built_once_at_load(self, monkeypatch):
+        calls = []
+        generate = experiments.generate_signal
+        monkeypatch.setattr(
+            experiments, "generate_signal", lambda *a: calls.append(a) or generate(*a)
+        )
+        cfg = ExperimentConfig.from_config(
+            small_config(replications=3, sweep={"parameter": "sigma1", "values": [1.5, 3.0]})
+        )
+        assert len(calls) == 2
+        assert len(experiments.run_experiment(cfg).records) == 6
+        assert len(calls) == 2
+
+    def test_points_take_no_part_in_equality_and_are_read_only(self):
+        raw = small_config(sweep={"parameter": "tau", "values": [0.1, 0.3]})
+        a, b = ExperimentConfig.from_config(raw), ExperimentConfig.from_config(raw)
+        assert a == b
+        assert "points" not in repr(a)
+        assert [(label, model) for label, model, _ in a.points] == [
+            (0.1, Gaussian(0.1)), (0.3, Gaussian(0.3)),
+        ]
+        for _, _, signal in a.points:
+            assert not signal.flags.writeable
+            with pytest.raises(ValueError):
+                signal[0, 0] = 0.0
+
+    def test_shared_signals_keep_fig2_records_identical_across_threads(self, tmp_path):
+        raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2.json").read_text())
+        cfg = ExperimentConfig.from_config(dict(raw, replications=2))
+        for threads in (1, 2):
+            experiments.run_experiment(cfg, threads=threads).write_csv(tmp_path / f"t{threads}.csv")
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
     def test_tags_are_resolved_once_at_load(self, monkeypatch):
         cfg = ExperimentConfig.from_config(

@@ -331,6 +331,15 @@ class TestSoftThresholdFit:
         best_grid = min(value_at(l) for l in np.arange(0.0, top + 1e-9, 1e-3 * top))
         assert value_at(lam) <= best_grid + 1e-6
 
+    def test_sure_rejects_a_clamp_floor(self):
+        # SURE is scored from the spectrum, which a floored estimate leaves.
+        y = np.random.default_rng(17).standard_normal((8, 6))
+        fact = linalg.svd(y)
+        objective = shrinkage.make_risk_objective(y, fact, Gaussian(0.5), "sure")
+        assert np.isfinite(objective(linalg.soft_threshold_function(1.0)).value)
+        with pytest.raises(ParameterError, match="without a clamp floor"):
+            objective(linalg.soft_threshold_function(1.0, linalg.DEFAULT_CLAMP_FLOOR))
+
     def test_all_zero_observation(self):
         # Zero lies in the Gaussian and Poisson supports, not in Gamma's,
         # which the soft fit must say as the pca and weighted fits do.
