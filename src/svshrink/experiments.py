@@ -128,9 +128,20 @@ class SignalSpec:
     recipe: str = "quadratic_profile"
     gamma: Optional[float] = None
     rank: Optional[int] = None
-    entries: Optional[np.ndarray] = None
+    # An explicit matrix is kept as a tuple of rows, so specs compare by value.
+    entries: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
+        if self.kind == "explicit":
+            try:
+                rows = np.asarray(self.entries, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(f"explicit signal entries must form a numeric matrix: {exc}") from exc
+            if rows.ndim != 2:
+                raise ParameterError(
+                    f"explicit signal entries must form a numeric matrix, got {rows.ndim} dimensions"
+                )
+            object.__setattr__(self, "entries", tuple(map(tuple, rows.tolist())))
         if self.kind == "spike":
             if not self.sigmas or not all(s > 0 for s in self.sigmas):
                 raise ParameterError(f"spike signals need positive strengths, got {list(self.sigmas)}")
@@ -155,10 +166,7 @@ class SignalSpec:
         if kind == "explicit":
             if "entries" not in config:
                 raise ParameterError("explicit signals need 'entries'")
-            try:
-                return cls("explicit", entries=np.asarray(config["entries"], dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise ParameterError(f"explicit signal entries must form a numeric matrix: {exc}") from exc
+            return cls("explicit", entries=config["entries"])
         raise ParameterError(f"unknown signal type {kind!r}")
 
     def spike_strengths(self, n: int, m: int) -> tuple[float, ...]:
@@ -296,12 +304,14 @@ def fit_estimator(
     rng: np.random.Generator,
     signal: Optional[np.ndarray] = None,
     clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
+    signal_values: Optional[np.ndarray] = None,
 ) -> tuple[SpectralFunction, dict]:
     """Fit one resolved method on one realization.
 
     Returns the fitted estimator and what the fit chose (active set, weights,
     threshold or scale).  This is the one place where fitted parameters
-    become an estimator.
+    become an estimator.  The oracle shrinker reads ``signal_values``, the
+    singular values of ``signal``, which each data point computes once.
     """
     y = np.asarray(observed, dtype=float)
     s = fact.singular_values
@@ -348,7 +358,9 @@ def fit_estimator(
         return _fixed_values(values, floor), {"scale": scale}
 
     if method.name == "oracle-shrinker":
-        true_s = np.linalg.svd(signal, compute_uv=False) / scale
+        if signal_values is None:
+            raise ParameterError("oracle-shrinker needs the true signal's singular values")
+        true_s = signal_values / scale
         values = np.zeros_like(s)
         r = int(np.sum(true_s > 1e-12 * max(true_s[0], 1.0)))
         for k in range(min(r, len(s))):
@@ -423,6 +435,9 @@ class ExperimentConfig:
         least = {"rank_cap": 0, "true_rank": 1}.get(parameter)
         if least is not None and not all(float(v).is_integer() and v >= least for v in self.sweep_values):
             raise ParameterError(f"{parameter} sweep values must be integers >= {least}")
+        repeated = sorted({v for v in self.sweep_values if self.sweep_values.count(v) > 1})
+        if repeated:
+            raise ParameterError(f"{parameter} sweep values must be distinct, got {repeated} more than once")
         for name in self.metrics:
             metrics.check_metric(name, self.model)
         # No sweep changes the noise family, and a tag resolves against the
@@ -517,8 +532,9 @@ class ExperimentResult:
 
 
 def _data_point(config: ExperimentConfig, value) -> tuple:
-    """The (label, model, signal) at sweep value ``value``, or the config's own
-    at ``None``; any fault is a :class:`ParameterError` naming the point."""
+    """The (label, model, signal, signal's singular values) at sweep value
+    ``value``, or the config's own at ``None``; any fault is a
+    :class:`ParameterError` naming the point."""
     model, spec, parameter = config.model, config.signal, config.sweep_parameter
     try:
         if parameter == "sigma1":
@@ -535,14 +551,16 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
     except SvshrinkError as exc:
         where = "the signal" if value is None else f"sweep value {parameter}={value!r}"
         raise ParameterError(f"{where}: {exc}") from exc
-    x.flags.writeable = False  # shared by every replication and thread
-    return value, model, x
+    signal_values = np.linalg.svd(x, compute_uv=False)
+    for shared in (x, signal_values):  # read by every replication and thread
+        shared.flags.writeable = False
+    return value, model, x, signal_values
 
 
 def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> list[dict]:
     """All records of one task: replication ``rep`` at data point
     ``point_idx``.  A rank_cap task records every cap."""
-    value, model, x = config.points[point_idx]
+    value, model, x, x_values = config.points[point_idx]
     rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, point_idx, rep]))
     y = model.sample(x, rng)
     fact = linalg.svd(y)
@@ -559,7 +577,9 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
         est_rng = np.random.default_rng(
             np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
         )
-        fn, _ = fit_estimator(method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor)
+        fn, _ = fit_estimator(
+            method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor, signal_values=x_values
+        )
         values = fn.values(fact.singular_values)
         for label, cap in caps:
             capped = values.copy()

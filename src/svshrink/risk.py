@@ -7,6 +7,13 @@ enumeration or a first-order Monte-Carlo approximation).  The degrees-of-
 freedom term common to all of them is the divergence of the spectral map,
 available in closed form or by Monte-Carlo trace probing.
 
+The exact enumeration reuses the observation's factorization: with
+``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
+matrix ``S^2 + z1 z1^T - z2 z2^T`` (``a = U^T e_i``, ``z2 = S V^T e_j``,
+``z1 = a - z2``), so each downdated entry comes from a ``k x k`` symmetric
+eigenproblem instead of an ``n x m`` SVD; a tall ``Y`` is handled as ``Y^T``
+(see :func:`downdated_entries`).
+
 Estimators are :class:`~svshrink.linalg.SpectralFunction` maps (anything else is
 a :class:`ParameterError`); every Monte-Carlo estimate reduces ``delta * (J delta)``.
 """
@@ -403,13 +410,37 @@ def downdated_entries(
     estimator: SpectralFunction,
     matrix: np.ndarray,
     positions: Optional[np.ndarray] = None,
+    *,
+    fact: Optional[SvdFactorization] = None,
 ) -> np.ndarray:
     """Entries ``f_ij(Y - e_i e_j^T)`` of the estimator on one-count downdates,
-    via batched SVDs.
+    each from a ``k x k`` symmetric eigenproblem on the factorization of ``Y``.
+
+    For ``n <= m`` the left factor ``U`` of ``Y = U S V^T`` is square.  With
+    ``a = U^T e_i``, ``z2 = S V^T e_j`` and ``z1 = a - z2``, the downdate
+    ``Y' = Y - e_i e_j^T`` has ``U^T Y' Y'^T U = S^2 + z1 z1^T - z2 z2^T``,
+    a rank-two modification of a diagonal (Bunch, Nielsen & Sorensen, Numer.
+    Math. 31, 1978).  Its eigenpairs ``(lambda_k, x_k)`` give the singular
+    values ``sqrt(lambda_k)`` and left vectors ``U x_k`` of ``Y'``, and
+    ``U^T Y' e_j = -z1``, so::
+
+        f_ij(Y') = -sum_k phi_k (a^T x_k)(z1^T x_k),
+        phi_k = f_k(sqrt(lambda_k)) / sqrt(lambda_k)   (0 where lambda_k <= 0)
+
+    then clamped.  For ``n > m`` the same runs on ``Y^T`` at the swapped
+    positions (a spectral map commutes with transposition).  One batched
+    ``eigh`` per chunk of positions replaces an ``n x m`` SVD per position.
+
+    The map must vanish at 0, with ``f_k(sigma) = O(sigma)`` near 0, as
+    soft thresholds and weight maps do: a zero singular value of ``Y'``
+    drops out of the sum, and ``phi_k`` stays bounded for a tiny one.  A map
+    with ``f_k(0) != 0`` (the oracle and asymptotic shrinkers' fixed values)
+    raises :class:`ParameterError`.
 
     ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations;
     all ``n * m`` positions are used when omitted.  The result is returned in
-    the order of ``positions``.
+    the order of ``positions``.  ``fact``, the factorization of ``matrix``,
+    is computed once here when not given.
     """
     fn = _require_spectral(estimator)
     matrix = np.asarray(matrix, dtype=float)
@@ -417,18 +448,41 @@ def downdated_entries(
     if positions is None:
         positions = np.argwhere(np.ones((n, m), dtype=bool))
     positions = np.asarray(positions, dtype=int)
+    if positions.ndim != 2 or positions.shape[1] != 2:
+        raise DomainError(f"positions must be a (p, 2) array, got shape {positions.shape}")
+    fact = _factorization(matrix, fact)
+    if np.any(fn.values(np.zeros(fact.rank_bound)) != 0.0):
+        raise ParameterError("one-count downdates need a spectral map that vanishes at 0")
+    if n > m:
+        fact, positions = fact.transposed(), positions[:, ::-1]
+    s = fact.singular_values
+    left, scaled_right = fact.left_vectors, fact.right_vectors * s
     out = np.empty(len(positions))
     for start in range(0, len(positions), _DOWNDATE_BATCH):
         chunk = positions[start : start + _DOWNDATE_BATCH]
-        stack = np.broadcast_to(matrix, (len(chunk), n, m)).copy()
-        stack[np.arange(len(chunk)), chunk[:, 0], chunk[:, 1]] -= 1.0
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        values = np.stack([fn.values(row) for row in s])
-        rows = u[np.arange(len(chunk)), chunk[:, 0], :]
-        cols = vt[np.arange(len(chunk)), :, chunk[:, 1]]
-        entries = np.sum(values * rows * cols, axis=1)
+        entries = _downdated_chunk(fn, s, left[chunk[:, 0]], scaled_right[chunk[:, 1]])
         out[start : start + len(chunk)] = linalg.clamp(entries, fn.clamp_floor)
     return out
+
+
+def _downdated_chunk(fn: SpectralFunction, s: np.ndarray, a: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Unclamped ``f_ij(Y - e_i e_j^T)`` for a chunk of positions, given the
+    rows ``a = U^T e_i`` and ``z2 = S V^T e_j`` (one row per position).  Its
+    ``p x k x k`` buffers are freed on return, before the next chunk's."""
+    z1 = a - z2
+    # Built in place, so that at most two p x k x k buffers are alive at once.
+    gram = np.matmul(z1[:, :, None], z1[:, None, :])
+    gram -= np.matmul(z2[:, :, None], z2[:, None, :])
+    diagonal = np.arange(len(s))
+    gram[:, diagonal, diagonal] += s**2
+    lam, x = np.linalg.eigh(gram)
+    lam, x = lam[:, ::-1], x[:, :, ::-1]  # descending, as fn.values expects
+    root = np.sqrt(np.maximum(lam, 0.0))
+    values = np.stack([fn.values(row) for row in root])
+    phi = np.divide(values, root, out=np.zeros_like(root), where=lam > 0.0)
+    ax = (a[:, None, :] @ x)[:, 0, :]
+    zx = (z1[:, None, :] @ x)[:, 0, :]
+    return -np.sum(phi * ax * zx, axis=1)
 
 
 def _guard_exact_size(matrix: np.ndarray) -> None:
@@ -458,7 +512,7 @@ def _poisson_downdates(
     fhat, fact, raw = _estimate(fn, y, fact)
     nonzero = y > 0  # a boolean mask reads the entries in the order np.argwhere lists them
     if mode == "exact":
-        down = [downdated_entries(fn, y, np.argwhere(nonzero))]
+        down = [downdated_entries(fn, y, np.argwhere(nonzero), fact=fact)]
     else:
         base = fhat[nonzero]
         down = [base - p[nonzero] for p in _probe_products(fn, fact, directions, raw)]

@@ -133,7 +133,7 @@ def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactoriza
         return 0.0
     leading = np.zeros(fact.rank_bound)
     leading[0] = 1.0
-    down = risk.downdated_entries(linalg.weights_function(leading), y, nonzero)
+    down = risk.downdated_entries(linalg.weights_function(leading), y, nonzero, fact=fact)
     total = float(np.sum(y[nonzero[:, 0], nonzero[:, 1]] * down))
     return float(np.clip(total / top**2, 0.0, 1.0))
 

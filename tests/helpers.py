@@ -47,3 +47,22 @@ def grid_argmin(fn, lo: float, hi: float, step: float) -> float:
     grid = np.arange(lo, hi + step / 2, step)
     values = np.array([fn(t) for t in grid])
     return float(grid[np.argmin(values)])
+
+
+def svd_downdated_entries(fn: linalg.SpectralFunction, matrix: np.ndarray, positions) -> np.ndarray:
+    """Reference one-count downdates ``f_ij(Y - e_i e_j^T)``: one full SVD of
+    each downdated matrix, batched, read at entry ``(i, j)`` and clamped."""
+    matrix = np.asarray(matrix, dtype=float)
+    n, m = matrix.shape
+    positions = np.asarray(positions, dtype=int).reshape(-1, 2)
+    out = np.empty(len(positions))
+    for start in range(0, len(positions), 256):
+        chunk = positions[start : start + 256]
+        stack = np.broadcast_to(matrix, (len(chunk), n, m)).copy()
+        stack[np.arange(len(chunk)), chunk[:, 0], chunk[:, 1]] -= 1.0
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        values = np.stack([fn.values(row) for row in s])
+        rows = u[np.arange(len(chunk)), chunk[:, 0], :]
+        cols = vt[np.arange(len(chunk)), :, chunk[:, 1]]
+        out[start : start + len(chunk)] = linalg.clamp(np.sum(values * rows * cols, axis=1), fn.clamp_floor)
+    return out

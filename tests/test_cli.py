@@ -316,6 +316,15 @@ class TestExperimentCommand:
         assert capsys.readouterr().err.startswith("usage error: sweep value sigma1=-1.0: ")
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_sweep_value_is_usage_error(self, tmp_path, capsys):
+        bad = dict(self.CONFIG, sweep={"parameter": "sigma1", "values": [2.0, 3.0, 2.0]})
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "usage error: sigma1 sweep values must be distinct, got [2.0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))

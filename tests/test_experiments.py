@@ -200,6 +200,8 @@ class TestRunner:
             ({"sweep": {"parameter": "rsnr", "values": [1.0]}}, "square signal"),
             ({"sweep": {"parameter": "true_rank", "values": [1]}}, "'equal_spikes' signal"),
             ({"sweep": {"parameter": "rank_cap", "values": [1, -1]}}, "integers >= 0"),
+            ({"sweep": {"parameter": "rank_cap", "values": [1, 2, 1]}}, r"distinct, got \[1.0\]"),
+            ({"sweep": {"parameter": "tau", "values": [0.2, 0.1, 0.2, 0.1]}}, r"got \[0.1, 0.2\]"),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -243,6 +245,7 @@ class TestRunner:
                 },
                 "the signal: the generated signal must be strictly positive",
             ),
+            ({"signal": {"type": "explicit", "entries": [1.0, 2.0]}}, "numeric matrix, got 1 dimensions"),
         ],
     )
     def test_faulty_data_points_are_rejected_at_load(self, overrides, message):
@@ -272,13 +275,46 @@ class TestRunner:
         a, b = ExperimentConfig.from_config(raw), ExperimentConfig.from_config(raw)
         assert a == b
         assert "points" not in repr(a)
-        assert [(label, model) for label, model, _ in a.points] == [
+        assert [(label, model) for label, model, _, _ in a.points] == [
             (0.1, Gaussian(0.1)), (0.3, Gaussian(0.3)),
         ]
-        for _, _, signal in a.points:
-            assert not signal.flags.writeable
-            with pytest.raises(ValueError):
-                signal[0, 0] = 0.0
+        for _, _, signal, signal_values in a.points:
+            np.testing.assert_array_equal(signal_values, np.linalg.svd(signal, compute_uv=False))
+            for shared in (signal, signal_values):
+                assert not shared.flags.writeable
+                with pytest.raises(ValueError):
+                    shared[0] = 0.0
+
+    def test_explicit_signal_configs_compare_by_value(self):
+        entries = [[1.0, 2.0], [3.0, 4.5]]
+        raw = small_config(n=2, m=2, signal={"type": "explicit", "entries": entries})
+        a, b = ExperimentConfig.from_config(raw), ExperimentConfig.from_config(raw)
+        assert a == b
+        other = ExperimentConfig.from_config(
+            dict(raw, signal={"type": "explicit", "entries": [[1.0, 2.0], [3.0, 4.0]]})
+        )
+        assert a != other
+        assert a.signal != other.signal
+
+    def test_oracle_shrinker_reads_the_points_singular_values(self, monkeypatch):
+        cfg = ExperimentConfig.from_config(small_config(estimators=["oracle-shrinker"], replications=2))
+        expected = experiments.run_experiment(cfg).records
+        svd = np.linalg.svd
+
+        def factor_observations_only(a, *args, compute_uv=True, **kwargs):
+            assert compute_uv, "a replication task took the signal's singular values again"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", factor_observations_only)
+        assert experiments.run_experiment(cfg).records == expected
+
+    def test_oracle_shrinker_needs_the_signals_singular_values(self):
+        y = np.ones((4, 5))
+        with pytest.raises(ParameterError, match="singular values"):
+            experiments.fit_estimator(
+                FitMethod("oracle-shrinker"), y, linalg.svd(y), Gaussian(1.0),
+                np.random.default_rng(0), signal=y,
+            )
 
     def test_shared_signals_keep_fig2_records_identical_across_threads(self, tmp_path):
         raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2.json").read_text())

@@ -4,13 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svshrink import linalg, metrics, risk
 from svshrink.errors import CapacityError, DomainError, ParameterError
 from svshrink.linalg import SpectralFunction
 from svshrink.models import Gamma, Gaussian, Poisson
 
-from helpers import fd_divergence, rank_one_positive
+from helpers import fd_divergence, rank_one_positive, svd_downdated_entries
 
 
 def half_map(clamp=None):
@@ -355,9 +357,9 @@ class TestPuklaPoisson:
         seen = []
         downdated_entries = risk.downdated_entries
 
-        def record(fn, matrix, positions=None):
+        def record(fn, matrix, positions=None, **kwargs):
             seen.append(np.asarray(positions).tolist())
-            return downdated_entries(fn, matrix, positions)
+            return downdated_entries(fn, matrix, positions, **kwargs)
 
         monkeypatch.setattr(risk, "downdated_entries", record)
         risk.pukla_poisson(y, zero_map(clamp=3.0), mode="exact")
@@ -379,6 +381,90 @@ class TestPuklaPoisson:
         diffs = np.asarray(diffs)
         stderr = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert abs(diffs.mean()) <= 4 * stderr
+
+
+def count_matrix(shape, counts, rng):
+    """A count matrix of shape ``1 x m``, ``n x 1``, wide, tall or square,
+    whose counts are generic Poisson draws, all zero or one single count."""
+    n, m, extra = (int(v) for v in rng.integers(1, 8, size=3))
+    n, m = {"row": (1, m), "column": (n, 1), "wide": (n, n + extra),
+            "tall": (m + extra, m), "square": (n, n)}[shape]
+    y = np.zeros((n, m))
+    if counts == "generic":
+        y = rng.poisson(2.0, size=(n, m)).astype(float)
+    elif counts == "single":
+        y[rng.integers(n), rng.integers(m)] = rng.integers(1, 4)
+    return y
+
+
+def spectral_map(kind, k, floor, rng):
+    if kind == "soft":
+        return linalg.soft_threshold_function(float(rng.uniform(0.0, 4.0)), floor)
+    weights = rng.uniform(size=k) * (rng.uniform(size=k) < 0.8)
+    return linalg.weights_function(weights, floor)
+
+
+def tied_downdates(matrix, positions) -> np.ndarray:
+    """Positions whose downdate has two nonzero singular values tied to
+    1e-8 relative; a per-index weight map is not a function of the matrix
+    there (its value depends on the basis chosen for the tied pair)."""
+    stack = np.broadcast_to(matrix, (len(positions),) + matrix.shape).copy()
+    stack[np.arange(len(positions)), positions[:, 0], positions[:, 1]] -= 1.0
+    s = np.linalg.svd(stack, compute_uv=False)
+    top = np.maximum(s[:, :1], 1.0)
+    gaps = np.abs(np.diff(s, axis=1)) <= 1e-8 * top
+    return np.any(gaps & (s[:, 1:] > 1e-8 * top), axis=1)
+
+
+class TestDowndatedEntries:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["row", "column", "wide", "tall", "square"]),
+        st.sampled_from(["generic", "zero", "single"]),
+        st.sampled_from(["soft", "weights"]),
+        st.sampled_from([None, 1e-6, 0.5]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_svd_enumeration(self, shape, counts, kind, floor, every, pass_fact, seed):
+        rng = np.random.default_rng(seed)
+        y = count_matrix(shape, counts, rng)
+        fn = spectral_map(kind, min(y.shape), floor, rng)
+        positions = np.argwhere(np.ones(y.shape, dtype=bool) if every else y > 0)
+        if kind == "weights":
+            positions = positions[~tied_downdates(y, positions)]
+        expected = svd_downdated_entries(fn, y, positions)
+        got = risk.downdated_entries(fn, y, positions, fact=linalg.svd(y) if pass_fact else None)
+        assert got.shape == expected.shape
+        # 1e-10 of the largest entry, or of 1 (the least nonzero count) when
+        # every entry is smaller: an exact 0 comes back as a rounding error.
+        scale = max(np.abs(expected).max(initial=0.0), 1.0)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale)
+
+    def test_all_positions_by_default_in_row_major_order(self):
+        y = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]])
+        fn = linalg.soft_threshold_function(0.5)
+        expected = svd_downdated_entries(fn, y, np.argwhere(np.ones(y.shape, dtype=bool)))
+        np.testing.assert_allclose(risk.downdated_entries(fn, y), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(risk.downdated_entries(fn, y.T), expected.reshape(2, 3).T.ravel(),
+                                   rtol=0, atol=1e-12)
+
+    def test_factorization_of_another_shape_is_domain_error(self):
+        y = np.ones((3, 4))
+        with pytest.raises(DomainError, match="factorization"):
+            risk.downdated_entries(half_map(), y, fact=linalg.svd(y.T))
+
+    @pytest.mark.parametrize("positions", [[1, 2], np.zeros((2, 4), dtype=int)])
+    def test_positions_not_in_pairs_are_domain_error(self, positions):
+        with pytest.raises(DomainError, match=r"\(p, 2\)"):
+            risk.downdated_entries(half_map(), np.ones((3, 4)), positions)
+
+    def test_map_that_does_not_vanish_at_zero_is_parameter_error(self):
+        fixed = np.array([3.0, 2.0, 1.0])
+        fn = SpectralFunction(lambda sigmas: fixed, lambda sigmas: np.zeros_like(sigmas))
+        with pytest.raises(ParameterError, match="vanishes at 0"):
+            risk.downdated_entries(fn, np.ones((3, 4)))
 
 
 class TestEmptyProbeSets:
