@@ -8,7 +8,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     SvshrinkError,
-    UnsupportedFamilyError,
 )
 from .linalg import SpectralFunction, SvdFactorization, svd
 from .models import Gamma, Gaussian, Poisson, model_from_config
@@ -36,7 +35,6 @@ __all__ = [
     "DegenerateSpectrumError",
     "CapacityError",
     "NumericalError",
-    "UnsupportedFamilyError",
 ]
 
 __version__ = "0.1.0"

@@ -1,5 +1,4 @@
-"""Active-set selection for singular values by a penalized-likelihood score,
-plus simple rank estimators.
+"""Active-set selection for singular values by a penalized-likelihood score.
 
 The score is ``-2 log q(Y; Xtilde^s) + 2 |s| p`` with penalty
 ``p = (sqrt(m) + sqrt(n))^2 / 2``, which for Gaussian noise is minimized
@@ -72,7 +71,7 @@ def aic(
         raise DomainError(f"index {subset[-1]} exceeds min(n, m) = {fact.rank_bound}")
     keep = np.zeros(fact.rank_bound)
     keep[np.asarray(subset, dtype=int) - 1] = 1.0
-    xtilde = linalg.compose_clamped(fact, keep * fact.singular_values, floor)
+    xtilde = linalg.clamp(linalg.compose(fact, keep * fact.singular_values), floor)
     complexity = 2.0 * len(subset) * penalty(fact.n, fact.m)
     return -2.0 * model.log_likelihood(y, xtilde) + complexity
 
@@ -115,41 +114,3 @@ def active_set_greedy(
         if scores[f"drop_{drop}"] > scores["full"]:
             selected.append(drop)
     return ActiveSetReport(tuple(selected), penalty(fact.n, fact.m), "greedy", scores)
-
-
-def rank_bulk(fact: SvdFactorization, tau: float) -> int:
-    """Number of singular values above the noise bulk edge (0 when none)."""
-    if not tau > 0:
-        raise ParameterError("tau must be positive")
-    threshold = bulk_edge_threshold(fact.n, fact.m, tau)
-    return int(np.sum(fact.singular_values > threshold))
-
-
-def hard_threshold_constant(c: float) -> float:
-    """Optimal hard-threshold level (unit-noise scale) for aspect ratio ``c``:
-    ``sqrt(2 (c + 1) + 8 c / ((c + 1) + sqrt(c^2 + 14 c + 1)))``."""
-    if not 0 < c <= 1:
-        raise DomainError(f"aspect ratio must be in (0, 1], got {c}")
-    return float(np.sqrt(2.0 * (c + 1.0) + 8.0 * c / ((c + 1.0) + np.sqrt(c**2 + 14.0 * c + 1.0))))
-
-
-def rank_hard_threshold(fact: SvdFactorization, c: float, tau: Optional[float] = None) -> int:
-    """Rank estimate by optimal hard thresholding of singular values.
-
-    The threshold constant is stated for noise level ``1 / sqrt(m)``; pass
-    ``tau`` to rescale it to other homoscedastic noise levels.
-    """
-    scale = 1.0 if tau is None else tau * np.sqrt(fact.m)
-    threshold = hard_threshold_constant(c) * scale
-    return int(np.sum(fact.singular_values > threshold))
-
-
-def rank_effective(true_sigmas: np.ndarray, c: float) -> int:
-    """Number of true spikes above the detectability threshold ``c^(1/4)``.
-
-    Consumes the *signal* spectrum, so it is an oracle benchmark.
-    """
-    if not 0 < c <= 1:
-        raise DomainError(f"aspect ratio must be in (0, 1], got {c}")
-    s = np.asarray(true_sigmas, dtype=float)
-    return int(np.sum(s > c**0.25))

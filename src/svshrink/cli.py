@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import activeset, experiments, linalg, matrixio, rmt, shrinkage
-from .errors import ParameterError, SvshrinkError
+from .errors import NumericalError, ParameterError, SvshrinkError
 from .models import Gamma, Gaussian, Poisson
 
 EXIT_OK = 0
@@ -76,6 +76,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _as_usage(check, *args):
+    """``check(*args)``, its :class:`ParameterError` a usage error: it checks
+    flags before any data-dependent work."""
+    try:
+        return check(*args)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _model_from_args(args) -> Gaussian | Gamma | Poisson:
     if args.family == "gaussian":
         if args.tau is None:
@@ -95,16 +104,8 @@ def _model_from_args(args) -> Gaussian | Gamma | Poisson:
 
 
 def _check_epsilon(args) -> None:
-    if not args.epsilon > 0:
-        raise UsageError(f"--epsilon must be positive, got {args.epsilon}")
-
-
-def _resolve(method: experiments.FitMethod, model) -> experiments.FitMethod:
-    """``method`` checked and completed as estimator tags are."""
-    try:
-        return experiments.resolve_method(method, model)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    if not 0 < args.epsilon < np.inf:
+        raise UsageError(f"--epsilon must be positive and finite, got {args.epsilon}")
 
 
 def _fit_method(args, model) -> experiments.FitMethod:
@@ -117,7 +118,7 @@ def _fit_method(args, model) -> experiments.FitMethod:
         "all" if args.rank is not None else args.active_set or "default",
         args.rank,
     )
-    return _resolve(method, model)
+    return _as_usage(experiments.resolve_method, method, model)
 
 
 def _cmd_denoise(args) -> int:
@@ -125,7 +126,7 @@ def _cmd_denoise(args) -> int:
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    model = _model_from_args(args)
+    model = _as_usage(_model_from_args, args)
     # Flag validation happens before any data-dependent work so that bad
     # combinations exit as usage errors, not domain errors.
     method = _fit_method(args, model)
@@ -158,10 +159,11 @@ def _cmd_activeset(args) -> int:
     path = Path(args.input)
     if not path.exists():
         raise UsageError(f"input file not found: {path}")
-    model = _model_from_args(args)
+    model = _as_usage(_model_from_args, args)
     _check_epsilon(args)
     # The set a pca fit keeps: one rule picks the default and checks bulk.
-    method = _resolve(experiments.FitMethod("pca", active=args.method or "default"), model)
+    pca = experiments.FitMethod("pca", active=args.method or "default")
+    method = _as_usage(experiments.resolve_method, pca, model)
     y = matrixio.read_matrix(path)
     if method.active == "bulk":
         report = activeset.active_set_gaussian(linalg.svd(y), model.tau)
@@ -197,23 +199,17 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _cmd_asymptotics(args) -> int:
-    regime = rmt.SpikedRegime(args.c)  # validates the aspect ratio
+def _asymptotics(regime: rmt.SpikedRegime, sigma, y) -> dict:
+    """The reference quantities at a spike strength ``sigma`` or at an
+    observed singular value ``y``; the other one is ``None``."""
     c = regime.c
-    if args.sigma is not None:
-        sigma = args.sigma
-        if sigma <= 0:
-            raise UsageError("--sigma must be positive")
+    if sigma is not None:
         y = rmt.rho(sigma, c)
-    else:
-        y = args.y
-        if y < 0:
-            raise UsageError("--y must be nonnegative")
-        sigma = rmt.sigma_from_rho(y, c) if y > regime.edge else None
-
+    elif y > regime.edge:
+        sigma = rmt.sigma_from_rho(y, c)
     detectable = sigma is not None and sigma > regime.detectability
     gd = rmt.shrinker_gd(y, c)
-    out = {
+    return {
         "c": c,
         "bulk_edge": regime.edge,
         "sigma": sigma,
@@ -221,10 +217,28 @@ def _cmd_asymptotics(args) -> int:
         "shrinker_gd": gd,
         "shrinker_sigma": rmt.shrinker_sigma(sigma, c) if sigma is not None else gd,
         "optimal_weight": rmt.asymptotic_optimal_weight(sigma, c) if detectable else 0.0,
-        "g_mp_at_rho_sq": rmt.mp_cauchy(y**2, c) if y > regime.edge else None,
+        "g_mp_at_rho_sq": rmt.mp_cauchy(np.square(y), c) if y > regime.edge else None,
         "dof_term": rmt.asymptotic_dof([gd], [sigma], c) if detectable else 0.0,
     }
-    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+
+
+def _cmd_asymptotics(args) -> int:
+    for flag in ("c", "sigma", "y"):
+        value = getattr(args, flag)
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
+    regime = rmt.SpikedRegime(args.c)  # validates the aspect ratio
+    if args.sigma is not None and args.sigma <= 0:
+        raise UsageError("--sigma must be positive")
+    if args.y is not None and args.y < 0:
+        raise UsageError("--y must be nonnegative")
+    # A field outside the float range is reported by name below, not warned about.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _asymptotics(regime, args.sigma, args.y)
+    for name, value in out.items():
+        if value is not None and not np.isfinite(value):
+            raise NumericalError(f"asymptotics field {name!r} is not finite: {value}")
+    sys.stdout.write(json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -23,7 +23,3 @@ class CapacityError(SvshrinkError, ValueError):
 
 class NumericalError(SvshrinkError, RuntimeError):
     """An underlying numerical routine failed to converge."""
-
-
-class UnsupportedFamilyError(SvshrinkError, TypeError):
-    """The requested quantity is not defined for this noise family."""

@@ -143,10 +143,12 @@ class SignalSpec:
                 )
             object.__setattr__(self, "entries", tuple(map(tuple, rows.tolist())))
         if self.kind == "spike":
-            if not self.sigmas or not all(s > 0 for s in self.sigmas):
-                raise ParameterError(f"spike signals need positive strengths, got {list(self.sigmas)}")
+            if not self.sigmas or not all(0 < s < np.inf for s in self.sigmas):
+                raise ParameterError(f"spike signals need positive finite strengths, got {list(self.sigmas)}")
             if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
                 raise ParameterError(f"spike strengths must be strictly decreasing, got {list(self.sigmas)}")
+        if self.kind == "equal_spikes" and not 0 < self.gamma < np.inf:
+            raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma}")
 
     @classmethod
     def from_config(cls, config: dict) -> "SignalSpec":
@@ -425,6 +427,8 @@ class ExperimentConfig:
     points: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.clamp_floor < np.inf:
+            raise ParameterError(f"clamp_floor must be positive and finite, got {self.clamp_floor}")
         parameter = self.sweep_parameter
         # Both sweeps set the noise level by building a Gaussian model.
         if parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
@@ -543,8 +547,8 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
             spec = replace(spec, rank=int(value))
         elif parameter == "tau":
             model = Gaussian(tau=float(value))
-        elif parameter == "rsnr" and not value > 0:
-            raise ParameterError("rsnr values must be positive")
+        elif parameter == "rsnr" and not 0 < value < np.inf:
+            raise ParameterError("rsnr values must be positive and finite")
         x = generate_signal(spec, config.n, config.m, model)
         if parameter == "rsnr":
             model = Gaussian(tau=rsnr(x, 1.0) / float(value))
@@ -590,7 +594,7 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
                     score = spectral.metric(metric_name, capped)
                 else:
                     if xhat is None:
-                        xhat = linalg.compose_clamped(fact, capped, fn.clamp_floor)
+                        xhat = linalg.clamp(linalg.compose(fact, capped), fn.clamp_floor)
                     score = metrics.metric(metric_name, xhat, x, model)
                 records.append(
                     {

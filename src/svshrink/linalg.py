@@ -4,7 +4,7 @@ directional derivative (Jacobian-vector product) of spectral matrix maps.
 A *spectral map* keeps the singular vectors of a matrix and replaces each
 singular value ``sigma_k`` by ``f_k(sigma_k)``.  Everything downstream
 (risk estimation, weight fitting) is built on the three primitives here:
-``svd``, ``compose``/``compose_clamped``, and ``directional_derivative``.
+``svd``, ``compose`` and ``directional_derivative``.
 """
 
 from __future__ import annotations
@@ -166,14 +166,6 @@ def compose(fact: SvdFactorization, spectral_values: np.ndarray) -> np.ndarray:
     return (fact.left_vectors * vals) @ fact.right_vectors.T
 
 
-def compose_clamped(
-    fact: SvdFactorization, spectral_values: np.ndarray, clamp_floor: Optional[float]
-) -> np.ndarray:
-    """:func:`compose`, then every entry raised to at least ``clamp_floor``
-    when one is given: the estimate of every spectral estimator."""
-    return clamp(compose(fact, spectral_values), clamp_floor)
-
-
 def clamp(raw: np.ndarray, clamp_floor: Optional[float]) -> np.ndarray:
     """Every entry of the unclamped estimate ``raw`` raised to at least
     ``clamp_floor``; ``raw`` itself when there is no floor."""
@@ -184,7 +176,7 @@ def reconstruct(fact: SvdFactorization, fn: SpectralFunction) -> np.ndarray:
     """The estimate of the spectral estimator ``fn`` at the factorized
     observation: ``sum_k f_k(sigma_k) u_k v_k^T``, clamped at
     ``fn.clamp_floor`` when one is set."""
-    return compose_clamped(fact, fn.values(fact.singular_values), fn.clamp_floor)
+    return clamp(compose(fact, fn.values(fact.singular_values)), fn.clamp_floor)
 
 
 def _tie_tolerance(sigmas: np.ndarray) -> float:
@@ -353,8 +345,8 @@ class SpectralFunction:
     clamp_floor: Optional[float] = None
 
     def __post_init__(self):
-        if self.clamp_floor is not None and not self.clamp_floor > 0:
-            raise DomainError("clamp_floor must be positive when given")
+        if self.clamp_floor is not None and not 0 < self.clamp_floor < np.inf:
+            raise DomainError("clamp_floor must be positive and finite when given")
 
     def values(self, sigmas: np.ndarray) -> np.ndarray:
         return np.asarray(self.values_fn(np.asarray(sigmas, dtype=float)), dtype=float)

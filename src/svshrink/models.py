@@ -1,28 +1,20 @@
 """Noise models for matrix observations: Gaussian, Gamma, and Poisson.
 
-Each model packages the mean-to-natural-parameter link, the log-partition
-function and its derivatives, the carrier ratios h'/h and h''/h used by
-unbiased risk estimates of continuous families, the entrywise log-likelihood,
-and a seeded sampler.  All observations have mean ``X_ij`` entrywise; the
+Each model packages the entrywise log-likelihood, a seeded sampler and its
+JSON form; the risk estimates in :mod:`svshrink.risk` write out the terms of
+each family they need.  All observations have mean ``X_ij`` entrywise; the
 variances are ``tau^2``, ``X_ij^2 / L``, and ``X_ij`` respectively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, ParameterError, UnsupportedFamilyError
-
-
-class FamilyTerms(NamedTuple):
-    """Carrier ratios ``h'(y)/h(y)`` and ``h''(y)/h(y)`` of a continuous family."""
-
-    h_ratio1: Union[float, np.ndarray]
-    h_ratio2: Union[float, np.ndarray]
+from .errors import DomainError, ParameterError
 
 
 def _first_bad_entry(mask: np.ndarray) -> tuple[int, int]:
@@ -33,11 +25,9 @@ def _first_bad_entry(mask: np.ndarray) -> tuple[int, int]:
 def _check_positive(x: np.ndarray, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     bad = ~(x > 0)
-    if bad.ndim == 2 and bad.any():
-        i, j = _first_bad_entry(bad)
-        raise DomainError(f"{what} must be positive; entry ({i}, {j}) is {x[i, j]}")
-    if bad.ndim != 2 and np.any(bad):
-        raise DomainError(f"{what} must be positive")
+    if bad.any():
+        i, j = _first_bad_entry(np.atleast_2d(bad))
+        raise DomainError(f"{what} must be positive; entry ({i}, {j}) is {np.atleast_2d(x)[i, j]}")
     return x
 
 
@@ -48,36 +38,10 @@ class Gaussian:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ParameterError(f"tau must be positive and finite, got {self.tau}")
 
     family = "gaussian"
-
-    def link(self, x):
-        return np.asarray(x, dtype=float) / self.tau**2
-
-    def mean_from_natural(self, theta):
-        return self.tau**2 * np.asarray(theta, dtype=float)
-
-    def log_partition(self, theta):
-        return self.tau**2 * np.asarray(theta, dtype=float) ** 2 / 2.0
-
-    def log_partition_d1(self, theta):
-        return self.tau**2 * np.asarray(theta, dtype=float)
-
-    def log_partition_d2(self, theta):
-        return np.broadcast_to(self.tau**2, np.shape(theta)).astype(float) if np.ndim(theta) else self.tau**2
-
-    def variance(self, x):
-        return np.broadcast_to(self.tau**2, np.shape(x)).astype(float) if np.ndim(x) else self.tau**2
-
-    def family_terms(self, y) -> FamilyTerms:
-        y = np.asarray(y, dtype=float)
-        r1 = -y / self.tau**2
-        r2 = y**2 / self.tau**4 - 1.0 / self.tau**2
-        if y.ndim == 0:
-            return FamilyTerms(float(r1), float(r2))
-        return FamilyTerms(r1, r2)
 
     def log_likelihood(self, observed: np.ndarray, mean: np.ndarray) -> float:
         y = np.asarray(observed, dtype=float)
@@ -99,55 +63,16 @@ class Gaussian:
 class Gamma:
     """Gamma noise with known shape ``L``; the mean parameterizes the scale.
 
-    The second carrier ratio (and hence the risk formulas that use it)
-    additionally requires ``L > 2``.
+    GSURE and SUKLS additionally require ``L > 2``.
     """
 
     shape: float
 
     def __post_init__(self):
-        if not self.shape > 0:
-            raise ParameterError(f"Gamma shape L must be positive, got {self.shape}")
+        if not 0 < self.shape < np.inf:
+            raise ParameterError(f"Gamma shape L must be positive and finite, got {self.shape}")
 
     family = "gamma"
-
-    def link(self, x):
-        x = _check_positive(np.asarray(x, dtype=float), "Gamma mean")
-        return -self.shape / x
-
-    def mean_from_natural(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta >= 0):
-            raise DomainError("Gamma natural parameter must be negative")
-        return -self.shape / theta
-
-    def log_partition(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return -self.shape * np.log(-theta / self.shape)
-
-    def log_partition_d1(self, theta):
-        return -self.shape / np.asarray(theta, dtype=float)
-
-    def log_partition_d2(self, theta):
-        return self.shape / np.asarray(theta, dtype=float) ** 2
-
-    def variance(self, x):
-        return np.asarray(x, dtype=float) ** 2 / self.shape
-
-    def family_terms(self, y) -> FamilyTerms:
-        if self.shape <= 2:
-            raise ParameterError(
-                f"carrier ratios require shape L > 2 (got L = {self.shape}); "
-                "h''/h is not integrable otherwise"
-            )
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0):
-            raise DomainError("Gamma observations must be positive")
-        r1 = (self.shape - 1.0) / y
-        r2 = (self.shape - 1.0) * (self.shape - 2.0) / y**2
-        if y.ndim == 0:
-            return FamilyTerms(float(r1), float(r2))
-        return FamilyTerms(r1, r2)
 
     def log_likelihood(self, observed: np.ndarray, mean: np.ndarray) -> float:
         y = np.asarray(observed, dtype=float)
@@ -176,27 +101,6 @@ class Poisson:
     """Poisson counts with entrywise mean ``X_ij > 0``."""
 
     family = "poisson"
-
-    def link(self, x):
-        x = _check_positive(np.asarray(x, dtype=float), "Poisson mean")
-        return np.log(x)
-
-    def mean_from_natural(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    def log_partition(self, theta):
-        return np.exp(np.asarray(theta, dtype=float))
-
-    log_partition_d1 = log_partition
-    log_partition_d2 = log_partition
-
-    def variance(self, x):
-        return np.asarray(x, dtype=float)
-
-    def family_terms(self, y) -> FamilyTerms:
-        raise UnsupportedFamilyError(
-            "carrier ratios h'/h are defined only for continuous families, not Poisson"
-        )
 
     def log_likelihood(self, observed: np.ndarray, mean: np.ndarray) -> float:
         y = validate_counts(observed)

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, DomainError, ParameterError
+from .errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError
 from .linalg import SpectralFunction, SvdFactorization
 from .models import validate_counts
 
@@ -116,7 +116,7 @@ def divergence_closed_form(
 
 
 def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """A +-1 probe direction: zero mean, unit variance, independent entries."""
+    """A +-1 probe direction: independent entries, +1 or -1 with equal odds."""
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
@@ -437,6 +437,10 @@ def downdated_entries(
     with ``f_k(0) != 0`` (the oracle and asymptotic shrinkers' fixed values)
     raises :class:`ParameterError`.
 
+    At a tie of two positive singular values of ``Y'`` the entry is defined
+    only when the map gives both indices the same value there, as a soft
+    threshold does; otherwise :class:`DegenerateSpectrumError` is raised.
+
     ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations;
     all ``n * m`` positions are used when omitted.  The result is returned in
     the order of ``positions``.  ``fact``, the factorization of ``matrix``,
@@ -478,11 +482,30 @@ def _downdated_chunk(fn: SpectralFunction, s: np.ndarray, a: np.ndarray, z2: np.
     lam, x = np.linalg.eigh(gram)
     lam, x = lam[:, ::-1], x[:, :, ::-1]  # descending, as fn.values expects
     root = np.sqrt(np.maximum(lam, 0.0))
+    _check_ties(fn, lam, root)
     values = np.stack([fn.values(row) for row in root])
     phi = np.divide(values, root, out=np.zeros_like(root), where=lam > 0.0)
     ax = (a[:, None, :] @ x)[:, 0, :]
     zx = (z1[:, None, :] @ x)[:, 0, :]
     return -np.sum(phi * ax * zx, axis=1)
+
+
+def _check_ties(fn: SpectralFunction, lam: np.ndarray, root: np.ndarray) -> None:
+    """Raise :class:`DegenerateSpectrumError` where a downdate has two positive
+    eigenvalues closer than ``linalg.DEGENERACY_RTOL`` times its largest one
+    and the map values their root differently at the two indices: the entry
+    then depends on the basis ``eigh`` picks for the pair."""
+    tol = linalg.DEGENERACY_RTOL * np.maximum(lam[:, :1], np.finfo(float).tiny)
+    tied = (lam[:, :-1] - lam[:, 1:] < tol) & (lam[:, 1:] > tol)
+    for row, k in np.argwhere(tied):
+        merged = root[row].copy()
+        merged[k + 1] = merged[k]
+        values = fn.values(merged)
+        if values[k] != values[k + 1]:
+            raise DegenerateSpectrumError(
+                f"singular values {k + 1} and {k + 2} of a one-count downdate coincide "
+                f"(sigma={root[row, k]:.6g}) and the map values them differently"
+            )
 
 
 def _guard_exact_size(matrix: np.ndarray) -> None:

@@ -1,9 +1,9 @@
 """Asymptotic (large-dimension) reference formulas for the spiked model.
 
-With noise variance ``1/m`` and aspect ratio ``n/m -> c`` in (0, 1], the
-noise singular values fill ``[1 - sqrt(c), 1 + sqrt(c)]`` and a signal spike
-``sigma > c^(1/4)`` sends an observed singular value to ``rho(sigma)`` above
-the bulk edge.  These scalar maps provide the oracles that finite-sample
+With noise standard deviation ``1/sqrt(m)`` and aspect ratio ``n/m -> c`` in
+(0, 1], the noise singular values fill ``[1 - sqrt(c), 1 + sqrt(c)]`` and a
+signal spike ``sigma > c^(1/4)`` sends an observed singular value to
+``rho(sigma)`` above the bulk edge.  These scalar maps provide the oracles that finite-sample
 estimators are verified against: the spike-location map and its inverse, the
 Cauchy transform of the limiting spectral distribution, the optimal
 shrinkers, and the limits of the risk-estimate and degrees-of-freedom terms.

@@ -140,33 +140,6 @@ class TestGreedyActiveSet:
 
 
 class TestRankEstimators:
-    def test_hard_threshold_constant_at_square(self):
-        assert activeset.hard_threshold_constant(1.0) == pytest.approx(
-            np.sqrt(16.0 / 3.0), rel=1e-12
-        )
-
-    def test_effective_rank_rule(self):
-        assert activeset.rank_effective(np.array([2.0, 1.5, 0.9]), 1.0) == 2
-
-    def test_bulk_rank_recovers_two_spikes(self):
-        hits = 0
-        for i in range(50):
-            rng = np.random.default_rng(np.random.SeedSequence([10, i]))
-            n = m = 200
-            x = spiked_signal(n, m, [3.0, 2.0], rng)
-            y = x + rng.standard_normal((n, m)) / np.sqrt(m)
-            hits += activeset.rank_bulk(linalg.svd(y), 1.0 / np.sqrt(m)) == 2
-        assert hits >= 45
-
-    def test_hard_threshold_rank_with_scaling(self):
-        rng = np.random.default_rng(11)
-        n = m = 120
-        tau = 0.5
-        x = spiked_signal(n, m, [4.0 * tau * np.sqrt(m), 3.0 * tau * np.sqrt(m)], rng)
-        y = x + tau * rng.standard_normal((n, m))
-        fact = linalg.svd(y)
-        assert activeset.rank_hard_threshold(fact, 1.0, tau=tau) == 2
-
     def test_report_serialization(self):
         y = np.random.default_rng(12).standard_normal((4, 5))
         report = activeset.active_set_greedy(y, Gaussian(0.3))

@@ -190,6 +190,24 @@ class TestDenoise:
         assert code == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "gaussian", "--tau", "-1"], "tau must be positive and finite, got -1.0"),
+            (["--family", "gaussian", "--tau", "inf"], "tau must be positive and finite, got inf"),
+            (["--family", "gamma", "--L", "0"], "Gamma shape L must be positive and finite, got 0.0"),
+            (["--family", "gamma", "--L", "nan"], "Gamma shape L must be positive and finite, got nan"),
+            (["--family", "gaussian", "--tau", "1", "--epsilon", "inf"],
+             "--epsilon must be positive and finite, got inf"),
+        ],
+    )
+    def test_bad_noise_or_floor_value_is_usage_error(self, tmp_path, capsys, spiked_csv, flags, message):
+        path, _ = spiked_csv
+        argv = ["denoise", "--input", str(path), "--method", "soft", "--output", str(tmp_path / "x.csv")]
+        assert cli.main(argv + flags) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_rejected(self, tmp_path, spiked_csv):
         path, _ = spiked_csv
         code = cli.main(["denoise", "--input", str(path), "--frobnicate", "1"])
@@ -251,6 +269,14 @@ class TestActiveSetCommand:
             ["activeset", "--input", str(path), "--family", "poisson", "--epsilon", epsilon]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags", [["--family", "gaussian", "--tau", "inf"], ["--family", "poisson", "--epsilon", "nan"]]
+    )
+    def test_non_finite_value_is_usage_error(self, spiked_csv, capsys, flags):
+        path, _ = spiked_csv
+        assert cli.main(["activeset", "--input", str(path)] + flags) == 1
+        assert "must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--family", "gaussian"], ["--family", "poisson", "--epsilon", "0"]])
     def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, flags):
@@ -325,6 +351,15 @@ class TestExperimentCommand:
         assert "usage error: sigma1 sweep values must be distinct, got [2.0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_noise_level_is_usage_error(self, tmp_path, capsys):
+        bad = dict(self.CONFIG, model={"family": "gaussian", "tau": float("inf")})
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))  # written as Infinity, which json reads back
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: tau must be positive and finite, got inf\n"
+        assert not (tmp_path / "o").exists()
+
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))
@@ -389,3 +424,24 @@ class TestAsymptoticsCommand:
         assert out["sigma"] is None
         assert out["shrinker_gd"] == 0.0
         assert out["g_mp_at_rho_sq"] is None
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--c", "nan", "--y", "1"], ["--c", "0.5", "--sigma", "nan"], ["--c", "0.5", "--sigma", "inf"],
+         ["--c", "0.5", "--y", "nan"], ["--c", "0.5", "--y", "inf"], ["--c", "0.5", "--y=-inf"]],
+    )
+    def test_non_finite_flag_is_usage_error(self, capsys, flags):
+        assert cli.main(["asymptotics"] + flags) == 1
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [(["--sigma", "1e-300"], "rho"), (["--sigma", "1e200"], "rho"), (["--y", "1e200"], "sigma")],
+    )
+    def test_field_outside_the_float_range_is_numerical_error(self, capsys, flags, field):
+        assert cli.main(["asymptotics", "--c", "0.5"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: asymptotics field {field!r} is not finite")
+        assert captured.out == ""

@@ -202,6 +202,12 @@ class TestRunner:
             ({"sweep": {"parameter": "rank_cap", "values": [1, -1]}}, "integers >= 0"),
             ({"sweep": {"parameter": "rank_cap", "values": [1, 2, 1]}}, r"distinct, got \[1.0\]"),
             ({"sweep": {"parameter": "tau", "values": [0.2, 0.1, 0.2, 0.1]}}, r"got \[0.1, 0.2\]"),
+            # json reads Infinity and NaN, and the schema's bounds let them through.
+            ({"model": {"family": "gaussian", "tau": float("inf")}}, "tau must be positive and finite, got inf"),
+            ({"model": {"family": "gamma", "L": float("nan")}}, "L must be positive and finite, got nan"),
+            ({"clamp_floor": float("inf")}, "clamp_floor must be positive and finite, got inf"),
+            ({"signal": {"type": "spike", "sigmas": [float("inf")]}}, r"positive finite strengths, got \[inf\]"),
+            ({"signal": {"type": "equal_spikes", "gamma": float("inf"), "rank": 1}}, "finite gamma, got inf"),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -246,6 +252,10 @@ class TestRunner:
                 "the signal: the generated signal must be strictly positive",
             ),
             ({"signal": {"type": "explicit", "entries": [1.0, 2.0]}}, "numeric matrix, got 1 dimensions"),
+            ({"sweep": {"parameter": "tau", "values": [0.1, float("inf")]}}, "tau=inf: .*positive and finite"),
+            ({"sweep": {"parameter": "tau", "values": [float("nan")]}}, "tau=nan: .*positive and finite"),
+            ({"sweep": {"parameter": "rsnr", "values": [float("inf")]}}, "rsnr=inf: .*positive and finite"),
+            ({"sweep": {"parameter": "sigma1", "values": [float("inf")]}}, "sigma1=inf: .*positive finite strengths"),
         ],
     )
     def test_faulty_data_points_are_rejected_at_load(self, overrides, message):

@@ -249,7 +249,7 @@ class TestSpectralFunction:
         assert fn(y).min() >= 0.1
 
     def test_clamp_floor_positive(self):
-        for floor in (0.0, -1e-6):
+        for floor in (0.0, -1e-6, np.inf, np.nan):
             with pytest.raises(DomainError, match="clamp_floor must be positive"):
                 SpectralFunction(lambda s: s, np.ones_like, clamp_floor=floor)
             with pytest.raises(DomainError, match="clamp_floor must be positive"):

@@ -1,55 +1,10 @@
-"""Noise-family links, likelihoods, carrier ratios, and samplers."""
+"""Noise-family likelihoods, samplers and configs."""
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from svshrink.errors import DomainError, ParameterError, UnsupportedFamilyError
+from svshrink.errors import DomainError, ParameterError
 from svshrink.models import Gamma, Gaussian, Poisson, model_from_config, validate_counts
-
-
-class TestLink:
-    def test_gaussian_unit_tau_is_identity(self):
-        assert Gaussian(1.0).link(2.5) == 2.5
-
-    def test_gamma_link_value(self):
-        assert float(Gamma(3.0).link(1.5)) == -2.0
-
-    def test_poisson_mean_from_natural_zero(self):
-        assert Poisson().mean_from_natural(0.0) == 1.0
-
-    @given(st.floats(-50, 50))
-    def test_gaussian_round_trip(self, x):
-        model = Gaussian(0.7)
-        assert model.mean_from_natural(model.link(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-    @given(st.floats(1e-3, 1e3))
-    def test_gamma_round_trip(self, x):
-        model = Gamma(2.5)
-        assert float(model.mean_from_natural(model.link(x))) == pytest.approx(x, rel=1e-12)
-
-    @given(st.floats(1e-3, 1e3))
-    def test_poisson_round_trip(self, x):
-        model = Poisson()
-        assert float(model.mean_from_natural(model.link(x))) == pytest.approx(x, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            Gamma(3.0).link(-1.0)
-        with pytest.raises(DomainError):
-            Poisson().link(0.0)
-
-
-class TestLogPartition:
-    @pytest.mark.parametrize(
-        "model", [Gaussian(0.5), Gaussian(2.0), Gamma(1.5), Gamma(4.0), Poisson()]
-    )
-    def test_mean_and_variance_identities(self, model):
-        xs = np.linspace(0.2, 8.0, 25)
-        theta = model.link(xs)
-        np.testing.assert_allclose(model.log_partition_d1(theta), xs, rtol=1e-12)
-        np.testing.assert_allclose(model.log_partition_d2(theta), model.variance(xs), rtol=1e-12)
 
 
 class TestLogLikelihood:
@@ -84,53 +39,6 @@ class TestLogLikelihood:
 
     def test_validate_counts_accepts_integers(self):
         validate_counts(np.array([[0.0, 3.0], [1.0, 7.0]]))
-
-
-class TestFamilyTerms:
-    def test_gaussian_at_origin(self):
-        terms = Gaussian(1.0).family_terms(0.0)
-        assert terms.h_ratio1 == 0.0
-        assert terms.h_ratio2 == -1.0
-
-    def test_gamma_values(self):
-        terms = Gamma(3.0).family_terms(1.0)
-        assert terms == (2.0, 2.0)
-
-    def test_gaussian_tau_two(self):
-        terms = Gaussian(2.0).family_terms(1.0)
-        assert terms.h_ratio1 == pytest.approx(-0.25, rel=1e-14)
-        assert terms.h_ratio2 == pytest.approx(1.0 / 16.0 - 1.0 / 4.0, rel=1e-14)
-
-    @pytest.mark.parametrize(
-        "model,grid",
-        [
-            (Gaussian(0.7), np.linspace(-3, 3, 13)),
-            (Gaussian(2.0), np.linspace(-3, 3, 13)),
-            (Gamma(3.5), np.linspace(0.5, 5, 10)),
-        ],
-    )
-    def test_against_numerical_derivatives_of_carrier(self, model, grid):
-        # Independent oracle: differentiate the carrier h numerically.
-        if isinstance(model, Gaussian):
-            h = lambda y: np.exp(-(y**2) / (2 * model.tau**2)) / (np.sqrt(2 * np.pi) * model.tau)
-        else:
-            L = model.shape
-            h = lambda y: L**L * y ** (L - 1)  # gamma-function constant cancels in ratios
-        eps = 1e-5
-        for y in grid:
-            r1, r2 = model.family_terms(float(y))
-            d1 = (h(y + eps) - h(y - eps)) / (2 * eps)
-            d2 = (h(y + eps) - 2 * h(y) + h(y - eps)) / eps**2
-            assert r1 == pytest.approx(d1 / h(y), rel=1e-6, abs=1e-6)
-            assert r2 == pytest.approx(d2 / h(y), rel=1e-4, abs=1e-4)
-
-    def test_poisson_unsupported(self):
-        with pytest.raises(UnsupportedFamilyError):
-            Poisson().family_terms(1.0)
-
-    def test_gamma_needs_shape_above_two(self):
-        with pytest.raises(ParameterError):
-            Gamma(2.0).family_terms(1.0)
 
 
 class TestSample:
@@ -178,3 +86,8 @@ class TestConfig:
             Gaussian(0.0)
         with pytest.raises(ParameterError):
             Gamma(-1.0)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                Gaussian(bad)
+            with pytest.raises(ParameterError, match="positive and finite"):
+                Gamma(bad)

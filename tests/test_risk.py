@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svshrink import linalg, metrics, risk
-from svshrink.errors import CapacityError, DomainError, ParameterError
+from svshrink.errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError
 from svshrink.linalg import SpectralFunction
 from svshrink.models import Gamma, Gaussian, Poisson
 
@@ -246,15 +246,16 @@ class TestSuklsGamma:
         rng = np.random.default_rng(16)
         y = rng.standard_normal((8, 6)) + 1.0
         tau = 0.4
-        model = Gaussian(tau)
         fact = linalg.svd(y)
         s = fact.singular_values
-        r1 = model.family_terms(y).h_ratio1
+        # The Gaussian terms: link theta = x / tau^2, log-partition
+        # A(theta) = tau^2 theta^2 / 2 with A'(theta) = tau^2 theta, and
+        # carrier ratio h'(y) / h(y) = -y / tau^2.
+        h_ratio = -y / tau**2
 
         def sukls_generic(values, derivs):
-            est = linalg.compose(fact, values)
-            theta = model.link(est)
-            term = (theta + r1) * model.log_partition_d1(theta) - model.log_partition(theta)
+            theta = linalg.compose(fact, values) / tau**2
+            term = (theta + h_ratio) * tau**2 * theta - tau**2 * theta**2 / 2.0
             return float(term.sum()) + risk.divergence_closed_form(fact, values, derivs)
 
         offset = (48 * tau**2 - float(np.sum(y**2))) / (2 * tau**2)
@@ -404,16 +405,17 @@ def spectral_map(kind, k, floor, rng):
     return linalg.weights_function(weights, floor)
 
 
-def tied_downdates(matrix, positions) -> np.ndarray:
-    """Positions whose downdate has two nonzero singular values tied to
-    1e-8 relative; a per-index weight map is not a function of the matrix
-    there (its value depends on the basis chosen for the tied pair)."""
+def tied_downdates(matrix, positions, weights) -> np.ndarray:
+    """Positions whose downdate has two positive singular values whose
+    squares are tied to 1e-12 of the largest (linalg.DEGENERACY_RTOL) and
+    which the per-index ``weights`` weigh differently; the downdated entry
+    depends on the basis chosen for the tied pair there."""
     stack = np.broadcast_to(matrix, (len(positions),) + matrix.shape).copy()
     stack[np.arange(len(positions)), positions[:, 0], positions[:, 1]] -= 1.0
-    s = np.linalg.svd(stack, compute_uv=False)
-    top = np.maximum(s[:, :1], 1.0)
-    gaps = np.abs(np.diff(s, axis=1)) <= 1e-8 * top
-    return np.any(gaps & (s[:, 1:] > 1e-8 * top), axis=1)
+    sq = np.linalg.svd(stack, compute_uv=False) ** 2
+    tol = 1e-12 * np.maximum(sq[:, :1], np.finfo(float).tiny)
+    tied = (sq[:, :-1] - sq[:, 1:] < tol) & (sq[:, 1:] > tol) & (weights[:-1] != weights[1:])
+    return np.any(tied, axis=1)
 
 
 class TestDowndatedEntries:
@@ -432,15 +434,27 @@ class TestDowndatedEntries:
         y = count_matrix(shape, counts, rng)
         fn = spectral_map(kind, min(y.shape), floor, rng)
         positions = np.argwhere(np.ones(y.shape, dtype=bool) if every else y > 0)
-        if kind == "weights":
-            positions = positions[~tied_downdates(y, positions)]
+        fact = linalg.svd(y) if pass_fact else None
+        if kind == "weights" and tied_downdates(y, positions, fn.derivs(np.ones(min(y.shape)))).any():
+            with pytest.raises(DegenerateSpectrumError, match="one-count downdate"):
+                risk.downdated_entries(fn, y, positions, fact=fact)
+            return
         expected = svd_downdated_entries(fn, y, positions)
-        got = risk.downdated_entries(fn, y, positions, fact=linalg.svd(y) if pass_fact else None)
+        got = risk.downdated_entries(fn, y, positions, fact=fact)
         assert got.shape == expected.shape
         # 1e-10 of the largest entry, or of 1 (the least nonzero count) when
         # every entry is smaller: an exact 0 comes back as a rounding error.
         scale = max(np.abs(expected).max(initial=0.0), 1.0)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * scale)
+
+    def test_tie_weighted_differently_is_degenerate_spectrum_error(self):
+        # Y - e_0 e_0^T is the identity: its two singular values tie.
+        y, position = np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([[0, 0]])
+        with pytest.raises(DegenerateSpectrumError, match="singular values 1 and 2"):
+            risk.downdated_entries(linalg.weights_function([0.9, 0.1]), y, position)
+        for fn in (linalg.weights_function([0.6, 0.6]), linalg.soft_threshold_function(0.25)):
+            np.testing.assert_allclose(risk.downdated_entries(fn, y, position),
+                                       svd_downdated_entries(fn, y, position), rtol=0, atol=1e-12)
 
     def test_all_positions_by_default_in_row_major_order(self):
         y = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]])

@@ -160,7 +160,7 @@ def dense_records(config: ExperimentConfig, rep: int) -> list[dict]:
         for cap in config.sweep_values:
             capped = values.copy()
             capped[int(cap):] = 0.0
-            xhat = linalg.compose_clamped(fact, capped, fn.clamp_floor)
+            xhat = linalg.clamp(linalg.compose(fact, capped), fn.clamp_floor)
             for metric_name in config.metrics:
                 records.append(
                     {
