@@ -9,7 +9,7 @@ Other families use a one-shot greedy search over single-index removals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -47,13 +47,24 @@ def bulk_edge_threshold(n: int, m: int, tau: float) -> float:
     return tau * (np.sqrt(m) + np.sqrt(n))
 
 
+def indices(subset: Iterable[int], rank_bound: int) -> tuple[int, ...]:
+    """The distinct 1-based indices of ``subset`` in ascending order;
+    :class:`DomainError` unless each lies in ``[1, rank_bound]``."""
+    subset = tuple(sorted({int(k) for k in subset}))
+    if subset and subset[0] < 1:
+        raise DomainError("active-set indices are 1-based and must be >= 1")
+    if subset and subset[-1] > rank_bound:
+        raise DomainError(f"index {subset[-1]} exceeds min(n, m) = {rank_bound}")
+    return subset
+
+
 def aic(
     observed: np.ndarray,
     model: NoiseModel,
     subset,
     *,
     clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
-    fact: Optional[SvdFactorization] = None,
+    fact: SvdFactorization,
 ) -> float:
     """Penalized-likelihood score of keeping exactly the given indices.
 
@@ -61,14 +72,8 @@ def aic(
     likelihood stays in-domain; Gaussian ones are not clamped.
     """
     y = np.asarray(observed, dtype=float)
-    if fact is None:
-        fact = linalg.svd(y)
     floor = None if isinstance(model, Gaussian) else clamp_floor
-    subset = sorted({int(k) for k in subset})
-    if subset and subset[0] < 1:
-        raise DomainError("active-set indices are 1-based and must be >= 1")
-    if subset and subset[-1] > fact.rank_bound:
-        raise DomainError(f"index {subset[-1]} exceeds min(n, m) = {fact.rank_bound}")
+    subset = indices(subset, fact.rank_bound)
     keep = np.zeros(fact.rank_bound)
     keep[np.asarray(subset, dtype=int) - 1] = 1.0
     xtilde = linalg.clamp(linalg.compose(fact, keep * fact.singular_values), floor)
@@ -93,7 +98,7 @@ def active_set_greedy(
     model: NoiseModel,
     *,
     clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
-    fact: Optional[SvdFactorization] = None,
+    fact: SvdFactorization,
 ) -> ActiveSetReport:
     """One-shot greedy selection: drop exactly the indices whose single
     removal does not increase the score of the full set.
@@ -102,8 +107,6 @@ def active_set_greedy(
     favor removal.  For Gaussian noise this reproduces the closed form.
     """
     y = np.asarray(observed, dtype=float)
-    if fact is None:
-        fact = linalg.svd(y)
     k = fact.rank_bound
     full = tuple(range(1, k + 1))
     scores = {"full": aic(y, model, full, clamp_floor=clamp_floor, fact=fact)}

@@ -165,10 +165,11 @@ def _cmd_activeset(args) -> int:
     pca = experiments.FitMethod("pca", active=args.method or "default")
     method = _as_usage(experiments.resolve_method, pca, model)
     y = matrixio.read_matrix(path)
+    fact = linalg.svd(y)
     if method.active == "bulk":
-        report = activeset.active_set_gaussian(linalg.svd(y), model.tau)
+        report = activeset.active_set_gaussian(fact, model.tau)
     else:
-        report = activeset.active_set_greedy(y, model, clamp_floor=args.epsilon)
+        report = activeset.active_set_greedy(y, model, clamp_floor=args.epsilon, fact=fact)
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(payload, encoding="utf-8")
@@ -199,25 +200,25 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _asymptotics(regime: rmt.SpikedRegime, sigma, y) -> dict:
-    """The reference quantities at a spike strength ``sigma`` or at an
-    observed singular value ``y``; the other one is ``None``."""
-    c = regime.c
+def _asymptotics(c: float, sigma, y) -> dict:
+    """The reference quantities at aspect ratio ``c`` and a spike strength
+    ``sigma`` or an observed singular value ``y``; the other one is ``None``."""
+    edge = rmt.bulk_edge(c)
     if sigma is not None:
         y = rmt.rho(sigma, c)
-    elif y > regime.edge:
+    elif y > edge:
         sigma = rmt.sigma_from_rho(y, c)
-    detectable = sigma is not None and sigma > regime.detectability
+    detectable = sigma is not None and sigma > c**0.25
     gd = rmt.shrinker_gd(y, c)
     return {
         "c": c,
-        "bulk_edge": regime.edge,
+        "bulk_edge": edge,
         "sigma": sigma,
         "rho": y,
         "shrinker_gd": gd,
         "shrinker_sigma": rmt.shrinker_sigma(sigma, c) if sigma is not None else gd,
         "optimal_weight": rmt.asymptotic_optimal_weight(sigma, c) if detectable else 0.0,
-        "g_mp_at_rho_sq": rmt.mp_cauchy(np.square(y), c) if y > regime.edge else None,
+        "g_mp_at_rho_sq": rmt.mp_cauchy(np.square(y), c) if y > edge else None,
         "dof_term": rmt.asymptotic_dof([gd], [sigma], c) if detectable else 0.0,
     }
 
@@ -227,14 +228,14 @@ def _cmd_asymptotics(args) -> int:
         value = getattr(args, flag)
         if value is not None and not np.isfinite(value):
             raise UsageError(f"--{flag} must be finite, got {value}")
-    regime = rmt.SpikedRegime(args.c)  # validates the aspect ratio
+    rmt.bulk_edge(args.c)  # validates the aspect ratio
     if args.sigma is not None and args.sigma <= 0:
         raise UsageError("--sigma must be positive")
     if args.y is not None and args.y < 0:
         raise UsageError("--y must be nonnegative")
     # A field outside the float range is reported by name below, not warned about.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _asymptotics(regime, args.sigma, args.y)
+        out = _asymptotics(args.c, args.sigma, args.y)
     for name, value in out.items():
         if value is not None and not np.isfinite(value):
             raise NumericalError(f"asymptotics field {name!r} is not finite: {value}")

@@ -35,6 +35,7 @@ CONFIG_SCHEMA = {
         "model": {
             "type": "object",
             "required": ["family"],
+            "additionalProperties": False,
             "properties": {
                 "family": {"enum": ["gaussian", "gamma", "poisson"]},
                 "tau": {"type": "number", "exclusiveMinimum": 0},
@@ -44,6 +45,7 @@ CONFIG_SCHEMA = {
         "signal": {
             "type": "object",
             "required": ["type"],
+            "additionalProperties": False,
             "properties": {
                 "type": {"enum": ["spike", "equal_spikes", "explicit"]},
                 "sigmas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
@@ -89,10 +91,7 @@ def quadratic_profile(n: int) -> np.ndarray:
 
 def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(raw)
-    anchor = np.argmax(np.abs(q), axis=0)
-    signs = np.sign(q[anchor, np.arange(q.shape[1])])
-    signs[signs == 0] = 1.0
-    return q * signs
+    return linalg._apply_sign_convention(q, q)[0]
 
 
 def profile_vectors(n: int, r: int) -> np.ndarray:
@@ -226,7 +225,7 @@ class FitMethod:
     objective: Optional[str] = None
     active: str = "default"  # bulk | greedy | all | default
     rank: Union[int, str, None] = None  # an int once resolve_method has checked it
-    loss: str = "se"  # oracle-soft target
+    loss: Optional[str] = None  # oracle-soft target, "se" once resolve_method has checked it
 
     @property
     def needs_signal(self) -> bool:
@@ -240,8 +239,10 @@ ESTIMATOR_NAMES = (
 
 def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
     """Check a fit request against the noise model and fill the family
-    defaults (the objective of soft and weighted fits, and the active set).
-    ``rank`` must be a nonnegative integer or its digits.  Estimator tags and
+    defaults (the objective of soft and weighted fits, the active set, and the
+    oracle-soft loss).  ``rank`` must be a nonnegative integer or its digits,
+    and an option the fit would ignore (``rank`` of a soft or oracle fit,
+    ``loss`` of any fit but oracle-soft) is rejected.  Estimator tags and
     ``svshrink denoise`` flags both pass through here."""
     if method.name not in ESTIMATOR_NAMES:
         raise ParameterError(f"unknown estimator {method.name!r}; known: {list(ESTIMATOR_NAMES)}")
@@ -260,18 +261,25 @@ def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
         raise ParameterError("the bulk-edge active set needs Gaussian noise; use greedy")
     rank = method.rank
     if rank is not None:
+        if method.name not in ("pca", "weighted", "shrinker"):
+            raise ParameterError(f"rank applies to pca, weighted and shrinker fits, not to {method.name}")
         if not str(rank).isdecimal():
             raise ParameterError(f"rank must be a nonnegative integer, got {rank!r}")
         rank = int(rank)
-    metrics.check_metric(method.loss, model)
-    return replace(method, objective=objective, active=active, rank=rank)
+    loss = method.loss
+    if method.name == "oracle-soft":
+        loss = loss or "se"
+        metrics.check_metric(loss, model)
+    elif loss is not None:
+        raise ParameterError(f"loss applies to oracle-soft fits only, not to {method.name}")
+    return replace(method, objective=objective, active=active, rank=rank, loss=loss)
 
 
 def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
     """Parse ``name[:key=value,...]`` tags, filling family defaults; every
     :class:`ParameterError` names the tag."""
     name, _, opts = tag.partition(":")
-    fields = {"objective": None, "active": "default", "rank": None, "loss": "se"}
+    fields = {"objective": None, "active": "default", "rank": None, "loss": None}
     if opts:
         for item in opts.split(","):
             key, _, value = item.partition("=")
@@ -350,8 +358,10 @@ def fit_estimator(
         oracle = shrinkage.oracle_weights(signal, fact)
         return _fixed_values(oracle.values, floor), {"raw_weights": oracle.raw_weights.tolist()}
 
-    c = fact.n / fact.m
-    scale = model.tau * np.sqrt(fact.m) if isinstance(model, Gaussian) else 1.0
+    # A spectral map commutes with transposition, so a tall matrix is read as
+    # its wide transpose.
+    c = min(fact.n, fact.m) / max(fact.n, fact.m)
+    scale = model.tau * np.sqrt(max(fact.n, fact.m)) if isinstance(model, Gaussian) else 1.0
 
     if method.name == "shrinker":
         values = scale * np.asarray(rmt.shrinker_gd(s / scale, c))
@@ -550,6 +560,10 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
         elif parameter == "rsnr" and not 0 < value < np.inf:
             raise ParameterError("rsnr values must be positive and finite")
         x = generate_signal(spec, config.n, config.m, model)
+        with np.errstate(over="ignore"):  # an overflow is the fault reported here
+            energy = np.sum(x**2)
+        if not np.isfinite(energy):
+            raise DomainError(f"the signal's squared Frobenius norm is not finite ({energy})")
         if parameter == "rsnr":
             model = Gaussian(tau=rsnr(x, 1.0) / float(value))
     except SvshrinkError as exc:
@@ -585,26 +599,30 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
             method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor, signal_values=x_values
         )
         values = fn.values(fact.singular_values)
-        for label, cap in caps:
-            capped = values.copy()
-            capped[cap:] = 0.0
-            xhat = None
-            for metric_name in config.metrics:
-                if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
-                    score = spectral.metric(metric_name, capped)
-                else:
-                    if xhat is None:
-                        xhat = linalg.clamp(linalg.compose(fact, capped), fn.clamp_floor)
-                    score = metrics.metric(metric_name, xhat, x, model)
-                records.append(
-                    {
-                        "sweep_param": label,
-                        "estimator": tag,
-                        "replication": rep,
-                        "metric_name": metric_name,
-                        "value": score,
-                    }
-                )
+        # A score outside the float range fails the task by name, not with a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for label, cap in caps:
+                capped = values.copy()
+                capped[cap:] = 0.0
+                xhat = None
+                for metric_name in config.metrics:
+                    if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
+                        score = spectral.metric(metric_name, capped)
+                    else:
+                        if xhat is None:
+                            xhat = linalg.clamp(linalg.compose(fact, capped), fn.clamp_floor)
+                        score = metrics.metric(metric_name, xhat, x, model)
+                    if not np.isfinite(score):
+                        raise NumericalError(f"{tag}: the {metric_name} value is not finite ({score})")
+                    records.append(
+                        {
+                            "sweep_param": label,
+                            "estimator": tag,
+                            "replication": rep,
+                            "metric_name": metric_name,
+                            "value": score,
+                        }
+                    )
     return records
 
 

@@ -22,15 +22,6 @@ def _first_bad_entry(mask: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
-def _check_positive(x: np.ndarray, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    bad = ~(x > 0)
-    if bad.any():
-        i, j = _first_bad_entry(np.atleast_2d(bad))
-        raise DomainError(f"{what} must be positive; entry ({i}, {j}) is {np.atleast_2d(x)[i, j]}")
-    return x
-
-
 @dataclass(frozen=True)
 class Gaussian:
     """Homoscedastic Gaussian noise with known standard deviation ``tau``."""
@@ -79,17 +70,14 @@ class Gamma:
         x = np.asarray(mean, dtype=float)
         if y.shape != x.shape:
             raise DomainError("observed and mean matrices must share a shape")
-        bad = ~(y > 0)
-        if bad.any():
-            i, j = _first_bad_entry(np.atleast_2d(bad))
-            raise DomainError(f"Gamma observations must be positive; entry ({i}, {j}) is not")
-        x = _check_positive(x, "Gamma mean")
+        validate_positive(y, "Gamma observations")
+        x = validate_positive(x, "Gamma mean")
         L = self.shape
         ll = L * np.log(L) + (L - 1.0) * np.log(y) - gammaln(L) - L * np.log(x) - L * y / x
         return float(np.sum(ll))
 
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = _check_positive(np.asarray(mean, dtype=float), "Gamma mean")
+        x = validate_positive(mean, "Gamma mean")
         return rng.gamma(shape=self.shape, scale=x / self.shape)
 
     def to_config(self) -> dict:
@@ -107,14 +95,14 @@ class Poisson:
         x = np.asarray(mean, dtype=float)
         if y.shape != x.shape:
             raise DomainError("observed and mean matrices must share a shape")
-        x = _check_positive(x, "Poisson mean")
+        x = validate_positive(x, "Poisson mean")
         # The log(y!) constant is kept so that values are comparable across
         # candidate estimates, not just their differences.
         ll = y * np.log(x) - x - gammaln(y + 1.0)
         return float(np.sum(ll))
 
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        x = _check_positive(np.asarray(mean, dtype=float), "Poisson mean")
+        x = validate_positive(mean, "Poisson mean")
         return rng.poisson(x).astype(float)
 
     def to_config(self) -> dict:
@@ -122,6 +110,18 @@ class Poisson:
 
 
 NoiseModel = Union[Gaussian, Gamma, Poisson]
+
+
+def validate_positive(x: np.ndarray, what: str) -> np.ndarray:
+    """Check that every entry of ``x`` is positive: the support of Gamma
+    observations, and of Gamma and Poisson means.  ``what`` names the matrix
+    in the error."""
+    x = np.asarray(x, dtype=float)
+    bad = ~(x > 0)
+    if bad.any():
+        i, j = _first_bad_entry(np.atleast_2d(bad))
+        raise DomainError(f"{what} must be positive; entry ({i}, {j}) is {np.atleast_2d(x)[i, j]}")
+    return x
 
 
 def validate_counts(observed: np.ndarray) -> np.ndarray:

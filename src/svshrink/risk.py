@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError
 from .linalg import SpectralFunction, SvdFactorization
-from .models import validate_counts
+from .models import validate_counts, validate_positive
 
 EXACT_DOWNDATE_CAP = 10_000  # largest n*m for exact one-count enumerations
 _DOWNDATE_BATCH = 256
@@ -318,8 +318,7 @@ def _gamma_inputs(observed, estimate, shape, name: str) -> tuple[float, np.ndarr
     f = np.asarray(estimate, dtype=float)
     if y.shape != f.shape:
         raise DomainError("estimate must match the observation shape")
-    if np.any(y <= 0):
-        raise DomainError("Gamma observations must be positive")
+    validate_positive(y, "Gamma observations")
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
     return L, y, f

@@ -11,8 +11,6 @@ shrinkers, and the limits of the risk-estimate and degrees-of-freedom terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -24,31 +22,8 @@ def _check_c(c: float) -> float:
     return float(c)
 
 
-@dataclass(frozen=True)
-class SpikedRegime:
-    """Aspect ratio ``c`` with the induced bulk support edges."""
-
-    c: float
-
-    def __post_init__(self):
-        _check_c(self.c)
-
-    @property
-    def bulk_edges(self) -> tuple[float, float]:
-        return (1.0 - np.sqrt(self.c), 1.0 + np.sqrt(self.c))
-
-    @property
-    def edge(self) -> float:
-        """Upper bulk edge ``1 + sqrt(c)``."""
-        return 1.0 + np.sqrt(self.c)
-
-    @property
-    def detectability(self) -> float:
-        """Smallest detectable spike ``c^(1/4)``."""
-        return self.c**0.25
-
-
 def bulk_edge(c: float) -> float:
+    """Upper bulk edge ``1 + sqrt(c)``."""
     return 1.0 + np.sqrt(_check_c(c))
 
 

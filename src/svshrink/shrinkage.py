@@ -18,12 +18,12 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import linalg, metrics, risk
+from . import activeset, linalg, metrics, risk
 from .errors import (
     DegenerateSpectrumError, DomainError, NumericalError, ParameterError, SvshrinkError,
 )
 from .linalg import SpectralFunction, SvdFactorization
-from .models import NoiseModel, validate_counts
+from .models import NoiseModel, validate_counts, validate_positive
 
 BOUNDED_XATOL = 1e-6
 BOUNDED_MAXITER = 200
@@ -52,11 +52,8 @@ def weights_gaussian(
         raise ParameterError("tau must be positive")
     s = fact.singular_values
     if active_set is None:
-        active = tuple(range(1, fact.rank_bound + 1))
-    else:
-        active = tuple(sorted(set(int(k) for k in active_set)))
-    if active and (active[0] < 1 or active[-1] > fact.rank_bound):
-        raise DomainError("active-set indices out of range")
+        active_set = range(1, fact.rank_bound + 1)
+    active = activeset.indices(active_set, fact.rank_bound)
     idx = np.asarray(active, dtype=int) - 1
     sk = s[idx]
     zero = np.flatnonzero(sk == 0.0)
@@ -88,9 +85,7 @@ def weight1_gamma_sukls(observed: np.ndarray, fact: SvdFactorization, shape: flo
     L = float(shape)
     if L <= 2:
         raise ParameterError(f"the synthesis KL closed form requires L > 2, got {L}")
-    y = np.asarray(observed, dtype=float)
-    if np.any(y <= 0):
-        raise DomainError("all observations must be strictly positive")
+    y = validate_positive(observed, "Gamma observations")
     n, m = y.shape
     rank1 = fact.singular_values[0] * np.outer(fact.left_vectors[:, 0], fact.right_vectors[:, 0])
     bracket = (L - 1.0) / (L * m * n) * float(np.sum(rank1 / y))
@@ -114,7 +109,7 @@ def weight1_poisson_pukla(observed: np.ndarray, fact: SvdFactorization) -> float
     return float(np.clip(float(np.sum(y)) / rank1_total, 0.0, 1.0))
 
 
-def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactorization] = None) -> float:
+def weight1_poisson_pure_exact(observed: np.ndarray, fact: SvdFactorization) -> float:
     """Leading weight minimizing the exact Poisson MSE estimate.
 
     Enumerates the rank-one component of every one-count downdate, so it is
@@ -123,8 +118,6 @@ def weight1_poisson_pure_exact(observed: np.ndarray, fact: Optional[SvdFactoriza
     """
     y = validate_counts(observed)
     risk._guard_exact_size(y)
-    if fact is None:
-        fact = linalg.svd(y)
     top = fact.singular_values[0]
     if top == 0.0:
         return 0.0
@@ -262,7 +255,7 @@ def optimize_weights_greedy(
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    fact: Optional[SvdFactorization] = None,
+    fact: SvdFactorization,
 ) -> np.ndarray:
     """Greedy per-coordinate weight optimization.
 
@@ -272,12 +265,7 @@ def optimize_weights_greedy(
     ``(min(n, m),)``, with weight zero at every inactive index.
     """
     y = np.asarray(observed, dtype=float)
-    if fact is None:
-        fact = linalg.svd(y)
-    active = tuple(sorted(set(int(k) for k in active_set)))
-    if active and (active[0] < 1 or active[-1] > fact.rank_bound):
-        raise DomainError("active-set indices out of range")
-
+    active = activeset.indices(active_set, fact.rank_bound)
     evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
     weights = np.zeros(fact.rank_bound)
     for idx in active:
@@ -304,20 +292,18 @@ def soft_threshold_fit(
     *,
     clamp_floor: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-    fact: Optional[SvdFactorization] = None,
+    fact: SvdFactorization,
 ) -> float:
     """Fit the soft threshold by bounded minimization of a risk estimate over
     ``[0, sigma_1]``.  An all-zero observation gets threshold 0 without a
     search, unless the family excludes it."""
     y = np.asarray(observed, dtype=float)
-    if fact is None:
-        fact = linalg.svd(y)
     top = float(fact.singular_values[0])
     if top == 0.0:
         # The risk estimates that reject a non-positive Gamma observation
         # are never evaluated on this path.
         if model.family == "gamma":
-            raise DomainError("Gamma observations must be positive")
+            validate_positive(y, "Gamma observations")
         return 0.0
     evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
 
@@ -360,23 +346,17 @@ def oracle_soft_threshold(
     loss: str = "se",
     *,
     clamp_floor: Optional[float] = None,
-    fact: Optional[SvdFactorization] = None,
+    fact: SvdFactorization,
 ) -> float:
     """Soft threshold minimizing a realized (non-expected) loss against the
     known signal; ``loss`` is one of the metric names in
-    :mod:`svshrink.metrics` plus plain ``"se"``."""
-    x = np.asarray(signal, dtype=float)
-    y = np.asarray(observed, dtype=float)
-    if fact is None:
-        fact = linalg.svd(y)
+    :mod:`svshrink.metrics`."""
     top = float(fact.singular_values[0])
     if top == 0.0:
         return 0.0
 
     def lam_objective(lam: float) -> float:
         xhat = linalg.reconstruct(fact, linalg.soft_threshold_function(lam, clamp_floor))
-        if loss == "se":
-            return float(np.sum((xhat - x) ** 2))
-        return metrics.metric(loss, xhat, x, model)
+        return metrics.metric(loss, xhat, signal, model)
 
     return minimize_bounded(lam_objective, 0.0, top)

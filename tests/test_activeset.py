@@ -17,7 +17,7 @@ class TestAicScore:
         y = rng.standard_normal((6, 8))
         m = 8
         tau = 1.0 / np.sqrt(m)
-        score = activeset.aic(y, Gaussian(tau), ())
+        score = activeset.aic(y, Gaussian(tau), (), fact=linalg.svd(y))
         expected = m * np.sum(y**2) + 48 * np.log(2 * np.pi / m)
         assert score == pytest.approx(expected, rel=1e-12)
 
@@ -42,7 +42,7 @@ class TestAicScore:
 
     def test_poisson_one_by_one(self):
         y = np.array([[2.0]])
-        score = activeset.aic(y, Poisson(), (1,))
+        score = activeset.aic(y, Poisson(), (1,), fact=linalg.svd(y))
         expected = -2 * (2 * np.log(2) - 2 - np.log(2)) + 2 * activeset.penalty(1, 1)
         assert score == pytest.approx(expected, rel=1e-12)
 
@@ -105,20 +105,22 @@ class TestGreedyActiveSet:
         for trial in range(8):
             y = spiked_signal(8, 11, [5.0, 3.0], rng) + 0.4 * rng.standard_normal((8, 11))
             model = Gaussian(0.4)
-            greedy = activeset.active_set_greedy(y, model)
+            greedy = activeset.active_set_greedy(y, model, fact=linalg.svd(y))
             closed = activeset.active_set_gaussian(linalg.svd(y), 0.4)
             assert greedy.selected == closed.selected
 
     def test_single_index_rule(self):
         y = np.array([[3.0, 1.0, 0.5]])  # 1 x 3, a single singular value
         model = Gaussian(0.5)
-        report = activeset.active_set_greedy(y, model)
-        keep = activeset.aic(y, model, ()) > activeset.aic(y, model, (1,))
+        report = activeset.active_set_greedy(y, model, fact=linalg.svd(y))
+        keep = activeset.aic(y, model, (), fact=linalg.svd(y)) > activeset.aic(
+            y, model, (1,), fact=linalg.svd(y)
+        )
         assert (report.selected == (1,)) == keep
 
     def test_greedy_score_count(self):
         y = np.random.default_rng(7).standard_normal((5, 6))
-        report = activeset.active_set_greedy(y, Gaussian(0.3))
+        report = activeset.active_set_greedy(y, Gaussian(0.3), fact=linalg.svd(y))
         assert len(report.aic_values) == 5 + 1  # full set plus each removal
 
     def test_poisson_high_snr_keeps_leading_index(self):
@@ -127,14 +129,14 @@ class TestGreedyActiveSet:
         for i in range(20):
             rng = np.random.default_rng(np.random.SeedSequence([8, i]))
             y = Poisson().sample(x, rng)
-            report = activeset.active_set_greedy(y, Poisson())
+            report = activeset.active_set_greedy(y, Poisson(), fact=linalg.svd(y))
             kept += 1 in report.selected
         assert kept >= 15
 
     def test_gamma_greedy_runs(self):
         x = rank_one_positive(12, 9, 10.0)
         y = Gamma(3.0).sample(x, np.random.default_rng(9))
-        report = activeset.active_set_greedy(y, Gamma(3.0))
+        report = activeset.active_set_greedy(y, Gamma(3.0), fact=linalg.svd(y))
         assert report.method == "greedy"
         assert all(1 <= k <= 9 for k in report.selected)
 
@@ -142,6 +144,6 @@ class TestGreedyActiveSet:
 class TestRankEstimators:
     def test_report_serialization(self):
         y = np.random.default_rng(12).standard_normal((4, 5))
-        report = activeset.active_set_greedy(y, Gaussian(0.3))
+        report = activeset.active_set_greedy(y, Gaussian(0.3), fact=linalg.svd(y))
         payload = report.to_json()
         assert set(payload) == {"selected", "penalty", "method", "aic_values"}

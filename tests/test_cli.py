@@ -181,13 +181,26 @@ class TestDenoise:
         y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))
         path = tmp_path / "counts.csv"
         matrixio.write_matrix_csv(path, y)
+        rank = [] if method == "soft" else ["--rank", "1"]  # a soft fit takes no rank
         code = cli.main(
             [
                 "denoise", "--input", str(path), "--family", "poisson", "--method", method,
-                "--rank", "1", "--epsilon", epsilon, "--output", str(tmp_path / "x.csv"),
+                *rank, "--epsilon", epsilon, "--output", str(tmp_path / "x.csv"),
             ]
         )
         assert code == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_rank_of_a_soft_fit_is_usage_error(self, tmp_path, capsys, spiked_csv):
+        path, _ = spiked_csv
+        code = cli.main(
+            [
+                "denoise", "--input", str(path), "--family", "gaussian", "--tau", "0.2",
+                "--method", "soft", "--rank", "1", "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        assert "rank applies to pca, weighted and shrinker fits, not to soft" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
@@ -255,7 +268,8 @@ class TestActiveSetCommand:
         argv = ["activeset", "--input", str(path), "--family", "poisson"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        expected = activeset.active_set_greedy(matrixio.read_matrix(path), Poisson())
+        y = matrixio.read_matrix(path)
+        expected = activeset.active_set_greedy(y, Poisson(), fact=linalg.svd(y))
         assert report == expected.to_json()
         assert cli.main(argv + ["--method", "bulk"]) == 1
         assert "needs Gaussian noise" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svshrink import experiments, linalg, metrics, shrinkage
-from svshrink.errors import DomainError, ParameterError, SvshrinkError
+from svshrink.errors import DomainError, NumericalError, ParameterError, SvshrinkError
 from svshrink.experiments import ExperimentConfig, FitMethod, SignalSpec
 from svshrink.models import Gamma, Gaussian, Poisson
 
@@ -208,6 +208,19 @@ class TestRunner:
             ({"clamp_floor": float("inf")}, "clamp_floor must be positive and finite, got inf"),
             ({"signal": {"type": "spike", "sigmas": [float("inf")]}}, r"positive finite strengths, got \[inf\]"),
             ({"signal": {"type": "equal_spikes", "gamma": float("inf"), "rank": 1}}, "finite gamma, got inf"),
+            # Options the fit would ignore.
+            ({"estimators": ["soft:rank=1"]}, "'soft:rank=1'.*rank applies to pca, weighted and shrinker"),
+            ({"estimators": ["oracle-soft:rank=2"]}, "rank applies to .* not to oracle-soft"),
+            ({"estimators": ["oracle-weights:rank=2"]}, "rank applies to .* not to oracle-weights"),
+            ({"estimators": ["oracle-shrinker:rank=2"]}, "rank applies to .* not to oracle-shrinker"),
+            ({"estimators": ["pca:loss=se"]}, "'pca:loss=se'.*loss applies to oracle-soft fits only"),
+            ({"estimators": ["weighted:loss=nmse"]}, "loss applies to oracle-soft fits only, not to weighted"),
+            # Unknown keys, which would otherwise leave the default in place.
+            (
+                {"signal": {"type": "spike", "sigmas": [2.5], "recipie": "cosine"}},
+                r"at \$\.signal: Additional properties are not allowed \('recipie' was unexpected\)",
+            ),
+            ({"model": {"family": "gaussian", "tau": 0.2, "sigma": 1}}, r"at \$\.model: .*'sigma' was unexpected"),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -256,6 +269,12 @@ class TestRunner:
             ({"sweep": {"parameter": "tau", "values": [float("nan")]}}, "tau=nan: .*positive and finite"),
             ({"sweep": {"parameter": "rsnr", "values": [float("inf")]}}, "rsnr=inf: .*positive and finite"),
             ({"sweep": {"parameter": "sigma1", "values": [float("inf")]}}, "sigma1=inf: .*positive finite strengths"),
+            # Finite entries whose squares overflow: every metric would read inf or nan.
+            (
+                {"signal": {"type": "equal_spikes", "gamma": 1e308, "rank": 2, "recipe": "cosine"}},
+                r"the signal: the signal's squared Frobenius norm is not finite \(inf\)",
+            ),
+            ({"sweep": {"parameter": "sigma1", "values": [1e308]}}, r"sigma1=1e\+308: .*norm is not finite"),
         ],
     )
     def test_faulty_data_points_are_rejected_at_load(self, overrides, message):
@@ -317,6 +336,33 @@ class TestRunner:
 
         monkeypatch.setattr(np.linalg, "svd", factor_observations_only)
         assert experiments.run_experiment(cfg).records == expected
+
+    def test_a_non_finite_metric_fails_its_task(self):
+        # The signal is in range, but the noise overflows the squared error.
+        cfg = ExperimentConfig.from_config(
+            small_config(model={"family": "gaussian", "tau": 1e200}, estimators=["pca:active=all"])
+        )
+        with pytest.raises(NumericalError, match="pca:active=all: the nmse value is not finite"):
+            experiments.run_experiment(cfg)
+
+    @pytest.mark.parametrize("name", ["shrinker", "oracle-shrinker"])
+    def test_tall_shrinkers_fit_as_their_wide_transpose(self, name):
+        model = Gaussian(1.0 / np.sqrt(60))
+        x = experiments.generate_signal(SignalSpec("spike", sigmas=(3.0, 1.5)), 30, 60)
+        y = model.sample(x, np.random.default_rng(21))
+        method = experiments.resolve_method(FitMethod(name), model)
+        fits = []
+        for obs, signal in ((y, x), (y.T, x.T)):
+            fact = linalg.svd(obs)
+            fn, _ = experiments.fit_estimator(
+                method, obs, fact, model, np.random.default_rng(0), signal=signal,
+                signal_values=np.linalg.svd(signal, compute_uv=False),
+            )
+            fits.append(fn.values(fact.singular_values))
+        assert np.count_nonzero(fits[0]) == 2
+        np.testing.assert_allclose(fits[1], fits[0], rtol=1e-12, atol=1e-12)
+        tall = ExperimentConfig.from_config(small_config(n=60, m=30, estimators=[name]))
+        assert not experiments.run_experiment(tall).failures
 
     def test_oracle_shrinker_needs_the_signals_singular_values(self):
         y = np.ones((4, 5))

@@ -185,13 +185,14 @@ class TestAsymptoticDof:
 
 class TestRegime:
     def test_edges(self):
-        regime = rmt.SpikedRegime(0.25)
-        assert regime.bulk_edges == (0.5, 1.5)
-        assert regime.detectability == pytest.approx(0.25**0.25)
+        assert rmt.bulk_edge(0.25) == 1.5
+        assert rmt.bulk_edge(1.0) == 2.0
 
     def test_finite_surrogate(self):
         assert rmt.bulk_edge_finite(100, 200) == pytest.approx(1 + np.sqrt(0.5), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            rmt.SpikedRegime(0.0)
+            rmt.bulk_edge(0.0)
+        with pytest.raises(DomainError):
+            rmt.bulk_edge(1.5)

@@ -216,26 +216,26 @@ class TestWeight1Poisson:
 
 class TestWeight1PoissonPureExact:
     def test_all_zero_counts(self):
-        assert shrinkage.weight1_poisson_pure_exact(np.zeros((3, 3))) == 0.0
+        assert shrinkage.weight1_poisson_pure_exact(np.zeros((3, 3)), linalg.svd(np.zeros((3, 3)))) == 0.0
 
     def test_hand_enumeration_single_count(self):
         # Y = [[2,0],[0,0]]: the only downdate is at (0,0) and leaves [[1,0],[0,0]],
         # whose top singular triple is (1, e1, e1).  The weight is
         # 2 * 1 * 1 * 1 / sigma_1^2 = 2 / 4.
         y = np.array([[2.0, 0.0], [0.0, 0.0]])
-        assert shrinkage.weight1_poisson_pure_exact(y) == pytest.approx(0.5, rel=1e-12)
+        assert shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y)) == pytest.approx(0.5, rel=1e-12)
 
     def test_hand_enumeration_count_three(self):
         y = np.array([[3.0, 0.0], [0.0, 0.0]])
-        assert shrinkage.weight1_poisson_pure_exact(y) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y)) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_close_to_approx_pure_minimizer(self):
         x = rank_one_positive(15, 10, 55.0)
         y = Poisson().sample(x, np.random.default_rng(8))
-        exact = shrinkage.weight1_poisson_pure_exact(y)
+        exact = shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y))
         rng = np.random.default_rng(9)
         weights = shrinkage.optimize_weights_greedy(
-            y, Poisson(), "pure", [1], clamp_floor=1e-6, rng=rng
+            y, Poisson(), "pure", [1], clamp_floor=1e-6, rng=rng, fact=linalg.svd(y)
         )
         assert abs(weights[0] - exact) <= 0.05 * max(exact, 1e-12)
 
@@ -255,7 +255,7 @@ class TestGreedyWeights:
 
     def test_empty_active_set(self):
         y = np.random.default_rng(11).standard_normal((4, 4))
-        weights = shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [])
+        weights = shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [], fact=linalg.svd(y))
         np.testing.assert_array_equal(weights, np.zeros(4))
 
     def test_gamma_rank_one_matches_closed_form(self):
@@ -286,12 +286,12 @@ class TestGreedyWeights:
         y = np.random.default_rng(20).standard_normal((4, 4))
         monkeypatch.setattr(risk, "sure_gaussian_spectral", coded)
         with pytest.raises(CodedError) as info:
-            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [1])
+            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [1], fact=linalg.svd(y))
         assert info.value.code == 7
         assert str(info.value) == "boom"
         monkeypatch.setattr(risk, "sure_gaussian_spectral", out_of_domain)
         with pytest.raises(DomainError, match="weight index 2: estimate left the domain"):
-            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [2])
+            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [2], fact=linalg.svd(y))
 
 
 class TestSoftThresholdFit:
@@ -300,7 +300,7 @@ class TestSoftThresholdFit:
         u, _ = np.linalg.qr(rng.standard_normal((10, 3)))
         v, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         y = (u * [5.0, 4.0, 3.0]) @ v.T
-        lam = shrinkage.soft_threshold_fit(y, Gaussian(1e-12), "sure")
+        lam = shrinkage.soft_threshold_fit(y, Gaussian(1e-12), "sure", fact=linalg.svd(y))
         assert lam <= 1e-4 * 5.0
 
     def test_pure_noise_thresholds_out_everything(self):
@@ -346,10 +346,12 @@ class TestSoftThresholdFit:
         y = np.zeros((4, 5))
         for model, objective in ((Gaussian(0.5), "sure"), (Poisson(), "pure"), (Poisson(), "pukla")):
             rng = np.random.default_rng(0)
-            assert shrinkage.soft_threshold_fit(y, model, objective, rng=rng) == 0.0
+            assert shrinkage.soft_threshold_fit(y, model, objective, rng=rng, fact=linalg.svd(y)) == 0.0
         for objective in ("gsure", "sukls"):
             with pytest.raises(DomainError, match="Gamma observations must be positive"):
-                shrinkage.soft_threshold_fit(y, Gamma(4.0), objective, rng=np.random.default_rng(0))
+                shrinkage.soft_threshold_fit(
+                    y, Gamma(4.0), objective, rng=np.random.default_rng(0), fact=linalg.svd(y)
+                )
 
 
 class TestOracles:
