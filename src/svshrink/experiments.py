@@ -350,7 +350,7 @@ def fit_estimator(
 
     if method.name == "oracle-soft":
         lam = shrinkage.oracle_soft_threshold(
-            signal, y, model, method.loss, clamp_floor=floor, fact=fact
+            signal, model, method.loss, clamp_floor=floor, fact=fact
         )
         return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
 

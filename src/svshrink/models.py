@@ -8,6 +8,8 @@ variances are ``tau^2``, ``X_ij^2 / L``, and ``X_ij`` respectively.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,6 +24,9 @@ def _first_bad_entry(mask: np.ndarray) -> tuple[int, int]:
     return int(i), int(j)
 
 
+_LARGEST_SQUARE_ROOT = math.sqrt(sys.float_info.max)  # its square is still finite
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Homoscedastic Gaussian noise with known standard deviation ``tau``."""
@@ -31,6 +36,9 @@ class Gaussian:
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
             raise ParameterError(f"tau must be positive and finite, got {self.tau}")
+        # The risk estimates and weight fits square tau as a float.
+        if self.tau > _LARGEST_SQUARE_ROOT:
+            raise ParameterError(f"tau must have a finite square, got {self.tau}")
 
     family = "gaussian"
 

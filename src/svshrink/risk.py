@@ -10,9 +10,11 @@ available in closed form or by Monte-Carlo trace probing.
 The exact enumeration reuses the observation's factorization: with
 ``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
 matrix ``S^2 + z1 z1^T - z2 z2^T`` (``a = U^T e_i``, ``z2 = S V^T e_j``,
-``z1 = a - z2``), so each downdated entry comes from a ``k x k`` symmetric
-eigenproblem instead of an ``n x m`` SVD; a tall ``Y`` is handled as ``Y^T``
-(see :func:`downdated_entries`).
+``z1 = a - z2``), so each downdated entry comes from the eigenvalues of a
+``k x k`` symmetric matrix and one O(k) secular vector per root the map keeps,
+instead of an ``n x m`` SVD; a full eigendecomposition runs only where a kept
+root deflates, and a tall ``Y`` is handled as ``Y^T`` (see
+:func:`downdated_entries`).
 
 Estimators are :class:`~svshrink.linalg.SpectralFunction` maps (anything else is
 a :class:`ParameterError`); every Monte-Carlo estimate reduces ``delta * (J delta)``.
@@ -33,6 +35,7 @@ from .models import validate_counts, validate_positive
 
 EXACT_DOWNDATE_CAP = 10_000  # largest n*m for exact one-count enumerations
 _DOWNDATE_BATCH = 256
+_DEFLATION_RTOL = 1e-10  # a downdate root this close to a pole or another root goes to eigh
 PUKLA_LOG_FLOOR = 1e-6  # least log argument of a PUKLA estimate
 
 EstimatorKind = str  # "SURE" | "GSURE" | "SUKLS" | "PURE" | "PUKLA"
@@ -427,8 +430,23 @@ def downdated_entries(
         phi_k = f_k(sqrt(lambda_k)) / sqrt(lambda_k)   (0 where lambda_k <= 0)
 
     then clamped.  For ``n > m`` the same runs on ``Y^T`` at the swapped
-    positions (a spectral map commutes with transposition).  One batched
-    ``eigh`` per chunk of positions replaces an ``n x m`` SVD per position.
+    positions (a spectral map commutes with transposition).
+
+    One batched ``eigvalsh`` per chunk of positions replaces an ``n x m`` SVD
+    per position, and only the roots with ``phi_k != 0`` need a vector.  With
+    ``D = S^2``, ``Z = [z1 z2]`` and ``J = diag(1, -1)``, the Gram matrix is
+    ``D + Z J Z^T``; for a root ``lambda`` not equal to any ``d_l``, let
+    ``G = Z^T (D - lambda)^{-1} Z`` (2 x 2) and ``c`` the null vector of
+    ``I + J G``, read off its row of larger norm.  Then::
+
+        x = (D - lambda)^{-1} Z c,  normalized
+
+    in O(k) per root.  Near a pole the formula loses accuracy, and at a
+    repeated root the vector is not determined (deflation; Gu & Eisenstat,
+    SIAM J. Matrix Anal. Appl. 15(4), 1994).  So a position where such a
+    root lies within ``1e-10`` times ``max(d_1, lambda_1)`` of some ``d_l``
+    or of a neighbouring root is solved by a full batched ``eigh`` instead;
+    this covers, for example, the equal-value ties of a soft threshold.
 
     The map must vanish at 0, with ``f_k(sigma) = O(sigma)`` near 0, as
     soft thresholds and weight maps do: a zero singular value of ``Y'``
@@ -471,19 +489,73 @@ def downdated_entries(
 def _downdated_chunk(fn: SpectralFunction, s: np.ndarray, a: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Unclamped ``f_ij(Y - e_i e_j^T)`` for a chunk of positions, given the
     rows ``a = U^T e_i`` and ``z2 = S V^T e_j`` (one row per position).  Its
-    ``p x k x k`` buffers are freed on return, before the next chunk's."""
+    ``p x k x k`` Gram buffer is freed on return, before the next chunk's."""
     z1 = a - z2
-    # Built in place, so that at most two p x k x k buffers are alive at once.
-    gram = np.matmul(z1[:, :, None], z1[:, None, :])
-    gram -= np.matmul(z2[:, :, None], z2[:, None, :])
+    z = np.stack([z1, z2], axis=2)
+    gram = z @ (z * [1.0, -1.0]).transpose(0, 2, 1)  # Z J Z^T, one p x k x k buffer
     diagonal = np.arange(len(s))
-    gram[:, diagonal, diagonal] += s**2
-    lam, x = np.linalg.eigh(gram)
-    lam, x = lam[:, ::-1], x[:, :, ::-1]  # descending, as fn.values expects
+    d = s**2
+    gram[:, diagonal, diagonal] += d
+    lam = np.linalg.eigvalsh(gram)[:, ::-1]  # descending, as fn.values expects
+    entries, deflated = _secular_entries(_root_weights(fn, lam), lam, d, a, z1, z2)
+    if deflated.any():
+        entries[deflated] = _eigh_entries(fn, gram[deflated], a[deflated], z1[deflated])
+    return entries
+
+
+def _root_weights(fn: SpectralFunction, lam: np.ndarray) -> np.ndarray:
+    """``phi_k = f_k(sqrt(lambda_k)) / sqrt(lambda_k)`` (0 where
+    ``lambda_k <= 0``) for rows of descending eigenvalues, after
+    :func:`_check_ties`."""
     root = np.sqrt(np.maximum(lam, 0.0))
     _check_ties(fn, lam, root)
     values = np.stack([fn.values(row) for row in root])
-    phi = np.divide(values, root, out=np.zeros_like(root), where=lam > 0.0)
+    return np.divide(values, root, out=np.zeros_like(root), where=lam > 0.0)
+
+
+def _secular_entries(
+    phi: np.ndarray, lam: np.ndarray, d: np.ndarray, a: np.ndarray, z1: np.ndarray, z2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped entries ``-sum_k phi_k (a^T x_k)(z1^T x_k)`` over the roots
+    with ``phi_k != 0``, each unit vector ``x_k`` from the secular form of
+    ``diag(d) + z1 z1^T - z2 z2^T`` (see :func:`downdated_entries`), and the
+    mask of the positions left to :func:`_eigh_entries` (0 in the entries):
+    those where such a root lies within ``_DEFLATION_RTOL`` times
+    ``max(d_1, lambda_1)`` of some ``d_l`` or of a neighbouring root."""
+    tol = _DEFLATION_RTOL * np.maximum(d[0], lam[:, 0])
+    needed = phi != 0.0
+    near_root = (lam[:, :-1] - lam[:, 1:] < tol[:, None]) & (needed[:, :-1] | needed[:, 1:])
+    deflated = near_root.any(axis=1)
+    row, col = np.nonzero(needed)
+    gap = d - lam[row, col][:, None]  # D - lambda, one row per needed root
+    deflated[row[np.abs(gap).min(axis=1) < tol[row]]] = True
+    keep = ~deflated[row]
+    row, col, gap = row[keep], col[keep], gap[keep]
+    a, z1, z2 = a[row], z1[row], z2[row]
+    # (D - lambda) x = -Z J Z^T x: with c = J Z^T x, (I + J G) c = 0 for
+    # G = Z^T (D - lambda)^{-1} Z, and x is proportional to (D - lambda)^{-1} Z c.
+    w1, w2 = z1 / gap, z2 / gap
+    g11 = np.einsum("nk,nk->n", z1, w1)
+    g12 = np.einsum("nk,nk->n", z1, w2)
+    g22 = np.einsum("nk,nk->n", z2, w2)
+    # The null vector of the 2 x 2 matrix [[1 + g11, g12], [-g12, 1 - g22]],
+    # read off its row of larger norm.
+    first = (1.0 + g11) ** 2 >= (1.0 - g22) ** 2
+    c1 = np.where(first, g12, 1.0 - g22)
+    c2 = np.where(first, -1.0 - g11, g12)
+    x = w1 * c1[:, None] + w2 * c2[:, None]
+    terms = phi[row, col] * np.einsum("nk,nk->n", a, x) * np.einsum("nk,nk->n", z1, x)
+    terms /= np.einsum("nk,nk->n", x, x)
+    # bincount of no terms counts in integers.
+    return -np.bincount(row, terms, minlength=len(lam)).astype(float, copy=False), deflated
+
+
+def _eigh_entries(fn: SpectralFunction, gram: np.ndarray, a: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Unclamped entries from the full eigendecomposition of each downdate's
+    Gram matrix ``gram``: the fallback of :func:`_secular_entries`."""
+    lam, x = np.linalg.eigh(gram)
+    lam, x = lam[:, ::-1], x[:, :, ::-1]
+    phi = _root_weights(fn, lam)
     ax = (a[:, None, :] @ x)[:, 0, :]
     zx = (z1[:, None, :] @ x)[:, 0, :]
     return -np.sum(phi * ax * zx, axis=1)

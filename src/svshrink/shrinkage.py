@@ -341,7 +341,6 @@ def oracle_weights(signal: np.ndarray, fact: SvdFactorization) -> OracleWeights:
 
 def oracle_soft_threshold(
     signal: np.ndarray,
-    observed: np.ndarray,
     model: Optional[NoiseModel] = None,
     loss: str = "se",
     *,

@@ -212,6 +212,7 @@ class TestDenoise:
             (["--family", "gamma", "--L", "nan"], "Gamma shape L must be positive and finite, got nan"),
             (["--family", "gaussian", "--tau", "1", "--epsilon", "inf"],
              "--epsilon must be positive and finite, got inf"),
+            (["--family", "gaussian", "--tau", "1e200"], "tau must have a finite square, got 1e+200"),
         ],
     )
     def test_bad_noise_or_floor_value_is_usage_error(self, tmp_path, capsys, spiked_csv, flags, message):
@@ -372,6 +373,19 @@ class TestExperimentCommand:
         code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "usage error: tau must be positive and finite, got inf\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "estimator", ["soft:objective=sure", "weighted:objective=sure,active=bulk,rank=1"]
+    )
+    def test_noise_level_whose_square_overflows_is_usage_error(self, tmp_path, capsys, estimator):
+        model = {"family": "gaussian", "tau": 1e200}
+        bad = dict(self.CONFIG, n=10, m=10, model=model, estimators=[estimator])
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: tau must have a finite square, got 1e+200\n"
         assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_outputs(self, tmp_path):

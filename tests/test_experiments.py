@@ -340,7 +340,7 @@ class TestRunner:
     def test_a_non_finite_metric_fails_its_task(self):
         # The signal is in range, but the noise overflows the squared error.
         cfg = ExperimentConfig.from_config(
-            small_config(model={"family": "gaussian", "tau": 1e200}, estimators=["pca:active=all"])
+            small_config(model={"family": "gaussian", "tau": 1e154}, estimators=["pca:active=all"])
         )
         with pytest.raises(NumericalError, match="pca:active=all: the nmse value is not finite"):
             experiments.run_experiment(cfg)

@@ -456,6 +456,61 @@ class TestDowndatedEntries:
             np.testing.assert_allclose(risk.downdated_entries(fn, y, position),
                                        svd_downdated_entries(fn, y, position), rtol=0, atol=1e-12)
 
+    @pytest.fixture
+    def eigh_rows(self, monkeypatch):
+        """The number of downdates solved by a full ``np.linalg.eigh``."""
+        rows, eigh = [0], np.linalg.eigh
+
+        def counting(gram):
+            rows[0] += len(gram)
+            return eigh(gram)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return rows
+
+    def test_root_on_a_pole_falls_back_to_eigh(self, eigh_rows):
+        # Y has the tied singular values 3, 3; Y - e_0 e_0^T keeps 3 as a
+        # singular value, so a needed root sits on a pole of the secular form.
+        y = np.zeros((3, 4))
+        y[[0, 1, 2], [0, 1, 2]] = [3.0, 3.0, 1.0]
+        positions = np.argwhere(np.ones(y.shape, dtype=bool))
+        fn = linalg.soft_threshold_function(1.5)
+        expected = svd_downdated_entries(fn, y, positions)
+        np.testing.assert_allclose(risk.downdated_entries(fn, y, positions), expected, rtol=0, atol=1e-10)
+        assert 0 < eigh_rows[0] < len(positions)
+
+    def test_nearly_tied_needed_roots_fall_back_to_eigh(self, eigh_rows):
+        # Y - e_0 e_0^T has the singular values 3 and 3 (1 + 5e-12): closer
+        # than the fallback tolerance, farther apart than a tie.
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        w, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+        y = (q * [3.0 * (1.0 + 5e-12), 3.0, 1.0]) @ w.T
+        y[0, 0] += 1.0
+        fn = linalg.soft_threshold_function(1.5)
+        expected = svd_downdated_entries(fn, y, [[0, 0]])
+        np.testing.assert_allclose(risk.downdated_entries(fn, y, [[0, 0]]), expected, rtol=0, atol=1e-10)
+        assert eigh_rows[0] == 1
+
+    @pytest.mark.parametrize("kind", ["soft", "weights"])
+    def test_generic_positions_never_reach_eigh(self, monkeypatch, kind):
+        wave = 1.0 + 0.9 * np.cos(np.linspace(0.0, 2.0 * np.pi, 40))
+        signal = rank_one_positive(40, 40, 300.0) + 5.0 * np.outer(wave, wave[::-1])
+        y = Poisson().sample(signal, np.random.default_rng(40))
+        fact = linalg.svd(y)
+        s = fact.singular_values
+        fn = {"soft": linalg.soft_threshold_function(0.5 * (s[1] + s[2]), 1e-6),
+              "weights": linalg.weights_function(np.r_[0.9, 0.6, np.zeros(38)], 1e-6)}[kind]
+        positions = np.argwhere(y > 0)
+        expected = svd_downdated_entries(fn, y, positions)
+
+        def no_eigh(gram):
+            raise AssertionError("a generic downdate reached np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        got = risk.downdated_entries(fn, y, positions, fact=fact)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
     def test_all_positions_by_default_in_row_major_order(self):
         y = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0]])
         fn = linalg.soft_threshold_function(0.5)

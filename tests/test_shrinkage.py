@@ -369,7 +369,7 @@ class TestOracles:
         fact = linalg.svd(y)
         oracle = shrinkage.oracle_weights(np.zeros((6, 5)), fact)
         np.testing.assert_allclose(oracle.values, 0.0, atol=1e-12)
-        lam = shrinkage.oracle_soft_threshold(np.zeros((6, 5)), y, fact=fact)
+        lam = shrinkage.oracle_soft_threshold(np.zeros((6, 5)), fact=fact)
         assert lam >= 0.999 * fact.singular_values[0]
 
     def test_oracle_values_are_local_minimizers(self):
