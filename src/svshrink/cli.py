@@ -133,6 +133,8 @@ def _cmd_denoise(args) -> int:
     _check_epsilon(args)
     objective = method.objective or ("sure" if model.family == "gaussian" else None)
     y = matrixio.read_matrix(path)
+    if isinstance(model, Gaussian):
+        _as_usage(model.check_noise_energy, *y.shape)
     rng = np.random.default_rng(args.seed)
     fact = linalg.svd(y)
     if args.rank is not None and args.rank > fact.rank_bound:

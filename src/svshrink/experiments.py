@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import numbers
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -81,14 +82,6 @@ CONFIG_SCHEMA = {
 # signal generation
 
 
-def quadratic_profile(n: int) -> np.ndarray:
-    """Unit-norm positive vector with entries proportional to
-    ``1 - (i/n - 1/2)^2``, i = 1..n."""
-    t = np.arange(1, n + 1) / n
-    p = 1.0 - (t - 0.5) ** 2
-    return p / np.linalg.norm(p)
-
-
 def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(raw)
     return linalg._apply_sign_convention(q, q)[0]
@@ -131,6 +124,10 @@ class SignalSpec:
     entries: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
+        if self.kind not in ("spike", "equal_spikes", "explicit"):
+            raise ParameterError(f"unknown signal type {self.kind!r}")
+        if self.recipe not in _RECIPES:
+            raise ParameterError(f"unknown signal recipe {self.recipe!r}; known: {sorted(_RECIPES)}")
         if self.kind == "explicit":
             try:
                 rows = np.asarray(self.entries, dtype=float)
@@ -146,29 +143,25 @@ class SignalSpec:
                 raise ParameterError(f"spike signals need positive finite strengths, got {list(self.sigmas)}")
             if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
                 raise ParameterError(f"spike strengths must be strictly decreasing, got {list(self.sigmas)}")
-        if self.kind == "equal_spikes" and not 0 < self.gamma < np.inf:
-            raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma}")
+        if self.kind == "equal_spikes":
+            if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
+                raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma}")
+            rank = self.rank
+            if not isinstance(rank, numbers.Real) or not float(rank).is_integer() or rank < 1:
+                raise ParameterError(f"equal-spike signals need a positive integer rank, got {rank}")
+            object.__setattr__(self, "gamma", float(self.gamma))
+            object.__setattr__(self, "rank", int(rank))
 
     @classmethod
     def from_config(cls, config: dict) -> "SignalSpec":
         kind = config["type"]
         if kind == "spike":
             sigmas = tuple(float(s) for s in config.get("sigmas", ()))
-            return cls("spike", sigmas=sigmas, recipe=config.get("recipe", "quadratic_profile"))
+            return cls(kind, sigmas=sigmas, recipe=config.get("recipe", "quadratic_profile"))
         if kind == "equal_spikes":
-            if "gamma" not in config or "rank" not in config:
-                raise ParameterError("equal-spike signals need 'gamma' and 'rank'")
-            return cls(
-                "equal_spikes",
-                gamma=float(config["gamma"]),
-                rank=int(config["rank"]),
-                recipe=config.get("recipe", "cosine"),
-            )
-        if kind == "explicit":
-            if "entries" not in config:
-                raise ParameterError("explicit signals need 'entries'")
-            return cls("explicit", entries=config["entries"])
-        raise ParameterError(f"unknown signal type {kind!r}")
+            recipe = config.get("recipe", "cosine")
+            return cls(kind, gamma=config.get("gamma"), rank=config.get("rank"), recipe=recipe)
+        return cls(kind, entries=config.get("entries"))
 
     def spike_strengths(self, n: int, m: int) -> tuple[float, ...]:
         if self.kind == "spike":
@@ -449,9 +442,13 @@ class ExperimentConfig:
         least = {"rank_cap": 0, "true_rank": 1}.get(parameter)
         if least is not None and not all(float(v).is_integer() and v >= least for v in self.sweep_values):
             raise ParameterError(f"{parameter} sweep values must be integers >= {least}")
-        repeated = sorted({v for v in self.sweep_values if self.sweep_values.count(v) > 1})
-        if repeated:
-            raise ParameterError(f"{parameter} sweep values must be distinct, got {repeated} more than once")
+        # A repeated entry would pool its records into one summary cell.
+        lists = {"estimators": self.estimators, "metrics": self.metrics}
+        lists[f"{parameter} sweep values"] = self.sweep_values
+        for what, items in lists.items():
+            repeated = sorted({v for v in items if items.count(v) > 1})
+            if repeated:
+                raise ParameterError(f"{what} must be distinct, got {repeated} more than once")
         for name in self.metrics:
             metrics.check_metric(name, self.model)
         # No sweep changes the noise family, and a tag resolves against the
@@ -566,6 +563,8 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
             raise DomainError(f"the signal's squared Frobenius norm is not finite ({energy})")
         if parameter == "rsnr":
             model = Gaussian(tau=rsnr(x, 1.0) / float(value))
+        if isinstance(model, Gaussian):
+            model.check_noise_energy(config.n, config.m)
     except SvshrinkError as exc:
         where = "the signal" if value is None else f"sweep value {parameter}={value!r}"
         raise ParameterError(f"{where}: {exc}") from exc
@@ -649,12 +648,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     else:
         outcomes = [run_task(t) for t in tasks]
 
-    records, failures = [], []
-    for recs, failure in outcomes:
-        records.extend(recs)
-        if failure is not None:
-            failures.append(failure)
-    if failures and len(failures) > 0.1 * len(tasks):
+    records = [rec for recs, _ in outcomes for rec in recs]
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if len(failures) > 0.1 * len(tasks):
         raise NumericalError(
             f"{len(failures)} of {len(tasks)} replication tasks failed; first: {failures[0]}"
         )
@@ -671,26 +667,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         )
     )
 
+    # A task records every metric of every estimator or nothing, so the cells
+    # first appear in the sorted records in config order.
     cells = defaultdict(list)
     for r in records:
         cells[r["sweep_param"], r["estimator"], r["metric_name"]].append(r["value"])
     summaries = []
-    for label in (config.sweep_values if config.sweep_parameter else (None,)):
-        for tag in config.estimators:
-            for metric_name in config.metrics:
-                cell = cells.get((label, tag, metric_name))
-                if not cell:
-                    continue
-                q10, med, q90 = np.quantile(cell, [0.1, 0.5, 0.9], method="linear")
-                summaries.append(
-                    {
-                        "sweep_param": label,
-                        "estimator": tag,
-                        "metric_name": metric_name,
-                        "count": len(cell),
-                        "q10": float(q10),
-                        "median": float(med),
-                        "q90": float(q90),
-                    }
-                )
+    for (label, tag, metric_name), cell in cells.items():
+        q10, med, q90 = np.quantile(cell, [0.1, 0.5, 0.9], method="linear")
+        summaries.append(
+            {
+                "sweep_param": label,
+                "estimator": tag,
+                "metric_name": metric_name,
+                "count": len(cell),
+                "q10": float(q10),
+                "median": float(med),
+                "q90": float(q90),
+            }
+        )
     return ExperimentResult(records, summaries, failures)

@@ -336,8 +336,7 @@ class SpectralFunction:
     ``values_fn`` and ``derivs_fn`` receive the full descending vector of
     singular values and return same-length arrays ``f_k(sigma_k)`` and
     ``f_k'(sigma_k)``.  ``clamp_floor``, when set, applies ``max(., floor)``
-    entrywise to the assembled matrix; the clamp derivative is taken as 0
-    wherever the floor is active and 1 elsewhere.
+    entrywise to the assembled matrix.
     """
 
     values_fn: Callable[[np.ndarray], np.ndarray]
@@ -356,24 +355,6 @@ class SpectralFunction:
 
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
         return reconstruct(svd(matrix), self)
-
-    def derivative_probe(
-        self, fact: SvdFactorization, delta: np.ndarray, free: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Jacobian-vector product of the (possibly clamped) map.
-
-        ``free`` marks the entries where the unclamped estimate is at or above
-        the clamp floor, the only ones the clamp lets vary.  It does not
-        depend on ``delta``, so a caller probing many directions passes it in;
-        otherwise it is composed here.
-        """
-        s = fact.singular_values
-        dd = directional_derivative(fact, self.values(s), self.derivs(s), delta)
-        if self.clamp_floor is not None:
-            if free is None:
-                free = compose(fact, self.values(s)) >= self.clamp_floor
-            dd = np.where(free, dd, 0.0)
-        return dd
 
 
 def soft_threshold_values(sigmas: np.ndarray, lam: float) -> np.ndarray:

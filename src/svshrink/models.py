@@ -42,6 +42,15 @@ class Gaussian:
 
     family = "gaussian"
 
+    def check_noise_energy(self, n: int, m: int) -> None:
+        """Raise :class:`ParameterError` unless ``n m tau^2``, the noise
+        energy of an n x m observation that SURE subtracts, is finite; past
+        it the fits would run on infinite squared singular values."""
+        if not math.isfinite(n * m * self.tau**2):
+            raise ParameterError(
+                f"the noise energy n*m*tau^2 of a {n}x{m} observation is not finite (tau={self.tau!r})"
+            )
+
     def log_likelihood(self, observed: np.ndarray, mean: np.ndarray) -> float:
         y = np.asarray(observed, dtype=float)
         x = np.asarray(mean, dtype=float)

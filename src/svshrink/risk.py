@@ -196,14 +196,17 @@ def _probe_products(fn: SpectralFunction, fact, directions, raw=None) -> Iterato
     """``delta * (J delta)`` for each probe ``delta``, ``J`` the Jacobian of
     ``fn`` at ``fact``.  For +-1 probes its expectation is the Jacobian
     diagonal ``dF_ij/dY_ij`` (Ramani, Blu & Unser, IEEE TIP 2008).  The
-    entries the clamp floor holds fixed are read once, from the unclamped
-    estimate ``raw`` (composed here when the map has a floor and it is not
-    given)."""
+    clamp's derivative is taken as 0 where the floor is active and 1
+    elsewhere; those entries are read once, from the unclamped estimate
+    ``raw`` (composed here when the map has a floor and it is not given)."""
     free = None
     if fn.clamp_floor is not None:
         free = _unclamped(fn, fact, raw) >= fn.clamp_floor
+    s = fact.singular_values
+    values, derivs = fn.values(s), fn.derivs(s)
     for delta in directions:
-        yield delta * fn.derivative_probe(fact, delta, free)
+        jvp = linalg.directional_derivative(fact, values, derivs, delta)
+        yield delta * (jvp if free is None else np.where(free, jvp, 0.0))
 
 
 def _mean_stderr(samples: Sequence[float]) -> tuple[float, Optional[float], int]:

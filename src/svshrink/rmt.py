@@ -27,11 +27,6 @@ def bulk_edge(c: float) -> float:
     return 1.0 + np.sqrt(_check_c(c))
 
 
-def bulk_edge_finite(n: int, m: int) -> float:
-    """Finite-sample surrogate ``1 + sqrt(n/m)`` for the bulk edge."""
-    return 1.0 + np.sqrt(n / m)
-
-
 def rho(sigma, c: float):
     """Asymptotic observed location of a spike:
     ``sqrt((1 + sigma^2)(c + sigma^2) / sigma^2)``.
@@ -137,11 +132,17 @@ def asymptotic_optimal_weight(sigma, c: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _check_spikes(sigmas, c: float) -> np.ndarray:
+def _spike_terms(f_values, sigmas, c: float) -> tuple:
+    """The checked ``(c, f, sigmas, rho(sigmas))`` of the spike limits: every
+    spike above the detectability threshold, one value ``f_k`` per spike."""
+    c = _check_c(c)
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if np.any(sigmas <= c**0.25):
         raise DomainError(f"all spikes must exceed c^(1/4) = {c**0.25:.6g}")
-    return sigmas
+    f = np.atleast_1d(np.asarray(f_values, dtype=float))
+    if f.shape != sigmas.shape:
+        raise DomainError("f_values must align with sigmas")
+    return c, f, sigmas, rho(sigmas, c)
 
 
 def asymptotic_sure(f_values, sigmas, c: float) -> float:
@@ -151,12 +152,7 @@ def asymptotic_sure(f_values, sigmas, c: float) -> float:
 
     The per-index quadratic is minimized by the optimal shrinker value.
     """
-    c = _check_c(c)
-    sigmas = _check_spikes(sigmas, c)
-    f = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if f.shape != sigmas.shape:
-        raise DomainError("f_values must align with sigmas")
-    r = rho(sigmas, c)
+    c, f, sigmas, r = _spike_terms(f_values, sigmas, c)
     bracket = (sigmas**2 * (1.0 + c) + 2.0 * c) / (sigmas**2 * r)
     return float(np.sum((f - r) ** 2 + 2.0 * f * bracket))
 
@@ -168,10 +164,5 @@ def asymptotic_dof(f_values, sigmas, c: float) -> float:
     With ``f_k = rho_k`` (plain truncation) each term is at most
     ``(1 + sqrt(c))^2``, which is what justifies the active-set penalty.
     """
-    c = _check_c(c)
-    sigmas = _check_spikes(sigmas, c)
-    f = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if f.shape != sigmas.shape:
-        raise DomainError("f_values must align with sigmas")
-    r = rho(sigmas, c)
+    c, f, sigmas, r = _spike_terms(f_values, sigmas, c)
     return float(np.sum(f / r * (1.0 + c + 2.0 * c / sigmas**2)))

@@ -60,20 +60,21 @@ def weights_gaussian(
     if zero.size:
         k = active[zero[0]]
         raise DegenerateSpectrumError(f"singular value {k} is zero; weight formula undefined")
-    _check_untied(fact, idx)
-    factor = 1.0 + abs(fact.m - fact.n) + 2.0 * sk * fact.pair_sums[idx]
     weights = np.zeros(fact.rank_bound)
-    weights[idx] = np.clip(1.0 - tau**2 / sk**2 * factor, 0.0, 1.0)
+    weights[idx] = np.clip(1.0 - tau**2 / sk**2 * _weight_dof(fact, idx), 0.0, 1.0)
     return weights
 
 
-def _check_untied(fact: SvdFactorization, idx: np.ndarray) -> None:
-    """Raise :class:`DegenerateSpectrumError` naming the pair when a singular
-    value at a 0-based index in ``idx`` is tied with another."""
+def _weight_dof(fact: SvdFactorization, idx):
+    """The divergence coefficient ``1 + |m - n| + 2 sigma_k P_k`` of the
+    weight formulas at the 0-based index or indices ``idx``.  A singular
+    value there tied with another raises :class:`DegenerateSpectrumError`
+    naming the pair."""
     if fact.tie_mask[idx].any():
         used = np.zeros(fact.rank_bound)
         used[idx] = 1.0
         linalg.check_distinct(fact, used)
+    return 1.0 + abs(fact.m - fact.n) + 2.0 * fact.singular_values[idx] * fact.pair_sums[idx]
 
 
 def weight1_gamma_sukls(observed: np.ndarray, fact: SvdFactorization, shape: float) -> float:
@@ -89,9 +90,7 @@ def weight1_gamma_sukls(observed: np.ndarray, fact: SvdFactorization, shape: flo
     n, m = y.shape
     rank1 = fact.singular_values[0] * np.outer(fact.left_vectors[:, 0], fact.right_vectors[:, 0])
     bracket = (L - 1.0) / (L * m * n) * float(np.sum(rank1 / y))
-    _check_untied(fact, np.array([0]))
-    s1 = fact.singular_values[0]
-    bracket += (1.0 + abs(m - n) + 2.0 * s1 * fact.pair_sums[0]) / (L * m * n)
+    bracket += _weight_dof(fact, 0) / (L * m * n)
     if bracket <= 0:
         return 1.0
     return float(np.clip(1.0 / bracket, 0.0, 1.0))

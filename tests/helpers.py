@@ -5,7 +5,15 @@ from __future__ import annotations
 import numpy as np
 
 from svshrink import linalg
-from svshrink.experiments import quadratic_profile
+
+
+def quadratic_profile(n: int) -> np.ndarray:
+    """Unit-norm positive vector with entries proportional to
+    ``1 - (i/n - 1/2)^2``, i = 1..n: the first column of the
+    ``quadratic_profile`` recipe."""
+    t = np.arange(1, n + 1) / n
+    p = 1.0 - (t - 0.5) ** 2
+    return p / np.linalg.norm(p)
 
 
 def rank_one_positive(n: int, m: int, scale: float) -> np.ndarray:
@@ -66,3 +74,16 @@ def svd_downdated_entries(fn: linalg.SpectralFunction, matrix: np.ndarray, posit
         cols = vt[np.arange(len(chunk)), :, chunk[:, 1]]
         out[start : start + len(chunk)] = linalg.clamp(np.sum(values * rows * cols, axis=1), fn.clamp_floor)
     return out
+
+
+def derivative_probe(fn: linalg.SpectralFunction, fact, delta, free=None) -> np.ndarray:
+    """Reference Jacobian-vector product of a (possibly clamped) spectral map:
+    values and derivatives evaluated per call, the clamp's derivative 0
+    outside ``free`` (composed here when not given)."""
+    s = fact.singular_values
+    dd = linalg.directional_derivative(fact, fn.values(s), fn.derivs(s), delta)
+    if fn.clamp_floor is not None:
+        if free is None:
+            free = linalg.compose(fact, fn.values(s)) >= fn.clamp_floor
+        dd = np.where(free, dd, 0.0)
+    return dd

@@ -222,6 +222,21 @@ class TestDenoise:
         assert capsys.readouterr().err == f"usage error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("method", ["soft", "weights", "pca"])
+    def test_noise_energy_that_overflows_is_usage_error(self, tmp_path, capsys, method):
+        # tau^2 is finite, but n*m*tau^2 over a 10x12 input is not.
+        path = tmp_path / "y.csv"
+        matrixio.write_matrix_csv(path, np.random.default_rng(3).standard_normal((10, 12)))
+        argv = [
+            "denoise", "--input", str(path), "--family", "gaussian", "--tau", "1e154",
+            "--method", method, "--output", str(tmp_path / "x.csv"),
+        ]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the noise energy n*m*tau^2 of a 10x12 observation is not finite (tau=1e+154)\n"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_flag_rejected(self, tmp_path, spiked_csv):
         path, _ = spiked_csv
         code = cli.main(["denoise", "--input", str(path), "--frobnicate", "1"])
@@ -386,6 +401,19 @@ class TestExperimentCommand:
         code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == "usage error: tau must have a finite square, got 1e+200\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_noise_energy_that_overflows_is_usage_error(self, tmp_path, capsys):
+        model = {"family": "gaussian", "tau": 1e154}
+        bad = dict(self.CONFIG, n=10, m=10, model=model, estimators=["soft", "weighted", "pca"])
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: sweep value sigma1=1.5: the noise energy n*m*tau^2 of a 10x10 observation "
+            "is not finite (tau=1e+154)\n"
+        )
         assert not (tmp_path / "o").exists()
 
     def test_threads_do_not_change_outputs(self, tmp_path):

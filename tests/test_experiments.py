@@ -13,6 +13,8 @@ from svshrink.errors import DomainError, NumericalError, ParameterError, Svshrin
 from svshrink.experiments import ExperimentConfig, FitMethod, SignalSpec
 from svshrink.models import Gamma, Gaussian, Poisson
 
+from helpers import quadratic_profile
+
 
 def small_config(**overrides):
     base = {
@@ -31,10 +33,12 @@ def small_config(**overrides):
 
 class TestSignalRecipes:
     def test_quadratic_profile_contract(self):
+        # The test signals' profile is the recipe's first column.
         for n in (10, 100):
-            p = experiments.quadratic_profile(n)
+            p = quadratic_profile(n)
             assert np.all(p > 0)
             assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(experiments.profile_vectors(n, 1)[:, 0], p, rtol=1e-13)
 
     def test_rank_one_profile_signal_is_positive(self):
         spec = SignalSpec.from_config({"type": "spike", "sigmas": [1.0]})
@@ -116,7 +120,69 @@ class TestRsnr:
             experiments.rsnr(np.ones((3, 4)), 1.0)
 
 
+class TestSignalSpec:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "spike", "sigmas": (2.0,), "recipe": "nope"}, "unknown signal recipe 'nope'"),
+            ({"kind": "bogus", "sigmas": (2.0,)}, "unknown signal type 'bogus'"),
+            ({"kind": "equal_spikes", "gamma": 2.0}, "positive integer rank, got None"),
+            ({"kind": "equal_spikes", "gamma": 2.0, "rank": 0}, "positive integer rank, got 0"),
+            ({"kind": "equal_spikes", "gamma": 2.0, "rank": 1.5}, "positive integer rank, got 1.5"),
+            ({"kind": "equal_spikes", "rank": 2}, "positive finite gamma, got None"),
+        ],
+    )
+    def test_direct_fields_are_checked(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(
+                n=10, m=10, model=Gaussian(0.1), signal=SignalSpec(**kwargs),
+                estimators=("pca",), replications=1, root_seed=0,
+            )
+
+
 class TestRunner:
+    @pytest.mark.parametrize(
+        "sweep",
+        [{"parameter": "sigma1", "values": [3.0, 1.5, 2.5]}, {"parameter": "rank_cap", "values": [2, 0, 1]}],
+    )
+    def test_summary_cells_follow_the_config_order(self, monkeypatch, sweep):
+        # Sweep values, tags and metrics all out of sorted order, and the
+        # first task of the first point fails, so that point's cells start
+        # at its second replication.
+        cfg = ExperimentConfig.from_config(
+            small_config(
+                signal={"type": "spike", "sigmas": [2.0, 1.0]},
+                estimators=["soft", "pca:rank=1,active=all", "weighted"],
+                metrics=["se", "nmse"],
+                replications=10,
+                sweep=sweep,
+            )
+        )
+        replication_records = experiments._replication_records
+
+        def fail_first(config, point_idx, rep):
+            if (point_idx, rep) == (0, 0):
+                raise DomainError("the first task failed")
+            return replication_records(config, point_idx, rep)
+
+        monkeypatch.setattr(experiments, "_replication_records", fail_first)
+        result = experiments.run_experiment(cfg)
+        assert len(result.failures) == 1
+        expected = [
+            (float(v), tag, metric)
+            for v in sweep["values"]
+            for tag in cfg.estimators
+            for metric in cfg.metrics
+        ]
+        cells = [(c["sweep_param"], c["estimator"], c["metric_name"]) for c in result.summaries]
+        assert cells == expected
+        first = sweep["values"][0]
+        counts = [c["count"] for c in result.summaries]
+        if sweep["parameter"] == "rank_cap":
+            assert counts == [9] * len(expected)
+        else:
+            assert counts == [9 if c[0] == first else 10 for c in cells]
+
     def test_deterministic_repeat(self):
         cfg = ExperimentConfig.from_config(small_config(replications=1))
         a = experiments.run_experiment(cfg)
@@ -221,6 +287,11 @@ class TestRunner:
                 r"at \$\.signal: Additional properties are not allowed \('recipie' was unexpected\)",
             ),
             ({"model": {"family": "gaussian", "tau": 0.2, "sigma": 1}}, r"at \$\.model: .*'sigma' was unexpected"),
+            # A repeated tag or metric would pool its records into one cell.
+            ({"estimators": ["soft", "pca", "soft"]}, r"estimators must be distinct, got \['soft'\]"),
+            ({"metrics": ["nmse", "se", "nmse"]}, r"metrics must be distinct, got \['nmse'\]"),
+            ({"signal": {"type": "equal_spikes", "rank": 2}}, "positive finite gamma, got None"),
+            ({"signal": {"type": "equal_spikes", "gamma": 2.0}}, "positive integer rank, got None"),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -275,6 +346,10 @@ class TestRunner:
                 r"the signal: the signal's squared Frobenius norm is not finite \(inf\)",
             ),
             ({"sweep": {"parameter": "sigma1", "values": [1e308]}}, r"sigma1=1e\+308: .*norm is not finite"),
+            # A noise energy n*m*tau^2 that overflows would run the fits on inf/nan spectra.
+            ({"model": {"family": "gaussian", "tau": 1e154}}, r"the signal: the noise energy n\*m\*tau\^2 of a 12x12"),
+            ({"sweep": {"parameter": "tau", "values": [0.1, 1e154]}}, r"tau=1e\+154: the noise energy .* not finite"),
+            ({"sweep": {"parameter": "rsnr", "values": [5e-155]}}, r"rsnr=5e-155: the noise energy .* not finite"),
         ],
     )
     def test_faulty_data_points_are_rejected_at_load(self, overrides, message):
@@ -338,9 +413,14 @@ class TestRunner:
         assert experiments.run_experiment(cfg).records == expected
 
     def test_a_non_finite_metric_fails_its_task(self):
-        # The signal is in range, but the noise overflows the squared error.
+        # The noise energy is in range, but the error relative to a faint
+        # signal overflows.
         cfg = ExperimentConfig.from_config(
-            small_config(model={"family": "gaussian", "tau": 1e154}, estimators=["pca:active=all"])
+            small_config(
+                model={"family": "gaussian", "tau": 1e148},
+                signal={"type": "spike", "sigmas": [1e-10]},
+                estimators=["pca:active=all"],
+            )
         )
         with pytest.raises(NumericalError, match="pca:active=all: the nmse value is not finite"):
             experiments.run_experiment(cfg)

@@ -188,9 +188,6 @@ class TestRegime:
         assert rmt.bulk_edge(0.25) == 1.5
         assert rmt.bulk_edge(1.0) == 2.0
 
-    def test_finite_surrogate(self):
-        assert rmt.bulk_edge_finite(100, 200) == pytest.approx(1 + np.sqrt(0.5), rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             rmt.bulk_edge(0.0)

@@ -139,6 +139,15 @@ class TestWeight1GammaSukls:
         with pytest.raises(ParameterError):
             shrinkage.weight1_gamma_sukls(y, linalg.svd(y), 2.0)
 
+    def test_tied_leading_value_names_the_pair(self):
+        # A positive matrix has a simple leading singular value, but this one
+        # is tied with the second to working precision: 1 + e and 1 - e.
+        y = np.array([[1.0, 1e-14], [1e-14, 1.0]])
+        fact = linalg.svd(y)
+        assert fact.tie_mask[0]
+        with pytest.raises(DegenerateSpectrumError, match="singular values 1 and 2 coincide"):
+            shrinkage.weight1_gamma_sukls(y, fact, 5.0)
+
     def test_matches_numeric_minimizer(self):
         # Closed form against a one-dimensional bounded minimization of the
         # synthesis-KL estimate on a rank-one Gamma instance.
