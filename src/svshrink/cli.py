@@ -131,6 +131,7 @@ def _cmd_denoise(args) -> int:
     # combinations exit as usage errors, not domain errors.
     method = _fit_method(args, model)
     _check_epsilon(args)
+    _as_usage(experiments.check_integer, args.seed, "--seed must be a nonnegative integer", 0)
     objective = method.objective or ("sure" if model.family == "gaussian" else None)
     y = matrixio.read_matrix(path)
     if isinstance(model, Gaussian):

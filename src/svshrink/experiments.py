@@ -9,8 +9,8 @@ results are reproducible and independent of any thread schedule.
 from __future__ import annotations
 
 import csv
-import functools
 import json
+import math
 import numbers
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -21,61 +21,19 @@ import numpy as np
 
 from . import activeset, linalg, metrics, rmt, shrinkage
 from .errors import DomainError, NumericalError, ParameterError, SvshrinkError
-from .linalg import SpectralFunction, SvdFactorization
-from .models import Gaussian, NoiseModel, model_from_config
+from .linalg import DEFAULT_CLAMP_FLOOR, SpectralFunction, SvdFactorization
+from .models import Gaussian, NoiseModel, json_numbers, json_object, json_type, model_from_config
 
 SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["n", "m", "model", "signal", "estimators", "replications", "root_seed"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1, "maximum": 500},
-        "m": {"type": "integer", "minimum": 1, "maximum": 500},
-        "model": {
-            "type": "object",
-            "required": ["family"],
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["gaussian", "gamma", "poisson"]},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "L": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "signal": {
-            "type": "object",
-            "required": ["type"],
-            "additionalProperties": False,
-            "properties": {
-                "type": {"enum": ["spike", "equal_spikes", "explicit"]},
-                "sigmas": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-                "recipe": {"enum": ["quadratic_profile", "cosine"]},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "rank": {"type": "integer", "minimum": 1},
-                "entries": {"type": "array"},
-            },
-        },
-        "estimators": {"type": "array", "minItems": 1, "items": {"type": "string"}},
-        "metrics": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": list(metrics.METRIC_NAMES)},
-        },
-        "replications": {"type": "integer", "minimum": 1, "maximum": 2000},
-        "root_seed": {"type": "integer", "minimum": 0},
-        "clamp_floor": {"type": "number", "exclusiveMinimum": 0},
-        "sweep": {
-            "type": "object",
-            "required": ["parameter", "values"],
-            "additionalProperties": False,
-            "properties": {
-                "parameter": {"enum": list(SWEEP_PARAMETERS)},
-                "values": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            },
-        },
-    },
-}
+
+def check_integer(value, what: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, if it is an integer in [least, most] (``10.0`` counts,
+    a bool does not); else a :class:`ParameterError` reading ``what``."""
+    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral or not least <= value <= most:
+        raise ParameterError(f"{what}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +67,10 @@ def cosine_vectors(n: int, r: int) -> np.ndarray:
 
 
 _RECIPES = {"quadratic_profile": profile_vectors, "cosine": cosine_vectors}
+# The JSON keys of each signal type besides "type"; SignalSpec checks their values.
+_SIGNAL_KEYS = {
+    "spike": ("sigmas", "recipe"), "equal_spikes": ("gamma", "rank", "recipe"), "explicit": ("entries",),
+}
 
 
 @dataclass(frozen=True)
@@ -124,9 +86,9 @@ class SignalSpec:
     entries: Optional[tuple[tuple[float, ...], ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("spike", "equal_spikes", "explicit"):
+        if self.kind not in tuple(_SIGNAL_KEYS):  # a tuple: an unhashable kind is compared, not hashed
             raise ParameterError(f"unknown signal type {self.kind!r}")
-        if self.recipe not in _RECIPES:
+        if self.recipe not in tuple(_RECIPES):
             raise ParameterError(f"unknown signal recipe {self.recipe!r}; known: {sorted(_RECIPES)}")
         if self.kind == "explicit":
             try:
@@ -144,24 +106,21 @@ class SignalSpec:
             if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
                 raise ParameterError(f"spike strengths must be strictly decreasing, got {list(self.sigmas)}")
         if self.kind == "equal_spikes":
-            if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
-                raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma}")
-            rank = self.rank
-            if not isinstance(rank, numbers.Real) or not float(rank).is_integer() or rank < 1:
-                raise ParameterError(f"equal-spike signals need a positive integer rank, got {rank}")
+            if not (isinstance(self.gamma, numbers.Real) and 0 < self.gamma < np.inf) or self.gamma is True:
+                raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma!r}")
+            rank = check_integer(self.rank, "equal-spike signals need a positive integer rank", 1)
             object.__setattr__(self, "gamma", float(self.gamma))
-            object.__setattr__(self, "rank", int(rank))
+            object.__setattr__(self, "rank", rank)
 
     @classmethod
     def from_config(cls, config: dict) -> "SignalSpec":
-        kind = config["type"]
-        if kind == "spike":
-            sigmas = tuple(float(s) for s in config.get("sigmas", ()))
-            return cls(kind, sigmas=sigmas, recipe=config.get("recipe", "quadratic_profile"))
-        if kind == "equal_spikes":
-            recipe = config.get("recipe", "cosine")
-            return cls(kind, gamma=config.get("gamma"), rank=config.get("rank"), recipe=recipe)
-        return cls(kind, entries=config.get("entries"))
+        """Build a spec from its JSON form; a key the type does not read is rejected."""
+        kind = json_object(config, "$.signal", ("type",), None)["type"]
+        if kind in tuple(_SIGNAL_KEYS):  # else the constructor rejects the type
+            json_object(config, "$.signal", ("type",), _SIGNAL_KEYS[kind])
+        sigmas = json_numbers(config.get("sigmas", []), "$.signal.sigmas")
+        recipe = config.get("recipe", "cosine" if kind == "equal_spikes" else "quadratic_profile")
+        return cls(kind, sigmas, recipe, config.get("gamma"), config.get("rank"), config.get("entries"))
 
     def spike_strengths(self, n: int, m: int) -> tuple[float, ...]:
         if self.kind == "spike":
@@ -271,6 +230,8 @@ def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
 def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
     """Parse ``name[:key=value,...]`` tags, filling family defaults; every
     :class:`ParameterError` names the tag."""
+    if not isinstance(tag, str):
+        raise ParameterError(f"an estimator tag must be a string, got {tag!r}")
     name, _, opts = tag.partition(":")
     fields = {"objective": None, "active": "default", "rank": None, "loss": None}
     if opts:
@@ -306,7 +267,7 @@ def fit_estimator(
     model: NoiseModel,
     rng: np.random.Generator,
     signal: Optional[np.ndarray] = None,
-    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR,
+    clamp_floor: float = DEFAULT_CLAMP_FLOOR,
     signal_values: Optional[np.ndarray] = None,
 ) -> tuple[SpectralFunction, dict]:
     """Fit one resolved method on one realization.
@@ -425,14 +386,20 @@ class ExperimentConfig:
     metrics: tuple[str, ...] = ("nmse",)
     sweep_parameter: Optional[str] = None
     sweep_values: tuple[float, ...] = ()
-    clamp_floor: float = linalg.DEFAULT_CLAMP_FLOOR
+    clamp_floor: float = DEFAULT_CLAMP_FLOOR
     methods: tuple[FitMethod, ...] = field(init=False)
     points: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        bounds = {"n": (1, 500), "m": (1, 500), "replications": (1, 2000), "root_seed": (0, math.inf)}
+        for name, (least, most) in bounds.items():
+            what = f"{name} must be an integer in [{least}, {most}]"
+            object.__setattr__(self, name, check_integer(getattr(self, name), what, least, most))
         if not 0 < self.clamp_floor < np.inf:
             raise ParameterError(f"clamp_floor must be positive and finite, got {self.clamp_floor}")
         parameter = self.sweep_parameter
+        if parameter not in (None,) + SWEEP_PARAMETERS or parameter is None and self.sweep_values:
+            raise ParameterError(f"unknown sweep parameter {parameter!r}; known: {list(SWEEP_PARAMETERS)}")
         # Both sweeps set the noise level by building a Gaussian model.
         if parameter in ("tau", "rsnr") and not isinstance(self.model, Gaussian):
             raise ParameterError(f"the {parameter} sweep needs Gaussian noise, not {self.model.family}")
@@ -440,65 +407,48 @@ class ExperimentConfig:
         if self.signal.kind != kind:
             raise ParameterError(f"the {parameter} sweep needs a {kind!r} signal")
         least = {"rank_cap": 0, "true_rank": 1}.get(parameter)
-        if least is not None and not all(float(v).is_integer() and v >= least for v in self.sweep_values):
-            raise ParameterError(f"{parameter} sweep values must be integers >= {least}")
-        # A repeated entry would pool its records into one summary cell.
-        lists = {"estimators": self.estimators, "metrics": self.metrics}
-        lists[f"{parameter} sweep values"] = self.sweep_values
-        for what, items in lists.items():
-            repeated = sorted({v for v in items if items.count(v) > 1})
-            if repeated:
-                raise ParameterError(f"{what} must be distinct, got {repeated} more than once")
+        for value in self.sweep_values if least is not None else ():
+            check_integer(value, f"{parameter} sweep values must be integers >= {least}", least)
         for name in self.metrics:
             metrics.check_metric(name, self.model)
         # No sweep changes the noise family, and a tag resolves against the
         # family alone, so one resolution serves every task.
         methods = tuple(parse_estimator_tag(tag, self.model) for tag in self.estimators)
         object.__setattr__(self, "methods", methods)
+        # A repeated entry would pool its records into one summary cell.
+        lists = {"estimators": self.estimators, "metrics": self.metrics}
+        if parameter is not None:
+            lists[f"{parameter} sweep values"] = self.sweep_values
+        for what, items in lists.items():
+            if not items:
+                raise ParameterError(f"{what} must not be empty")
+            repeated = sorted({v for v in items if items.count(v) > 1})
+            if repeated:
+                raise ParameterError(f"{what} must be distinct, got {repeated} more than once")
         # A rank_cap sweep has one data point, shared by its caps, as has no sweep.
         values = (None,) if parameter in (None, "rank_cap") else self.sweep_values
         object.__setattr__(self, "points", tuple(_data_point(self, value) for value in values))
 
     @classmethod
     def from_config(cls, config: dict) -> "ExperimentConfig":
-        validate_config(config)
-        sweep = config.get("sweep")
+        """Build a config from its JSON form; the constructors check every value."""
+        required = ("n", "m", "model", "signal", "estimators", "replications", "root_seed")
+        json_object(config, "$", required, ("metrics", "clamp_floor", "sweep"))
+        sweep = config.get("sweep", {"parameter": None, "values": []})
+        json_object(sweep, "$.sweep", ("parameter", "values"))
         return cls(
-            n=int(config["n"]),
-            m=int(config["m"]),
+            n=config["n"],
+            m=config["m"],
             model=model_from_config(config["model"]),
             signal=SignalSpec.from_config(config["signal"]),
-            estimators=tuple(config["estimators"]),
-            replications=int(config["replications"]),
-            root_seed=int(config["root_seed"]),
-            metrics=tuple(config.get("metrics", ("nmse",))),
-            sweep_parameter=None if sweep is None else sweep["parameter"],
-            sweep_values=() if sweep is None else tuple(float(v) for v in sweep["values"]),
-            clamp_floor=float(config.get("clamp_floor", linalg.DEFAULT_CLAMP_FLOOR)),
+            estimators=tuple(json_type(config["estimators"], "$.estimators", "array")),
+            replications=config["replications"],
+            root_seed=config["root_seed"],
+            metrics=tuple(json_type(config.get("metrics", ["nmse"]), "$.metrics", "array")),
+            sweep_parameter=sweep["parameter"],
+            sweep_values=json_numbers(sweep["values"], "$.sweep.values"),
+            clamp_floor=json_type(config.get("clamp_floor", DEFAULT_CLAMP_FLOOR), "$.clamp_floor", "number"),
         )
-
-
-@functools.cache
-def _config_validator():
-    """The validator of :data:`CONFIG_SCHEMA`, built on first use.  Building
-    it once skips the metaschema check ``jsonschema.validate`` repeats on
-    every call; jsonschema is imported here, not at module import."""
-    import jsonschema
-
-    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
-def validate_config(config: dict) -> None:
-    """Schema-check a raw config dict, reporting the JSON location on failure.
-
-    Raises the error ``jsonschema.validate`` would raise (the best match
-    among all errors), as a :class:`ParameterError`.
-    """
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_config_validator().iter_errors(config))
-    if error is not None:
-        raise ParameterError(f"invalid experiment config at {error.json_path}: {error.message}") from error
 
 
 @dataclass

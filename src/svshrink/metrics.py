@@ -66,22 +66,20 @@ def kla_poisson(xhat: np.ndarray, x: np.ndarray) -> float:
 METRIC_NAMES = ("nmse", "se", "kls", "kla", "mse_eta")
 
 
-def check_metric(kind: str, model: Optional[NoiseModel] = None) -> str:
-    """The lowercased metric name, checked against ``model``: an unknown name,
-    or a Gamma-only metric without a Gamma model, raises
-    :class:`ParameterError`."""
-    kind = kind.lower()
+def check_metric(kind: str, model: Optional[NoiseModel] = None) -> None:
+    """Check a metric name, spelt exactly as in :data:`METRIC_NAMES`, against
+    ``model``; an unknown name, or a Gamma-only metric without a Gamma model,
+    raises :class:`ParameterError`."""
     if kind not in METRIC_NAMES:
         raise ParameterError(f"unknown metric {kind!r}; choose from {METRIC_NAMES}")
     if kind in ("kls", "mse_eta") and not isinstance(model, Gamma):
         raise ParameterError(f"the {kind} metric is implemented for the Gamma family only")
-    return kind
 
 
 def metric(kind: str, xhat: np.ndarray, x: np.ndarray, model: Optional[NoiseModel] = None) -> float:
     """Dispatch on the metric name; Gamma-specific metrics read ``L`` from the
     model."""
-    kind = check_metric(kind, model)
+    check_metric(kind, model)
     if kind == "nmse":
         return nmse(xhat, x)
     if kind == "se":
@@ -150,7 +148,6 @@ class SpectralScore:
     def metric(self, kind: str, values: np.ndarray) -> float:
         """:func:`metric` of the unclamped estimate with spectral ``values``,
         for ``kind`` in :data:`SPECTRAL_METRICS`."""
-        kind = kind.lower()
         if kind == "se":
             return self.squared_error(values)
         if kind == "nmse":

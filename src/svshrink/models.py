@@ -9,9 +9,10 @@ variances are ``tau^2``, ``X_ij^2 / L``, and ``X_ij`` respectively.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gammaln
@@ -153,17 +154,46 @@ def validate_counts(observed: np.ndarray) -> np.ndarray:
     return y
 
 
+# Each family's class and the JSON keys of its parameters, in constructor order.
+_FAMILIES = {"gaussian": (Gaussian, ("tau",)), "gamma": (Gamma, ("L",)), "poisson": (Poisson, ())}
+
+
 def model_from_config(config: dict) -> NoiseModel:
     """Build a model from its JSON form, e.g. ``{"family": "gamma", "L": 3}``."""
-    family = config.get("family")
-    if family == "gaussian":
-        if "tau" not in config:
-            raise ParameterError("gaussian model config requires 'tau'")
-        return Gaussian(tau=float(config["tau"]))
-    if family == "gamma":
-        if "L" not in config:
-            raise ParameterError("gamma model config requires 'L'")
-        return Gamma(shape=float(config["L"]))
-    if family == "poisson":
-        return Poisson()
-    raise ParameterError(f"unknown noise family {family!r}")
+    family = json_object(config, "$.model", ("family",), None)["family"]
+    if family not in tuple(_FAMILIES):  # a tuple: an unhashable value is compared, not hashed
+        raise _invalid("$.model.family", f"{family!r} is not one of {list(_FAMILIES)!r}")
+    cls, keys = _FAMILIES[family]
+    json_object(config, "$.model", ("family",) + keys)
+    return cls(*(json_type(config[key], f"$.model.{key}", "number") for key in keys))
+
+
+def _invalid(where: str, message: str) -> ParameterError:
+    """A fault in a config's JSON form at JSON path ``where``, in JSON Schema's wording."""
+    return ParameterError(f"invalid experiment config at {where}: {message}")
+
+
+def json_object(config, where: str, required: tuple, optional: Optional[tuple] = ()) -> dict:
+    """``config``, if it is an object with the ``required`` keys and no other
+    key but the ``optional`` ones (any key, if ``optional`` is None)."""
+    json_type(config, where, "object")
+    for key in required:
+        if key not in config:
+            raise _invalid(where, f"{key!r} is a required property")
+    extra = sorted((k for k in config if optional is not None and k not in required + optional), key=str)
+    if extra:
+        raise _invalid(where, f"Additional properties are not allowed ({extra[0]!r} was unexpected)")
+    return config
+
+
+def json_type(value, where: str, name: str):
+    """``value``, if it has the JSON type ``name`` (a bool is no number); a number as a float."""
+    types = {"object": dict, "array": list, "number": numbers.Real}
+    if isinstance(value, bool) or not isinstance(value, types[name]):
+        raise _invalid(where, f"{value!r} is not of type {name!r}")
+    return float(value) if name == "number" else value
+
+
+def json_numbers(value, where: str) -> tuple[float, ...]:
+    entries = json_type(value, where, "array")
+    return tuple(json_type(v, f"{where}[{i}]", "number") for i, v in enumerate(entries))

@@ -1,6 +1,10 @@
 """Command-line interface: flag handling, exit codes, library equivalence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,6 +217,7 @@ class TestDenoise:
             (["--family", "gaussian", "--tau", "1", "--epsilon", "inf"],
              "--epsilon must be positive and finite, got inf"),
             (["--family", "gaussian", "--tau", "1e200"], "tau must have a finite square, got 1e+200"),
+            (["--family", "gaussian", "--tau", "1", "--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
         ],
     )
     def test_bad_noise_or_floor_value_is_usage_error(self, tmp_path, capsys, spiked_csv, flags, message):
@@ -442,6 +447,21 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: 8 of 8 replication tasks failed")
         assert "the fit failed" in err
+
+    def test_runs_where_jsonschema_cannot_be_imported(self, tmp_path):
+        # The package depends on numpy and scipy only.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, replications=1)))
+        code = (
+            "import sys; sys.modules['jsonschema'] = None; from svshrink import cli; "
+            "sys.exit(cli.main(['experiment', '--config', sys.argv[1], '--out-dir', sys.argv[2]]))"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-c", code, str(cfg), str(tmp_path / "o")]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "records.csv").exists()
 
     def test_bundled_fig2_config_validates(self):
         raw = json.loads(open("configs/fig2.json").read())

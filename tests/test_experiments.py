@@ -1,6 +1,9 @@
 """Signal recipes, metrics, and the seeded replication runner."""
 
+import copy
+import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -292,11 +295,51 @@ class TestRunner:
             ({"metrics": ["nmse", "se", "nmse"]}, r"metrics must be distinct, got \['nmse'\]"),
             ({"signal": {"type": "equal_spikes", "rank": 2}}, "positive finite gamma, got None"),
             ({"signal": {"type": "equal_spikes", "gamma": 2.0}}, "positive integer rank, got None"),
+            # One rule per field: the JSON form at its path, each value in the constructor.
+            ({"n": 0}, r"n must be an integer in \[1, 500\], got 0"),
+            ({"replications": "3"}, r"replications must be an integer in \[1, 2000\], got '3'"),
+            ({"model": {"family": "laplace"}}, "model.family: 'laplace' is not one of .'gaussian'"),
+            ({"sweep": {"parameter": "rank_cap"}}, "sweep: 'values' is a required property"),
+            ({"metrics": []}, "metrics must not be empty"),
+            ({"extra": 1}, "config at .: Additional properties are not allowed .'extra' was unexpected"),
+            # Metric names match exactly.
+            ({"metrics": ["NMSE"]}, "unknown metric 'NMSE'"),
+            ({"estimators": ["oracle-soft:loss=SE"]}, "'oracle-soft:loss=SE': unknown metric 'SE'"),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
         with pytest.raises(ParameterError, match=message):
-            ExperimentConfig.from_config(small_config(n=20, m=30, **overrides))
+            ExperimentConfig.from_config(small_config(**{"n": 20, "m": 30, **overrides}))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"replications": 0}, r"replications must be an integer in \[1, 2000\], got 0"),
+            ({"replications": -3}, "replications must be an integer .*, got -3"),
+            ({"estimators": ()}, "estimators must not be empty"),
+            ({"metrics": ()}, "metrics must not be empty"),
+            ({"n": 10.5}, r"n must be an integer in \[1, 500\], got 10.5"),
+            ({"n": 600}, "n must be an integer .*, got 600"),
+            ({"m": True}, "m must be an integer .*, got True"),
+            ({"root_seed": -1}, r"root_seed must be an integer in \[0, inf\], got -1"),
+            ({"sweep_parameter": "bogus"}, "unknown sweep parameter 'bogus'"),
+            ({"sweep_parameter": "tau"}, "tau sweep values must not be empty"),
+            ({"sweep_values": (1.0, 2.0)}, "unknown sweep parameter None"),
+        ],
+    )
+    def test_direct_construction_checks_every_field(self, fields, message):
+        base = dict(
+            n=10, m=10, model=Gaussian(0.1), signal=SignalSpec("spike", sigmas=(2.0,)),
+            estimators=("pca",), replications=1, root_seed=0,
+        )
+        with pytest.raises(ParameterError, match=message):
+            ExperimentConfig(**dict(base, **fields))
+
+    def test_integral_floats_are_integers(self):
+        cfg = ExperimentConfig.from_config(small_config(n=20.0, replications=3.0, root_seed=7.0))
+        assert (cfg.n, cfg.replications, cfg.root_seed) == (20, 3, 7)
+        assert all(type(v) is int for v in (cfg.n, cfg.replications, cfg.root_seed))
+        assert cfg == ExperimentConfig.from_config(small_config(n=20))
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -608,3 +651,69 @@ def test_edge_shape_fits_raise_typed_or_match_their_info(family, name, kind, siz
     assert fn.clamp_floor == floor
     assert np.all(np.isfinite(estimate))
     np.testing.assert_array_equal(estimate, rebuild_from_info(info, fact, floor))
+
+
+# -- every JSON value at every config field -------------------------------------
+
+GRID_BASE = small_config(
+    signal={"type": "spike", "sigmas": [2.5, 1.0], "recipe": "quadratic_profile"},
+    estimators=["pca:rank=1,active=all", "soft"],
+    metrics=["nmse", "se"],
+    clamp_floor=1e-6,
+    sweep={"parameter": "sigma1", "values": [3.0, 4.0]},
+)
+# ``...`` deletes the field.
+GRID_VALUES = (
+    None, True, False, 0, -1, 2, 3.0, 10.5, 600, 10**30, float("inf"), float("nan"), "", "3",
+    "nmse", "NMSE", "cosine", [], [1.0], ["x"], {}, {"a": 1}, ...,
+)
+# Keys the base does not hold: unknown ones, and ones its model or signal type ignores.
+GRID_ADDED = (
+    (("extra",), 1), (("model", "sigma"), 1), (("model", "L"), 3.0), (("signal", "gamma"), 2.0),
+    (("signal", "rank"), 1), (("signal", "entries"), [[1.0]]), (("sweep", "extra"), 1),
+)
+
+
+def json_paths(value, path=()):
+    """The path of every field and list entry below ``value``."""
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def mutated(config, path, value):
+    config = copy.deepcopy(config)
+    node = functools.reduce(operator.getitem, path[:-1], config)
+    if value is ...:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return config
+
+
+def test_every_config_mutation_loads_or_raises_parameter_error():
+    mutations = [(p, v) for p in json_paths(GRID_BASE) for v in GRID_VALUES] + list(GRID_ADDED)
+    rejected = set()
+    for path, value in mutations:
+        try:
+            ExperimentConfig.from_config(mutated(GRID_BASE, path, value))
+        except ParameterError:
+            rejected.add((path, repr(value)))
+        except Exception as exc:
+            pytest.fail(f"{path} = {value!r} raised {exc!r}")
+    # One mutation of each kind of fault must be rejected.
+    must_reject = [
+        (("n",), 600), (("m",), 10.5), (("replications",), "3"), (("root_seed",), True),
+        (("root_seed",), -1), (("n",), ...),
+        (("model",), []), (("model", "family"), ["x"]), (("model", "tau"), "3"), (("model", "tau"), ...),
+        (("signal",), None), (("signal", "type"), "nmse"), (("signal", "sigmas"), {}),
+        (("signal", "sigmas", 0), "3"), (("signal", "sigmas", 1), True), (("signal", "recipe"), ["x"]),
+        (("estimators",), "nmse"), (("estimators",), []), (("estimators", 0), 2),
+        (("metrics",), []), (("metrics", 0), "NMSE"), (("metrics", 1), ["x"]),
+        (("clamp_floor",), "3"), (("clamp_floor",), 0),
+        (("sweep",), None), (("sweep", "parameter"), "cosine"), (("sweep", "parameter"), ...),
+        (("sweep", "values"), []), (("sweep", "values"), ...), (("sweep", "values", 0), "3"),
+        *GRID_ADDED,
+    ]
+    assert [m for m in must_reject if (m[0], repr(m[1])) not in rejected] == []

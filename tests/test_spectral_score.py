@@ -2,10 +2,6 @@
 from the spectrum (``metrics.SpectralScore``), the runner that uses it, and
 the one-compose-per-evaluation risk objectives."""
 
-import subprocess
-import sys
-
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,46 +223,6 @@ def test_clamped_estimates_compose_once_per_estimator_and_cap(monkeypatch):
     assert not result.failures
     assert len(result.records) == 2 * 3 * 2
     assert len(calls) == 2 * 3
-
-
-# -- the config validator ------------------------------------------------------
-
-
-def test_config_schema_is_a_valid_schema():
-    jsonschema.validators.validator_for(experiments.CONFIG_SCHEMA).check_schema(
-        experiments.CONFIG_SCHEMA
-    )
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"n": 0},
-        {"replications": "3"},
-        {"model": {"family": "laplace"}},
-        {"sweep": {"parameter": "rank_cap"}},
-        {"metrics": []},
-        {"extra": 1},
-    ],
-)
-def test_validator_raises_what_jsonschema_validate_raises(change):
-    config = rank_cap_config(**change)
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(config, experiments.CONFIG_SCHEMA)
-    with pytest.raises(ParameterError) as got:
-        experiments.validate_config(config)
-    exc = expected.value
-    assert str(got.value) == f"invalid experiment config at {exc.json_path}: {exc.message}"
-
-
-def test_validator_is_built_once():
-    assert experiments._config_validator() is experiments._config_validator()
-
-
-def test_importing_the_cli_does_not_import_jsonschema():
-    code = "import sys, svshrink.cli; sys.exit('jsonschema' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
 
 
 # -- one unclamped compose per risk evaluation ---------------------------------
