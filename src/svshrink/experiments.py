@@ -22,7 +22,7 @@ import numpy as np
 from . import activeset, linalg, metrics, rmt, shrinkage
 from .errors import DomainError, NumericalError, ParameterError, SvshrinkError
 from .linalg import DEFAULT_CLAMP_FLOOR, SpectralFunction, SvdFactorization
-from .models import Gaussian, NoiseModel, json_numbers, json_object, json_type, model_from_config
+from .models import Gaussian, NoiseModel, json_object, json_type, model_from_config
 
 SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
 
@@ -99,8 +99,15 @@ class SignalSpec:
                 raise ParameterError(
                     f"explicit signal entries must form a numeric matrix, got {rows.ndim} dimensions"
                 )
-            object.__setattr__(self, "entries", tuple(map(tuple, rows.tolist())))
+            # NumPy reads "1" and true as numbers; JSON does not.
+            entries = tuple(
+                tuple(json_type(v, f"$.signal.entries[{i}][{j}]", "number") for j, v in enumerate(row))
+                for i, row in enumerate(self.entries)
+            )
+            object.__setattr__(self, "entries", entries)
         if self.kind == "spike":
+            sigmas = tuple(json_type(v, f"$.signal.sigmas[{i}]", "number") for i, v in enumerate(self.sigmas))
+            object.__setattr__(self, "sigmas", sigmas)
             if not self.sigmas or not all(0 < s < np.inf for s in self.sigmas):
                 raise ParameterError(f"spike signals need positive finite strengths, got {list(self.sigmas)}")
             if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
@@ -118,7 +125,7 @@ class SignalSpec:
         kind = json_object(config, "$.signal", ("type",), None)["type"]
         if kind in tuple(_SIGNAL_KEYS):  # else the constructor rejects the type
             json_object(config, "$.signal", ("type",), _SIGNAL_KEYS[kind])
-        sigmas = json_numbers(config.get("sigmas", []), "$.signal.sigmas")
+        sigmas = tuple(json_type(config.get("sigmas", []), "$.signal.sigmas", "array"))
         recipe = config.get("recipe", "cosine" if kind == "equal_spikes" else "quadratic_profile")
         return cls(kind, sigmas, recipe, config.get("gamma"), config.get("rank"), config.get("entries"))
 
@@ -290,27 +297,28 @@ def fit_estimator(
         keep[np.asarray(active, dtype=int) - 1] = 1.0
         return linalg.weights_function(keep, floor), {"active_set": list(active)}
 
-    if method.name == "soft":
-        lam = shrinkage.soft_threshold_fit(
-            y, model, method.objective, clamp_floor=floor, rng=rng, fact=fact
-        )
+    # The fits search a score: a risk estimate built once per fit, or the
+    # oracle's realized loss.
+    if method.name in ("soft", "weighted"):
+        evaluate = shrinkage.make_risk_objective(y, fact, model, method.objective, rng=rng)
+        score = lambda fn: evaluate(fn).value
+    elif method.name == "oracle-soft":
+        score = lambda fn: metrics.metric(method.loss, linalg.reconstruct(fact, fn), signal, model)
+
+    if method.name in ("soft", "oracle-soft"):
+        lam = shrinkage.soft_threshold_fit(fact, score, floor)
         return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
 
     if method.name == "weighted":
         active = resolve_active(method, y, fact, model, clamp_floor)
-        w = _fit_weights(y, fact, model, method.objective, active, floor, rng)
+        w = _fit_weights(y, fact, model, method.objective, active, floor, score)
         info = {"active_set": list(active), "weights": {str(k): float(w[k - 1]) for k in active}}
         return linalg.weights_function(w, floor), info
 
-    if method.name == "oracle-soft":
-        lam = shrinkage.oracle_soft_threshold(
-            signal, model, method.loss, clamp_floor=floor, fact=fact
-        )
-        return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
-
     if method.name == "oracle-weights":
-        oracle = shrinkage.oracle_weights(signal, fact)
-        return _fixed_values(oracle.values, floor), {"raw_weights": oracle.raw_weights.tolist()}
+        values = shrinkage.oracle_weights(signal, fact)
+        raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
+        return _fixed_values(values, floor), {"raw_weights": raw.tolist()}
 
     # A spectral map commutes with transposition, so a tall matrix is read as
     # its wide transpose.
@@ -339,10 +347,10 @@ def fit_estimator(
     raise ParameterError(f"unhandled estimator {method.name!r}")
 
 
-def _fit_weights(y, fact, model, objective, active, clamp_floor, rng) -> np.ndarray:
-    """The weight vector of a weighted fit, with the fast paths: the Gaussian
-    closed form, and the rank-one closed forms when the active set is
-    exactly {1}."""
+def _fit_weights(y, fact, model, objective, active, clamp_floor, score) -> np.ndarray:
+    """The weight vector of a weighted fit: the greedy search of ``score``,
+    or a fast path: the Gaussian closed form, and the rank-one closed forms
+    when the active set is exactly {1}."""
     if isinstance(model, Gaussian) and objective == "sure":
         return shrinkage.weights_gaussian(fact, model.tau, active)
     if active == (1,) and objective in ("sukls", "pukla"):
@@ -352,9 +360,7 @@ def _fit_weights(y, fact, model, objective, active, clamp_floor, rng) -> np.ndar
         else:
             w[0] = shrinkage.weight1_poisson_pukla(y, fact)
         return w
-    return shrinkage.optimize_weights_greedy(
-        y, model, objective, active, clamp_floor=clamp_floor, rng=rng, fact=fact
-    )
+    return shrinkage.optimize_weights_greedy(fact, score, active, clamp_floor)
 
 
 def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralFunction:
@@ -397,6 +403,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_integer(getattr(self, name), what, least, most))
         if not 0 < self.clamp_floor < np.inf:
             raise ParameterError(f"clamp_floor must be positive and finite, got {self.clamp_floor}")
+        values = tuple(
+            json_type(v, f"$.sweep.values[{i}]", "number") for i, v in enumerate(self.sweep_values)
+        )
+        object.__setattr__(self, "sweep_values", values)
         parameter = self.sweep_parameter
         if parameter not in (None,) + SWEEP_PARAMETERS or parameter is None and self.sweep_values:
             raise ParameterError(f"unknown sweep parameter {parameter!r}; known: {list(SWEEP_PARAMETERS)}")
@@ -446,7 +456,7 @@ class ExperimentConfig:
             root_seed=config["root_seed"],
             metrics=tuple(json_type(config.get("metrics", ["nmse"]), "$.metrics", "array")),
             sweep_parameter=sweep["parameter"],
-            sweep_values=json_numbers(sweep["values"], "$.sweep.values"),
+            sweep_values=tuple(json_type(sweep["values"], "$.sweep.values", "array")),
             clamp_floor=json_type(config.get("clamp_floor", DEFAULT_CLAMP_FLOOR), "$.clamp_floor", "number"),
         )
 

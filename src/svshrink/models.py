@@ -192,8 +192,3 @@ def json_type(value, where: str, name: str):
     if isinstance(value, bool) or not isinstance(value, types[name]):
         raise _invalid(where, f"{value!r} is not of type {name!r}")
     return float(value) if name == "number" else value
-
-
-def json_numbers(value, where: str) -> tuple[float, ...]:
-    entries = json_type(value, where, "array")
-    return tuple(json_type(v, f"{where}[{i}]", "number") for i, v in enumerate(entries))

@@ -2,17 +2,21 @@
 
 The estimators keep the observation's singular vectors and modify its
 singular values: hard truncation, soft thresholding, or per-index weighting.
-The fits here return parameters, a soft threshold or a weight vector, and
-:func:`svshrink.experiments.fit_estimator` turns them into a
-:class:`~svshrink.linalg.SpectralFunction`.  Weights are chosen by
-minimizing an unbiased risk estimate: a closed form under Gaussian noise,
-rank-one closed forms for the Gamma synthesis-KL and Poisson analysis-KL
-criteria, and a greedy per-coordinate bounded search for everything else.
+A fit searches one family of maps for the lowest score: a soft threshold
+over ``[0, sigma_1]`` (:func:`soft_threshold_fit`) or weights in [0, 1], one
+coordinate at a time (:func:`optimize_weights_greedy`).  The score is any
+map from a :class:`~svshrink.linalg.SpectralFunction` to a float, so the
+same searches serve the unbiased risk estimates built by
+:func:`make_risk_objective` (SURE, GSURE, SUKLS, PURE, PUKLA) and the
+realized losses of the oracles; the searches know nothing of the noise.
+Closed forms replace the search where they exist: Gaussian weights, and the
+rank-one Gamma synthesis-KL and Poisson analysis-KL weights.  The fits
+return parameters, and :func:`svshrink.experiments.fit_estimator` turns
+them into a :class:`~svshrink.linalg.SpectralFunction`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -165,8 +169,9 @@ DEFAULT_OBJECTIVES = {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}
 
 def resolve_objective(model: NoiseModel, objective: Optional[str] = None) -> str:
     """The risk objective to use for ``model``: the family default when none is
-    given; :class:`ParameterError` for a pairing the family does not define."""
-    objective = (objective or DEFAULT_OBJECTIVES[model.family]).lower()
+    given; :class:`ParameterError` for a name that is not exactly one the
+    family defines (``SURE`` is not ``sure``)."""
+    objective = objective or DEFAULT_OBJECTIVES[model.family]
     if objective not in VALID_OBJECTIVES[model.family]:
         raise ParameterError(
             f"objective {objective!r} is not defined for the {model.family} family; valid pairings: "
@@ -187,12 +192,17 @@ def make_risk_objective(
 ) -> Callable[[SpectralFunction], risk.RiskEstimate]:
     """Build a deterministic map from spectral functions to risk estimates.
 
-    Monte-Carlo criteria draw their ``samples`` probe directions once, here,
-    and reuse them for every evaluation, so the returned objective is a fixed
-    function suitable for bounded minimization.  SUKLS uses the closed-form
-    divergence; it draws its probes only when an evaluation finds the clamp
-    floor active, since a clamped estimate has no closed form.  SURE scores
-    maps without a clamp floor only, from the spectrum alone
+    The soft and weight searches minimize its value and know nothing of the
+    noise family.  A Gamma observation is checked for positivity here, once,
+    when the objective is built.  Monte-Carlo criteria draw their ``samples``
+    probe directions on the first evaluation that needs them and reuse them
+    for every later one, so the returned objective is a fixed function
+    suitable for bounded minimization, and an objective never evaluated
+    draws nothing from ``rng``.  GSURE and approximate PURE/PUKLA need
+    probes on every evaluation; SUKLS uses the closed-form divergence and
+    needs them only once an evaluation finds the clamp floor active, since
+    a clamped estimate has no closed form.  SURE scores maps without a
+    clamp floor only, from the spectrum alone
     (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed.
     ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
     ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
@@ -201,6 +211,8 @@ def make_risk_objective(
     """
     objective = resolve_objective(model, objective)
     y = np.asarray(observed, dtype=float)
+    if model.family == "gamma":
+        validate_positive(y, "Gamma observations")
     poisson_mode = "exact" if exact and y.size <= risk.EXACT_DOWNDATE_CAP else "approx"
     directions: list[np.ndarray] = []
 
@@ -213,14 +225,11 @@ def make_risk_objective(
             directions.extend(risk.probe_directions(y.shape, samples, rng))
         return directions
 
-    if objective == "gsure" or (objective in ("pure", "pukla") and poisson_mode == "approx"):
-        probes()
-
     def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
-        if objective == "pure":
-            return risk.pure_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
-        if objective == "pukla":
-            return risk.pukla_poisson(y, fn, mode=poisson_mode, directions=directions, fact=fact)
+        if objective in ("pure", "pukla"):
+            poisson = risk.pure_poisson if objective == "pure" else risk.pukla_poisson
+            probed = probes() if poisson_mode == "approx" else None
+            return poisson(y, fn, mode=poisson_mode, directions=probed, fact=fact)
         s = fact.singular_values
         values = fn.values(s)
         if objective == "sure":
@@ -234,7 +243,7 @@ def make_risk_objective(
         estimate = linalg.clamp(raw, fn.clamp_floor)
         if objective == "gsure":
             theta_div = risk.mc_theta_divergence_gamma(
-                fn, y, model.shape, samples, directions=directions, fact=fact, raw=raw
+                fn, y, model.shape, samples, directions=probes(), fact=fact, raw=raw
             )
             return risk.gsure_gamma(y, estimate, model.shape, theta_div)
         if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
@@ -246,26 +255,23 @@ def make_risk_objective(
     return evaluate
 
 
+Score = Callable[[SpectralFunction], float]
+
+
 def optimize_weights_greedy(
-    observed: np.ndarray,
-    model: NoiseModel,
-    objective: str,
-    active_set: Iterable[int],
-    *,
-    clamp_floor: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
     fact: SvdFactorization,
+    score: Score,
+    active_set: Iterable[int],
+    clamp_floor: Optional[float] = None,
 ) -> np.ndarray:
-    """Greedy per-coordinate weight optimization.
+    """Greedy per-coordinate weight search minimizing ``score``.
 
     One sweep over the active indices in ascending order; each weight is
-    replaced by the bounded minimizer of the risk estimate over [0, 1] with
-    the other weights held fixed.  Returns the weight vector, shape
-    ``(min(n, m),)``, with weight zero at every inactive index.
+    replaced by the bounded minimizer over [0, 1] of ``score`` of the
+    weight map with the other weights held fixed.  Returns the weight
+    vector, shape ``(min(n, m),)``, with weight zero at every inactive index.
     """
-    y = np.asarray(observed, dtype=float)
     active = activeset.indices(active_set, fact.rank_bound)
-    evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
     weights = np.zeros(fact.rank_bound)
     for idx in active:
 
@@ -273,7 +279,7 @@ def optimize_weights_greedy(
             trial = weights.copy()
             trial[i] = t
             try:
-                return evaluate(linalg.weights_function(trial, clamp_floor)).value
+                return score(linalg.weights_function(trial, clamp_floor))
             except SvshrinkError as exc:
                 # Extend the message in place: the exception keeps its type
                 # and attributes, and no constructor is called again.
@@ -284,77 +290,32 @@ def optimize_weights_greedy(
     return weights
 
 
-def soft_threshold_fit(
-    observed: np.ndarray,
-    model: NoiseModel,
-    objective: str,
-    *,
-    clamp_floor: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
-    fact: SvdFactorization,
-) -> float:
-    """Fit the soft threshold by bounded minimization of a risk estimate over
-    ``[0, sigma_1]``.  An all-zero observation gets threshold 0 without a
-    search, unless the family excludes it."""
-    y = np.asarray(observed, dtype=float)
-    top = float(fact.singular_values[0])
-    if top == 0.0:
-        # The risk estimates that reject a non-positive Gamma observation
-        # are never evaluated on this path.
-        if model.family == "gamma":
-            validate_positive(y, "Gamma observations")
-        return 0.0
-    evaluate = make_risk_objective(y, fact, model, objective, rng=rng)
+def soft_threshold_fit(fact: SvdFactorization, score: Score, clamp_floor: Optional[float] = None) -> float:
+    """The soft threshold in ``[0, sigma_1]`` minimizing ``score`` of the
+    soft-threshold map; 0, without a search, for an all-zero spectrum.
 
-    def lam_objective(lam: float) -> float:
-        return evaluate(linalg.soft_threshold_function(lam, clamp_floor)).value
-
-    return minimize_bounded(lam_objective, 0.0, top)
-
-
-@dataclass(frozen=True)
-class OracleWeights:
-    """Best per-index singular values given the true signal.
-
-    ``values`` holds the raw optimal spectral values ``u_k^T X v_k`` (kept
-    unclipped for squared-error evaluation); ``raw_weights`` their ratios to
-    the observed singular values, which need not lie in [0, 1].
+    The search runs in units of ``min(1, sigma_1)``, so it stops within
+    ``BOUNDED_XATOL * min(1, sigma_1)`` and a small spectrum is searched as
+    a unit one is.  In units of lambda itself, a parabolic step multiplies
+    two lambda differences by a score difference; for SURE, a score of
+    scale sigma_1^2, the product underflows to zero below about
+    sigma_1 = 1e-75.
     """
-
-    values: np.ndarray
-    raw_weights: np.ndarray
-
-
-def oracle_weights(signal: np.ndarray, fact: SvdFactorization) -> OracleWeights:
-    """Per-index squared-error-optimal shrinkage given the true signal.
-
-    The optimal spectral value for index ``k`` is the signal's projection
-    ``u_k^T X v_k`` onto the observed singular pair; it is a benchmark, not a
-    practical estimator.
-    """
-    values = metrics.signal_projections(signal, fact)
-    s = fact.singular_values
-    raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
-    return OracleWeights(values, raw)
-
-
-def oracle_soft_threshold(
-    signal: np.ndarray,
-    model: Optional[NoiseModel] = None,
-    loss: str = "se",
-    *,
-    clamp_floor: Optional[float] = None,
-    fact: SvdFactorization,
-) -> float:
-    """Soft threshold minimizing a realized (non-expected) loss against the
-    known signal; ``loss`` is one of the metric names in
-    :mod:`svshrink.metrics`."""
     top = float(fact.singular_values[0])
     if top == 0.0:
         return 0.0
+    unit = min(1.0, top)
+    t = minimize_bounded(
+        lambda t: score(linalg.soft_threshold_function(t * unit, clamp_floor)), 0.0, top / unit
+    )
+    return t * unit
 
-    def lam_objective(lam: float) -> float:
-        xhat = linalg.reconstruct(fact, linalg.soft_threshold_function(lam, clamp_floor))
-        return metrics.metric(loss, xhat, signal, model)
 
-    return minimize_bounded(lam_objective, 0.0, top)
+def oracle_weights(signal: np.ndarray, fact: SvdFactorization) -> np.ndarray:
+    """Per-index squared-error-optimal spectral values given the true signal.
+
+    The optimal value for index ``k`` is the signal's projection
+    ``u_k^T X v_k`` onto the observed singular pair, kept unclipped; it is a
+    benchmark, not a practical estimator.
+    """
+    return metrics.signal_projections(signal, fact)

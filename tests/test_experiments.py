@@ -133,6 +133,10 @@ class TestSignalSpec:
             ({"kind": "equal_spikes", "gamma": 2.0, "rank": 0}, "positive integer rank, got 0"),
             ({"kind": "equal_spikes", "gamma": 2.0, "rank": 1.5}, "positive integer rank, got 1.5"),
             ({"kind": "equal_spikes", "rank": 2}, "positive finite gamma, got None"),
+            # Numbers are JSON numbers, as in a config file.
+            ({"kind": "spike", "sigmas": ("3",)}, r"at \$\.signal\.sigmas\[0\]: '3' is not of type 'number'"),
+            ({"kind": "spike", "sigmas": (3.0, True)}, r"sigmas\[1\]: True is not of type 'number'"),
+            ({"kind": "explicit", "entries": [["1", "2"], [True, "4.5"]]}, r"entries\[0\]\[0\]: '1' is not"),
         ],
     )
     def test_direct_fields_are_checked(self, kwargs, message):
@@ -305,6 +309,17 @@ class TestRunner:
             # Metric names match exactly.
             ({"metrics": ["NMSE"]}, "unknown metric 'NMSE'"),
             ({"estimators": ["oracle-soft:loss=SE"]}, "'oracle-soft:loss=SE': unknown metric 'SE'"),
+            # So do objective names, as `svshrink denoise --objective` reads them.
+            ({"estimators": ["soft:objective=SURE"]}, "'soft:objective=SURE': objective 'SURE' is not defined"),
+            # Explicit entries are JSON numbers: NumPy would read these as numbers.
+            (
+                {"signal": {"type": "explicit", "entries": [["1", "2"], [True, "4.5"]]}},
+                r"at \$\.signal\.entries\[0\]\[0\]: '1' is not of type 'number'",
+            ),
+            (
+                {"signal": {"type": "explicit", "entries": [[1.0, 2.0], [True, 4.5]]}},
+                r"at \$\.signal\.entries\[1\]\[0\]: True is not of type 'number'",
+            ),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -325,6 +340,11 @@ class TestRunner:
             ({"sweep_parameter": "bogus"}, "unknown sweep parameter 'bogus'"),
             ({"sweep_parameter": "tau"}, "tau sweep values must not be empty"),
             ({"sweep_values": (1.0, 2.0)}, "unknown sweep parameter None"),
+            (
+                {"sweep_parameter": "sigma1", "sweep_values": (3.0, "3")},
+                r"at \$\.sweep\.values\[1\]: '3' is not of type 'number'",
+            ),
+            ({"sweep_parameter": "sigma1", "sweep_values": (True,)}, r"values\[0\]: True is not of type"),
         ],
     )
     def test_direct_construction_checks_every_field(self, fields, message):

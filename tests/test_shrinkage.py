@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, ParameterError
@@ -9,7 +10,7 @@ from svshrink.experiments import FitMethod, fit_estimator
 from svshrink.linalg import SvdFactorization
 from svshrink.models import Gamma, Gaussian, Poisson
 
-from helpers import grid_argmin, rank_one_positive
+from helpers import grid_argmin, rank_one_positive, spiked_signal
 
 
 def synthetic_fact(sigmas, n=None, m=None) -> SvdFactorization:
@@ -19,6 +20,12 @@ def synthetic_fact(sigmas, n=None, m=None) -> SvdFactorization:
     n = n or k
     m = m or k
     return SvdFactorization(sigmas, np.eye(n)[:, :k], np.eye(m)[:, :k])
+
+
+def risk_score(y, fact, model, objective, rng=None):
+    """The score a fit of ``objective`` searches: the risk estimate's value."""
+    evaluate = shrinkage.make_risk_objective(y, fact, model, objective, rng=rng)
+    return lambda fn: evaluate(fn).value
 
 
 class TestApply:
@@ -242,10 +249,9 @@ class TestWeight1PoissonPureExact:
         x = rank_one_positive(15, 10, 55.0)
         y = Poisson().sample(x, np.random.default_rng(8))
         exact = shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y))
-        rng = np.random.default_rng(9)
-        weights = shrinkage.optimize_weights_greedy(
-            y, Poisson(), "pure", [1], clamp_floor=1e-6, rng=rng, fact=linalg.svd(y)
-        )
+        fact = linalg.svd(y)
+        score = risk_score(y, fact, Poisson(), "pure", np.random.default_rng(9))
+        weights = shrinkage.optimize_weights_greedy(fact, score, [1], 1e-6)
         assert abs(weights[0] - exact) <= 0.05 * max(exact, 1e-12)
 
 
@@ -256,15 +262,15 @@ class TestGreedyWeights:
         tau = 0.35
         fact = linalg.svd(y)
         closed = shrinkage.weights_gaussian(fact, tau)
-        greedy = shrinkage.optimize_weights_greedy(
-            y, Gaussian(tau), "sure", range(1, 7), fact=fact
-        )
+        score = risk_score(y, fact, Gaussian(tau), "sure")
+        greedy = shrinkage.optimize_weights_greedy(fact, score, range(1, 7))
         for k in range(6):
             assert greedy[k] == pytest.approx(closed[k], abs=1e-4)
 
     def test_empty_active_set(self):
         y = np.random.default_rng(11).standard_normal((4, 4))
-        weights = shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [], fact=linalg.svd(y))
+        fact = linalg.svd(y)
+        weights = shrinkage.optimize_weights_greedy(fact, risk_score(y, fact, Gaussian(0.5), "sure"), [])
         np.testing.assert_array_equal(weights, np.zeros(4))
 
     def test_gamma_rank_one_matches_closed_form(self):
@@ -273,10 +279,22 @@ class TestGreedyWeights:
         y = Gamma(L).sample(x, np.random.default_rng(12))
         fact = linalg.svd(y)
         closed = shrinkage.weight1_gamma_sukls(y, fact, L)
-        greedy = shrinkage.optimize_weights_greedy(
-            y, Gamma(L), "sukls", [1], clamp_floor=1e-6, rng=np.random.default_rng(13), fact=fact
-        )
+        score = risk_score(y, fact, Gamma(L), "sukls", np.random.default_rng(13))
+        greedy = shrinkage.optimize_weights_greedy(fact, score, [1], 1e-6)
         assert greedy[0] == pytest.approx(closed, abs=1e-4)
+
+    @pytest.mark.parametrize("model, objective", [(Gamma(3.0), "sukls"), (Poisson(), "pukla")])
+    def test_rank_one_closed_forms_draw_no_probes(self, model, objective):
+        # The fit builds its risk objective, which draws probes only when
+        # first evaluated; the closed form evaluates none, so the rng is
+        # left as it was for whatever reads it next.
+        y = model.sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        before = rng.bit_generator.state
+        method = FitMethod("weighted", objective=objective, active="all", rank=1)
+        _, info = fit_estimator(method, y, linalg.svd(y), model, rng)
+        assert info["active_set"] == [1]
+        assert rng.bit_generator.state == before
 
     def test_objective_errors_keep_type(self, monkeypatch):
         # The unclamped SURE objective scores every trial with
@@ -293,14 +311,16 @@ class TestGreedyWeights:
             raise DomainError("estimate left the domain")
 
         y = np.random.default_rng(20).standard_normal((4, 4))
+        fact = linalg.svd(y)
+        score = risk_score(y, fact, Gaussian(0.5), "sure")
         monkeypatch.setattr(risk, "sure_gaussian_spectral", coded)
         with pytest.raises(CodedError) as info:
-            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [1], fact=linalg.svd(y))
+            shrinkage.optimize_weights_greedy(fact, score, [1])
         assert info.value.code == 7
         assert str(info.value) == "boom"
         monkeypatch.setattr(risk, "sure_gaussian_spectral", out_of_domain)
         with pytest.raises(DomainError, match="weight index 2: estimate left the domain"):
-            shrinkage.optimize_weights_greedy(y, Gaussian(0.5), "sure", [2], fact=linalg.svd(y))
+            shrinkage.optimize_weights_greedy(fact, score, [2])
 
 
 class TestSoftThresholdFit:
@@ -309,7 +329,8 @@ class TestSoftThresholdFit:
         u, _ = np.linalg.qr(rng.standard_normal((10, 3)))
         v, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         y = (u * [5.0, 4.0, 3.0]) @ v.T
-        lam = shrinkage.soft_threshold_fit(y, Gaussian(1e-12), "sure", fact=linalg.svd(y))
+        fact = linalg.svd(y)
+        lam = shrinkage.soft_threshold_fit(fact, risk_score(y, fact, Gaussian(1e-12), "sure"))
         assert lam <= 1e-4 * 5.0
 
     def test_pure_noise_thresholds_out_everything(self):
@@ -318,7 +339,7 @@ class TestSoftThresholdFit:
             rng = np.random.default_rng(np.random.SeedSequence([15, i]))
             y = 0.1 * rng.standard_normal((100, 150))
             fact = linalg.svd(y)
-            lam = shrinkage.soft_threshold_fit(y, Gaussian(0.1), "sure", fact=fact)
+            lam = shrinkage.soft_threshold_fit(fact, risk_score(y, fact, Gaussian(0.1), "sure"))
             fitted.append(lam / fact.singular_values[0])
             estimate = linalg.reconstruct(fact, linalg.soft_threshold_function(lam))
             leftovers.append(np.sum(estimate**2) / np.sum(y**2))
@@ -335,7 +356,7 @@ class TestSoftThresholdFit:
         def value_at(lam):
             return objective(linalg.soft_threshold_function(lam)).value
 
-        lam = shrinkage.soft_threshold_fit(y, Gaussian(tau), "sure", fact=fact)
+        lam = shrinkage.soft_threshold_fit(fact, lambda fn: objective(fn).value)
         top = fact.singular_values[0]
         best_grid = min(value_at(l) for l in np.arange(0.0, top + 1e-9, 1e-3 * top))
         assert value_at(lam) <= best_grid + 1e-6
@@ -351,16 +372,60 @@ class TestSoftThresholdFit:
 
     def test_all_zero_observation(self):
         # Zero lies in the Gaussian and Poisson supports, not in Gamma's,
-        # which the soft fit must say as the pca and weighted fits do.
+        # which the soft fit must say as the pca and weighted fits do: the
+        # Gamma objectives check the support when they are built.
         y = np.zeros((4, 5))
+        fact = linalg.svd(y)
         for model, objective in ((Gaussian(0.5), "sure"), (Poisson(), "pure"), (Poisson(), "pukla")):
             rng = np.random.default_rng(0)
-            assert shrinkage.soft_threshold_fit(y, model, objective, rng=rng, fact=linalg.svd(y)) == 0.0
+            assert shrinkage.soft_threshold_fit(fact, risk_score(y, fact, model, objective, rng)) == 0.0
         for objective in ("gsure", "sukls"):
             with pytest.raises(DomainError, match="Gamma observations must be positive"):
-                shrinkage.soft_threshold_fit(
-                    y, Gamma(4.0), objective, rng=np.random.default_rng(0), fact=linalg.svd(y)
+                risk_score(y, fact, Gamma(4.0), objective, np.random.default_rng(0))
+            with pytest.raises(DomainError, match="Gamma observations must be positive"):
+                fit_estimator(
+                    FitMethod("soft", objective=objective), y, fact, Gamma(4.0), np.random.default_rng(0)
                 )
+
+
+# A 12x15 Gaussian and a 12x15 Gamma observation, each with sigma_1 > 1.
+SCALE_SIGNAL = spiked_signal(12, 15, [3.0], np.random.default_rng(21))
+SCALE_GAUSSIAN = SCALE_SIGNAL + 0.5 * np.random.default_rng(22).standard_normal((12, 15))
+SCALE_GAMMA = Gamma(4.0).sample(rank_one_positive(12, 15, 20.0), np.random.default_rng(23))
+# (estimator, observation, model at scale a, signal): every soft fit, and
+# the oracle's, on observation a Y with the Gaussian tau and the clamp floor
+# scaled by a too.
+SCALE_CASES = (
+    (FitMethod("soft", objective="sure"), SCALE_GAUSSIAN, lambda a: Gaussian(0.5 * a), None),
+    (FitMethod("soft", objective="gsure"), SCALE_GAMMA, lambda a: Gamma(4.0), None),
+    (FitMethod("soft", objective="sukls"), SCALE_GAMMA, lambda a: Gamma(4.0), None),
+    (FitMethod("oracle-soft", loss="se"), SCALE_GAUSSIAN, lambda a: Gaussian(0.5 * a), SCALE_SIGNAL),
+)
+
+
+def scaled_soft_fit(case, a: float) -> float:
+    method, y, model_at, signal = case
+    fact = linalg.svd(a * y)
+    _, info = fit_estimator(
+        method, a * y, fact, model_at(a), np.random.default_rng(24),
+        signal=None if signal is None else a * signal, clamp_floor=a * 1e-6,
+    )
+    return info["lambda"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-300, 0))
+def test_soft_fits_scale_with_small_inputs(j):
+    # Each fit on a*Y gives a times its lambda on Y, within the search's
+    # tolerance, which scales as min(1, sigma_1); a = 2^j scales exactly.  No
+    # RuntimeWarning may be raised (the suite makes one an error).
+    a = 2.0**j
+    for case in SCALE_CASES:
+        top = linalg.svd(case[1]).singular_values[0]
+        assert top > 1.0
+        expected = scaled_soft_fit(case, 1.0)
+        got = scaled_soft_fit(case, a)
+        assert abs(got / a - expected) <= 2.0 * shrinkage.BOUNDED_XATOL * top, case[0]
 
 
 class TestOracles:
@@ -368,18 +433,19 @@ class TestOracles:
         rng = np.random.default_rng(17)
         y = rng.standard_normal((6, 5))
         fact = linalg.svd(y)
-        oracle = shrinkage.oracle_weights(y, fact)
-        np.testing.assert_allclose(oracle.values, fact.singular_values, rtol=1e-10)
-        np.testing.assert_allclose(oracle.raw_weights, 1.0, rtol=0, atol=1e-10)
+        values = shrinkage.oracle_weights(y, fact)
+        np.testing.assert_allclose(values, fact.singular_values, rtol=1e-10)
+        _, info = fit_estimator(FitMethod("oracle-weights"), y, fact, Gaussian(1.0), rng, signal=y)
+        np.testing.assert_allclose(info["raw_weights"], 1.0, rtol=0, atol=1e-10)
 
     def test_zero_signal(self):
         rng = np.random.default_rng(18)
         y = rng.standard_normal((6, 5))
         fact = linalg.svd(y)
-        oracle = shrinkage.oracle_weights(np.zeros((6, 5)), fact)
-        np.testing.assert_allclose(oracle.values, 0.0, atol=1e-12)
-        lam = shrinkage.oracle_soft_threshold(np.zeros((6, 5)), fact=fact)
-        assert lam >= 0.999 * fact.singular_values[0]
+        np.testing.assert_allclose(shrinkage.oracle_weights(np.zeros((6, 5)), fact), 0.0, atol=1e-12)
+        method = FitMethod("oracle-soft", loss="se")
+        _, info = fit_estimator(method, y, fact, Gaussian(1.0), rng, signal=np.zeros((6, 5)))
+        assert info["lambda"] >= 0.999 * fact.singular_values[0]
 
     def test_oracle_values_are_local_minimizers(self):
         rng = np.random.default_rng(19)
@@ -389,10 +455,10 @@ class TestOracles:
         y = x + 0.2 * rng.standard_normal((12, 10))
         fact = linalg.svd(y)
         oracle = shrinkage.oracle_weights(x, fact)
-        base = float(np.sum((linalg.compose(fact, oracle.values) - x) ** 2))
+        base = float(np.sum((linalg.compose(fact, oracle) - x) ** 2))
         for k in range(fact.rank_bound):
             for bump in (-1e-3, 1e-3):
-                values = oracle.values.copy()
+                values = oracle.copy()
                 values[k] += bump
                 perturbed = float(np.sum((linalg.compose(fact, values) - x) ** 2))
                 assert perturbed >= base
