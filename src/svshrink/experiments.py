@@ -90,9 +90,15 @@ class SignalSpec:
             raise ParameterError(f"unknown signal type {self.kind!r}")
         if self.recipe not in tuple(_RECIPES):
             raise ParameterError(f"unknown signal recipe {self.recipe!r}; known: {sorted(_RECIPES)}")
+        # An array of JSON numbers for every type; only a spike signal's is not empty.
+        sigmas = json_type(self.sigmas, "$.signal.sigmas", "array")
+        sigmas = tuple(json_type(v, f"$.signal.sigmas[{i}]", "number") for i, v in enumerate(sigmas))
+        object.__setattr__(self, "sigmas", sigmas)
         if self.kind == "explicit":
             try:
                 rows = np.asarray(self.entries, dtype=float)
+            except OverflowError:  # an integer beyond the float range: json_type names its entry
+                rows = np.asarray(self.entries, dtype=object)
             except (TypeError, ValueError) as exc:
                 raise ParameterError(f"explicit signal entries must form a numeric matrix: {exc}") from exc
             if rows.ndim != 2:
@@ -106,17 +112,17 @@ class SignalSpec:
             )
             object.__setattr__(self, "entries", entries)
         if self.kind == "spike":
-            sigmas = tuple(json_type(v, f"$.signal.sigmas[{i}]", "number") for i, v in enumerate(self.sigmas))
-            object.__setattr__(self, "sigmas", sigmas)
             if not self.sigmas or not all(0 < s < np.inf for s in self.sigmas):
                 raise ParameterError(f"spike signals need positive finite strengths, got {list(self.sigmas)}")
             if any(b >= a for a, b in zip(self.sigmas, self.sigmas[1:])):
                 raise ParameterError(f"spike strengths must be strictly decreasing, got {list(self.sigmas)}")
         if self.kind == "equal_spikes":
-            if not (isinstance(self.gamma, numbers.Real) and 0 < self.gamma < np.inf) or self.gamma is True:
+            # A missing gamma reads as nan, which the range check rejects.
+            gamma = math.nan if self.gamma is None else json_type(self.gamma, "$.signal.gamma", "number")
+            if not 0 < gamma < np.inf:
                 raise ParameterError(f"equal-spike signals need a positive finite gamma, got {self.gamma!r}")
             rank = check_integer(self.rank, "equal-spike signals need a positive integer rank", 1)
-            object.__setattr__(self, "gamma", float(self.gamma))
+            object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "rank", rank)
 
     @classmethod
@@ -125,7 +131,7 @@ class SignalSpec:
         kind = json_object(config, "$.signal", ("type",), None)["type"]
         if kind in tuple(_SIGNAL_KEYS):  # else the constructor rejects the type
             json_object(config, "$.signal", ("type",), _SIGNAL_KEYS[kind])
-        sigmas = tuple(json_type(config.get("sigmas", []), "$.signal.sigmas", "array"))
+        sigmas = config.get("sigmas", ())
         recipe = config.get("recipe", "cosine" if kind == "equal_spikes" else "quadratic_profile")
         return cls(kind, sigmas, recipe, config.get("gamma"), config.get("rank"), config.get("entries"))
 
@@ -403,6 +409,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, check_integer(getattr(self, name), what, least, most))
         if not 0 < self.clamp_floor < np.inf:
             raise ParameterError(f"clamp_floor must be positive and finite, got {self.clamp_floor}")
+        arrays = {"estimators": "$.estimators", "metrics": "$.metrics", "sweep_values": "$.sweep.values"}
+        for name, where in arrays.items():
+            object.__setattr__(self, name, tuple(json_type(getattr(self, name), where, "array")))
         values = tuple(
             json_type(v, f"$.sweep.values[{i}]", "number") for i, v in enumerate(self.sweep_values)
         )
@@ -451,12 +460,12 @@ class ExperimentConfig:
             m=config["m"],
             model=model_from_config(config["model"]),
             signal=SignalSpec.from_config(config["signal"]),
-            estimators=tuple(json_type(config["estimators"], "$.estimators", "array")),
+            estimators=config["estimators"],
             replications=config["replications"],
             root_seed=config["root_seed"],
-            metrics=tuple(json_type(config.get("metrics", ["nmse"]), "$.metrics", "array")),
+            metrics=config.get("metrics", ("nmse",)),
             sweep_parameter=sweep["parameter"],
-            sweep_values=tuple(json_type(sweep["values"], "$.sweep.values", "array")),
+            sweep_values=sweep["values"],
             clamp_floor=json_type(config.get("clamp_floor", DEFAULT_CLAMP_FLOOR), "$.clamp_floor", "number"),
         )
 

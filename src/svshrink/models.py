@@ -187,8 +187,15 @@ def json_object(config, where: str, required: tuple, optional: Optional[tuple] =
 
 
 def json_type(value, where: str, name: str):
-    """``value``, if it has the JSON type ``name`` (a bool is no number); a number as a float."""
-    types = {"object": dict, "array": list, "number": numbers.Real}
+    """``value``, if it has the JSON type ``name`` (a bool is no number, and an
+    array is a list or tuple, never a string); a number as a float, which an
+    integer beyond the float range is not."""
+    types = {"object": dict, "array": (list, tuple), "number": numbers.Real}
     if isinstance(value, bool) or not isinstance(value, types[name]):
         raise _invalid(where, f"{value!r} is not of type {name!r}")
-    return float(value) if name == "number" else value
+    if name != "number":
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise _invalid(where, "an integer outside the float range is not a number") from exc

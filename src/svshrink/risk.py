@@ -1,11 +1,26 @@
 """Unbiased risk estimates for spectral denoisers.
 
-Covers the mean-squared-error estimate under Gaussian noise, its
-natural-parameter analogue and the Kullback-Leibler synthesis estimate under
-Gamma noise, and the Poisson estimates built from one-count downdates (exact
-enumeration or a first-order Monte-Carlo approximation).  The degrees-of-
-freedom term common to all of them is the divergence of the spectral map,
-available in closed form or by Monte-Carlo trace probing.
+Every estimate has one shape: a lead term computed from the estimate
+``f = f(Y)``, plus a fixed multiple of a divergence-like term::
+
+    estimate  lead                                  scale    divergence-like term
+    SURE      -n m tau^2 + ||f - Y||_F^2            2 tau^2  div f
+    GSURE     sum_ij carrier terms                  2        sum_ij (L / f_ij^2) df_ij/dY_ij
+    SUKLS     sum_ij [(L-1) f/y - L log f] - L n m  1        div f
+    PURE      ||f||_F^2                             -2       sum_ij y_ij f_ij(Y - e_i e_j^T)
+    PUKLA     sum_ij f_ij                           -1       sum_ij y_ij log f_ij(Y - e_i e_j^T)
+
+SURE estimates the mean-squared error under Gaussian noise; GSURE and SUKLS
+the natural-parameter MSE and the synthesis Kullback-Leibler risk under
+Gamma noise; PURE and PUKLA the MSE and the analysis Kullback-Leibler risk
+under Poisson noise, from one-count downdates.  The term is a float (the
+closed-form divergence of Candes, Sing-Long & Trzasko, IEEE TSP 2013, or an
+exact enumeration of the downdates) or a :class:`MonteCarloDivergence`, a
+mean over +-1 probes ``delta`` of ``delta * (J delta)`` (Ramani, Blu &
+Unser, IEEE TIP 2008) or of first-order downdates, whose standard error the
+estimate scales by ``|scale|``.  One constructor builds the five
+:class:`RiskEstimate` s, and one prelude gives every map-level estimate its
+checked map, factorization and unclamped estimate.
 
 The exact enumeration reuses the observation's factorization: with
 ``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
@@ -17,7 +32,7 @@ root deflates, and a tall ``Y`` is handled as ``Y^T`` (see
 :func:`downdated_entries`).
 
 Estimators are :class:`~svshrink.linalg.SpectralFunction` maps (anything else is
-a :class:`ParameterError`); every Monte-Carlo estimate reduces ``delta * (J delta)``.
+a :class:`ParameterError`).
 """
 
 from __future__ import annotations
@@ -167,41 +182,29 @@ def _factorization(matrix: np.ndarray, fact: Optional[SvdFactorization]) -> SvdF
     return fact
 
 
-def _unclamped(
-    fn: SpectralFunction, fact: SvdFactorization, raw: Optional[np.ndarray]
-) -> np.ndarray:
-    """The unclamped estimate ``sum_k f_k u_k v_k^T`` of ``fn`` on ``fact``:
-    ``raw`` when given, else composed here."""
+def _estimate(fn, matrix, fact, raw=None) -> tuple[SpectralFunction, SvdFactorization, np.ndarray]:
+    """The checked spectral map ``fn``, the factorization of ``matrix`` it is
+    evaluated on and its unclamped estimate ``sum_k f_k u_k v_k^T``: ``raw``
+    when given, checked against the shape, else composed here."""
+    fn = _require_spectral(fn)
+    fact = _factorization(matrix, fact)
     if raw is None:
-        return linalg.compose(fact, fn.values(fact.singular_values))
+        return fn, fact, linalg.compose(fact, fn.values(fact.singular_values))
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (fact.n, fact.m):
         raise DomainError(
             f"the unclamped estimate has shape {raw.shape}, expected {(fact.n, fact.m)}"
         )
-    return raw
+    return fn, fact, raw
 
 
-def _estimate(fn, matrix, fact, raw=None) -> tuple[np.ndarray, SvdFactorization, np.ndarray]:
-    """The estimate of the spectral map ``fn`` at ``matrix``, the factorization
-    it was built from and the unclamped estimate it clamps (one compose gives
-    both)."""
-    fn = _require_spectral(fn)
-    fact = _factorization(matrix, fact)
-    raw = _unclamped(fn, fact, raw)
-    return linalg.clamp(raw, fn.clamp_floor), fact, raw
-
-
-def _probe_products(fn: SpectralFunction, fact, directions, raw=None) -> Iterator[np.ndarray]:
+def _probe_products(fn: SpectralFunction, fact, directions, raw) -> Iterator[np.ndarray]:
     """``delta * (J delta)`` for each probe ``delta``, ``J`` the Jacobian of
     ``fn`` at ``fact``.  For +-1 probes its expectation is the Jacobian
-    diagonal ``dF_ij/dY_ij`` (Ramani, Blu & Unser, IEEE TIP 2008).  The
-    clamp's derivative is taken as 0 where the floor is active and 1
-    elsewhere; those entries are read once, from the unclamped estimate
-    ``raw`` (composed here when the map has a floor and it is not given)."""
-    free = None
-    if fn.clamp_floor is not None:
-        free = _unclamped(fn, fact, raw) >= fn.clamp_floor
+    diagonal ``dF_ij/dY_ij``.  The clamp's derivative is taken as 0 where the
+    floor is active and 1 elsewhere; those entries are read once, from the
+    unclamped estimate ``raw``."""
+    free = None if fn.clamp_floor is None else raw >= fn.clamp_floor
     s = fact.singular_values
     values, derivs = fn.values(s), fn.derivs(s)
     for delta in directions:
@@ -209,11 +212,26 @@ def _probe_products(fn: SpectralFunction, fact, directions, raw=None) -> Iterato
         yield delta * (jvp if free is None else np.where(free, jvp, 0.0))
 
 
-def _mean_stderr(samples: Sequence[float]) -> tuple[float, Optional[float], int]:
+def _mean_stderr(samples: Sequence[float]) -> MonteCarloDivergence:
     """Mean, standard error (``None`` for one sample) and count of samples."""
     count = len(samples)
     stderr = float(np.std(samples, ddof=1) / np.sqrt(count)) if count > 1 else None
-    return float(np.mean(samples)), stderr, count
+    return MonteCarloDivergence(float(np.mean(samples)), stderr, count)
+
+
+def _risk_estimate(
+    kind: EstimatorKind, lead: float, scale: float, divergence, note: str, *, exact: bool = False
+) -> RiskEstimate:
+    """The estimate ``lead + scale * divergence``.  A
+    :class:`MonteCarloDivergence` carries its sample count, and its standard
+    error times ``|scale|``; a float is closed form, or ``exact`` when it
+    comes from an enumeration."""
+    if isinstance(divergence, MonteCarloDivergence):
+        stderr = abs(scale) * divergence.stderr if divergence.stderr is not None else None
+        value = lead + scale * divergence.value
+        return RiskEstimate(value, kind, "monte_carlo", divergence.samples, stderr, offset_note=note)
+    value = lead + scale * float(divergence)
+    return RiskEstimate(value, kind, "exact" if exact else "closed_form", offset_note=note)
 
 
 def mc_divergence(
@@ -223,7 +241,6 @@ def mc_divergence(
     rng: Optional[np.random.Generator] = None,
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
-    weights: Optional[np.ndarray] = None,
     fact: Optional[SvdFactorization] = None,
     raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
@@ -235,31 +252,17 @@ def mc_divergence(
 
     Parameters
     ----------
-    weights : np.ndarray, optional
-        Entrywise weights ``a_ij``; the estimate then targets
-        ``sum_ij a_ij dF_ij / dY_ij`` instead of the plain divergence.
     directions : sequence of np.ndarray, optional
         Explicit probe directions (overrides ``samples``/``rng``); useful for
         full enumeration and for freezing an objective during optimization.
     fact, raw : optional
-        The factorization of ``matrix`` and the unclamped estimate of a map
-        with a clamp floor; each is computed once here when needed and not
-        given.
+        The factorization of ``matrix`` and the unclamped estimate of the
+        map; each is computed once here when not given.
     """
-    _require_spectral(apply)
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    fact = _factorization(matrix, fact)
-    products = _probe_products(apply, fact, directions, raw)
-    if weights is not None:
-        products = (weights * product for product in products)
-    return MonteCarloDivergence(*_mean_stderr([float(np.sum(p)) for p in products]))
-
-
-def _divergence_fields(divergence) -> tuple[float, DivergenceKind, Optional[int], Optional[float]]:
-    if isinstance(divergence, MonteCarloDivergence):
-        return divergence.value, "monte_carlo", divergence.samples, divergence.stderr
-    return float(divergence), "closed_form", None, None
+    fn, fact, raw = _estimate(apply, matrix, fact, raw)
+    return _mean_stderr([float(np.sum(p)) for p in _probe_products(fn, fact, directions, raw)])
 
 
 def sure_gaussian(
@@ -308,11 +311,10 @@ def _sure(
     """SURE from the squared residual ``||estimate - Y||_F^2``."""
     if not tau > 0:
         raise ParameterError("tau must be positive")
-    div, kind, samples, dstderr = _divergence_fields(divergence)
     n, m = shape
-    value = -n * m * tau**2 + residual + 2.0 * tau**2 * div
-    stderr = 2.0 * tau**2 * dstderr if dstderr is not None else None
-    return RiskEstimate(value, "SURE", kind, samples, stderr, offset_note="estimates the MSE itself")
+    return _risk_estimate(
+        "SURE", -n * m * tau**2 + residual, 2.0 * tau**2, divergence, "estimates the MSE itself"
+    )
 
 
 def _gamma_inputs(observed, estimate, shape, name: str) -> tuple[float, np.ndarray, np.ndarray]:
@@ -349,15 +351,11 @@ def gsure_gamma(
     expectation collapse to ``sum (theta_hat - theta)^2``.
     """
     L, y, f = _gamma_inputs(observed, estimate, shape, "natural-parameter risk estimate")
-    div, kind, samples, dstderr = _divergence_fields(theta_divergence)
-    value = float(
+    lead = float(
         np.sum(L**2 / f**2 - 2.0 * L * (L - 1.0) / (y * f) + (L - 1.0) * (L - 2.0) / y**2)
     )
-    value += 2.0 * div
-    stderr = 2.0 * dstderr if dstderr is not None else None
-    return RiskEstimate(
-        value, "GSURE", kind, samples, stderr,
-        offset_note="estimates the MSE of the natural parameter eta(X)",
+    return _risk_estimate(
+        "GSURE", lead, 2.0, theta_divergence, "estimates the MSE of the natural parameter eta(X)"
     )
 
 
@@ -374,20 +372,20 @@ def mc_theta_divergence_gamma(
 ) -> MonteCarloDivergence:
     """Monte-Carlo estimate of the natural-parameter divergence for Gamma.
 
-    Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` with entrywise weights
-    ``L / f_ij^2`` applied to the divergence trace estimator.  ``fact``, the
-    factorization of ``matrix``, and ``raw``, the unclamped estimate, are
+    Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` by averaging
+    ``sum_ij (L / f_ij^2) delta_ij (J delta)_ij`` over +-1 directions, as
+    :func:`mc_divergence` averages ``sum_ij delta_ij (J delta)_ij``.  ``fact``,
+    the factorization of ``matrix``, and ``raw``, the unclamped estimate, are
     computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    f, fact, raw = _estimate(spectral_fn, matrix, fact, raw)
+    fn, fact, raw = _estimate(spectral_fn, matrix, fact, raw)
+    f = linalg.clamp(raw, fn.clamp_floor)
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
-    return mc_divergence(
-        spectral_fn, matrix, samples, directions=directions, weights=float(shape) / f**2,
-        fact=fact, raw=raw,
-    )
+    weights = float(shape) / f**2
+    return _mean_stderr([float(np.sum(weights * p)) for p in _probe_products(fn, fact, directions, raw)])
 
 
 def sukls_gamma(
@@ -402,13 +400,9 @@ def sukls_gamma(
     ``sum_ij [(L-1) f_ij / y_ij - L log f_ij] - L n m + div f(Y)``.
     """
     L, y, f = _gamma_inputs(observed, estimate, shape, "synthesis KL risk estimate")
-    div, kind, samples, dstderr = _divergence_fields(divergence)
     n, m = y.shape
-    value = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * n * m + div
-    return RiskEstimate(
-        value, "SUKLS", kind, samples, dstderr,
-        offset_note="estimates MKLS minus sum_ij A(theta_ij)",
-    )
+    lead = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * n * m
+    return _risk_estimate("SUKLS", lead, 1.0, divergence, "estimates MKLS minus sum_ij A(theta_ij)")
 
 
 def downdated_entries(
@@ -592,13 +586,15 @@ def _guard_exact_size(matrix: np.ndarray) -> None:
 
 
 def _poisson_downdates(
-    observed, fn: SpectralFunction, mode: str, samples, rng, directions, fact
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """What PURE and PUKLA share: the estimate ``f(Y)``, the nonzero counts
-    ``y_ij`` and samples of ``f_ij(Y - e_i e_j^T)`` at those entries.
-    ``mode="exact"`` gives one sample, evaluated on every one-count downdate
-    (guarded to small matrices); ``mode="approx"`` gives one first-order
-    sample ``f - delta * (J delta)`` per probe direction."""
+    observed, fn: SpectralFunction, mode: str, samples, rng, directions, fact, term
+) -> tuple[np.ndarray, Union[float, MonteCarloDivergence]]:
+    """What PURE and PUKLA share: the estimate ``f(Y)`` and the mean of
+    ``term(y, down)`` over samples ``down`` of ``f_ij(Y - e_i e_j^T)`` at the
+    nonzero counts ``y``.  ``mode="exact"`` gives one sample, evaluated on
+    every one-count downdate (guarded to small matrices), and its term as a
+    float; ``mode="approx"`` gives one first-order sample ``f - delta *
+    (J delta)`` per probe direction, and the mean as a
+    :class:`MonteCarloDivergence`."""
     y = validate_counts(observed)
     if mode == "approx":
         directions = probe_directions(y.shape, samples, rng, directions)
@@ -606,25 +602,15 @@ def _poisson_downdates(
         _guard_exact_size(y)
     else:
         raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    fhat, fact, raw = _estimate(fn, y, fact)
+    fn, fact, raw = _estimate(fn, y, fact)
+    fhat = linalg.clamp(raw, fn.clamp_floor)
     nonzero = y > 0  # a boolean mask reads the entries in the order np.argwhere lists them
+    counts = y[nonzero]
     if mode == "exact":
-        down = [downdated_entries(fn, y, np.argwhere(nonzero), fact=fact)]
-    else:
-        base = fhat[nonzero]
-        down = [base - p[nonzero] for p in _probe_products(fn, fact, directions, raw)]
-    return fhat, y[nonzero], down
-
-
-def _poisson_estimate(lead, scale, terms, mode, kind: EstimatorKind, note: str) -> RiskEstimate:
-    """``lead - scale * mean(terms)``: exact for one term per enumeration,
-    else a Monte-Carlo estimate with its standard error."""
-    mean, stderr, count = _mean_stderr(terms)
-    value = lead - scale * mean
-    if mode == "exact":
-        return RiskEstimate(value, kind, "exact", offset_note=note)
-    stderr = scale * stderr if stderr is not None else None
-    return RiskEstimate(value, kind, "monte_carlo", count, stderr, offset_note=note)
+        return fhat, term(counts, downdated_entries(fn, y, np.argwhere(nonzero), fact=fact))
+    base = fhat[nonzero]
+    products = _probe_products(fn, fact, directions, raw)
+    return fhat, _mean_stderr([term(counts, base - p[nonzero]) for p in products])
 
 
 def pure_poisson(
@@ -645,11 +631,11 @@ def pure_poisson(
     first-order expansion probed along +-1 directions.  ``fact``, the
     factorization of ``observed``, is computed once here when not given.
     """
-    fhat, counts, down = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact)
-    crosses = [float(np.sum(counts * d)) for d in down]
-    return _poisson_estimate(
-        float(np.sum(fhat**2)), 2.0, crosses, mode, "PURE",
-        "estimates MSE minus the squared Frobenius norm of the signal",
+    cross = lambda counts, down: float(np.sum(counts * down))
+    fhat, crosses = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact, cross)
+    return _risk_estimate(
+        "PURE", float(np.sum(fhat**2)), -2.0, crosses,
+        "estimates MSE minus the squared Frobenius norm of the signal", exact=mode == "exact",
     )
 
 
@@ -671,10 +657,12 @@ def pukla_poisson(
     :data:`PUKLA_LOG_FLOOR` (or the estimator's own clamp floor if larger).
     ``mode`` and ``fact`` are as in :func:`pure_poisson`.
     """
-    fhat, counts, down = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact)
-    log_floor = max(PUKLA_LOG_FLOOR, estimator.clamp_floor or 0.0)
-    terms = [float(np.sum(counts * np.log(np.maximum(d, log_floor)))) for d in down]
-    return _poisson_estimate(
-        float(np.sum(fhat)), 1.0, terms, mode, "PUKLA",
-        "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)",
+    def log_term(counts, down):  # the floor is read once the map is known to be spectral
+        log_floor = max(PUKLA_LOG_FLOOR, estimator.clamp_floor or 0.0)
+        return float(np.sum(counts * np.log(np.maximum(down, log_floor))))
+
+    fhat, logs = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact, log_term)
+    return _risk_estimate(
+        "PUKLA", float(np.sum(fhat)), -1.0, logs,
+        "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)", exact=mode == "exact",
     )

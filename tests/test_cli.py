@@ -421,6 +421,32 @@ class TestExperimentCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    BIG = 10**400  # json writes and reads it as an integer literal past the float range
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"model": {"family": "gaussian", "tau": BIG}}, "$.model.tau"),
+            ({"model": {"family": "gamma", "L": BIG}}, "$.model.L"),
+            ({"signal": {"type": "equal_spikes", "gamma": BIG, "rank": 1}, "sweep": None}, "$.signal.gamma"),
+            ({"signal": {"type": "spike", "sigmas": [BIG, 1.0]}}, "$.signal.sigmas[0]"),
+            ({"signal": {"type": "explicit", "entries": [[1.0, BIG]]}, "sweep": None}, "$.signal.entries[0][1]"),
+            ({"sweep": {"parameter": "sigma1", "values": [1.5, BIG]}}, "$.sweep.values[1]"),
+            ({"clamp_floor": BIG}, "$.clamp_floor"),
+        ],
+    )
+    def test_integer_beyond_the_float_range_is_usage_error(self, tmp_path, capsys, overrides, path):
+        bad = {k: v for k, v in dict(self.CONFIG, **overrides).items() if v is not None}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code = cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: invalid experiment config at {path}: "
+            "an integer outside the float range is not a number\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_threads_do_not_change_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(self.CONFIG))

@@ -34,6 +34,15 @@ def small_config(**overrides):
     return base
 
 
+def direct_config(**fields):
+    """An ExperimentConfig built in Python, with ``fields`` replaced."""
+    base = dict(
+        n=10, m=10, model=Gaussian(0.1), signal=SignalSpec("spike", sigmas=(2.0,)),
+        estimators=("pca",), replications=1, root_seed=0,
+    )
+    return ExperimentConfig(**dict(base, **fields))
+
+
 class TestSignalRecipes:
     def test_quadratic_profile_contract(self):
         # The test signals' profile is the recipe's first column.
@@ -354,6 +363,23 @@ class TestRunner:
         )
         with pytest.raises(ParameterError, match=message):
             ExperimentConfig(**dict(base, **fields))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SignalSpec("spike", sigmas=3.0), r"at \$\.signal\.sigmas: 3\.0 is not of type 'array'"),
+            (
+                lambda: direct_config(sweep_parameter="tau", sweep_values=0.5),
+                r"at \$\.sweep\.values: 0\.5 is not of type 'array'",
+            ),
+            # A string is not read as its letters.
+            (lambda: direct_config(estimators="pca"), r"at \$\.estimators: 'pca' is not of type 'array'"),
+            (lambda: direct_config(metrics="nmse"), r"at \$\.metrics: 'nmse' is not of type 'array'"),
+        ],
+    )
+    def test_scalar_or_string_for_an_array_is_parameter_error(self, build, message):
+        with pytest.raises(ParameterError, match=message):
+            build()
 
     def test_integral_floats_are_integers(self):
         cfg = ExperimentConfig.from_config(small_config(n=20.0, replications=3.0, root_seed=7.0))

@@ -566,6 +566,82 @@ class TestEmptyProbeSets:
             risk.pukla_poisson(y, fn, mode="approx", samples=0, rng=np.random.default_rng(0))
 
 
+DIVERGENCES = [risk.MonteCarloDivergence(3.25, 0.5, 7), risk.MonteCarloDivergence(-1.5, None, 1), 3.25]
+
+
+class TestEstimateContract:
+    """Every estimate is ``lead + scale * divergence``: a Monte-Carlo
+    divergence brings its sample count and a standard error times
+    ``|scale|``; a float is closed form, or exact for an enumeration."""
+
+    @staticmethod
+    def check(est, kind, value, scale, divergence):
+        assert est.estimator_kind == kind
+        assert est.value == value
+        if isinstance(divergence, risk.MonteCarloDivergence):
+            stderr = None if divergence.stderr is None else abs(scale) * divergence.stderr
+            assert (est.divergence_kind, est.samples, est.stderr) == ("monte_carlo", divergence.samples, stderr)
+        else:
+            assert (est.divergence_kind, est.samples, est.stderr) == ("closed_form", None, None)
+
+    @staticmethod
+    def value_of(divergence):
+        return divergence.value if isinstance(divergence, risk.MonteCarloDivergence) else divergence
+
+    @pytest.mark.parametrize("divergence", DIVERGENCES)
+    def test_sure_entrywise_and_spectral(self, divergence):
+        y = np.random.default_rng(30).standard_normal((4, 6))
+        fact = linalg.svd(y)
+        f = 0.5 * fact.singular_values
+        estimate = linalg.compose(fact, f)
+        tau, div = 0.3, self.value_of(divergence)
+        value = -4 * 6 * tau**2 + float(np.sum((estimate - y) ** 2)) + 2.0 * tau**2 * div
+        self.check(risk.sure_gaussian(y, estimate, tau, divergence), "SURE", value, 2.0 * tau**2, divergence)
+        value = -4 * 6 * tau**2 + float(np.sum((f - fact.singular_values) ** 2)) + 2.0 * tau**2 * div
+        est = risk.sure_gaussian_spectral(fact, f, tau, divergence)
+        self.check(est, "SURE", value, 2.0 * tau**2, divergence)
+
+    @pytest.mark.parametrize("divergence", DIVERGENCES)
+    def test_gsure_and_sukls(self, divergence):
+        rng = np.random.default_rng(31)
+        y = rng.gamma(4.0, 0.5, size=(3, 5)) + 0.1
+        f = 0.8 * y + 0.2
+        L, div = 4.0, self.value_of(divergence)
+        lead = float(np.sum(L**2 / f**2 - 2.0 * L * (L - 1.0) / (y * f) + (L - 1.0) * (L - 2.0) / y**2))
+        self.check(risk.gsure_gamma(y, f, L, divergence), "GSURE", lead + 2.0 * div, 2.0, divergence)
+        value = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * 3 * 5 + div
+        self.check(risk.sukls_gamma(y, f, L, divergence), "SUKLS", value, 1.0, divergence)
+
+    def test_poisson_modes(self):
+        rng = np.random.default_rng(32)
+        y = Poisson().sample(rank_one_positive(5, 7, 40.0), rng)
+        y[0, 0] = 0.0
+        fn = weighted_rank1(0.9, 1e-6)
+        fhat = linalg.reconstruct(linalg.svd(y), fn)
+        nonzero = np.argwhere(y > 0)
+        counts = y[nonzero[:, 0], nonzero[:, 1]]
+        down = risk.downdated_entries(fn, y, nonzero)
+        crosses = float(np.sum(counts * down))
+        logs = float(np.sum(counts * np.log(np.maximum(down, risk.PUKLA_LOG_FLOOR))))
+        exact = {
+            "PURE": (risk.pure_poisson(y, fn), float(np.sum(fhat**2)) - 2.0 * crosses),
+            "PUKLA": (risk.pukla_poisson(y, fn), float(np.sum(fhat)) - logs),
+        }
+        for kind, (est, value) in exact.items():
+            assert (est.estimator_kind, est.value) == (kind, value)
+            assert (est.divergence_kind, est.samples, est.stderr) == ("exact", None, None)
+        directions = [risk.rademacher(y.shape, rng) for _ in range(3)]
+        for poisson in (risk.pure_poisson, risk.pukla_poisson):
+            ones = [poisson(y, fn, mode="approx", directions=[d]) for d in directions]
+            assert {(one.divergence_kind, one.samples, one.stderr) for one in ones} == {("monte_carlo", 1, None)}
+            est = poisson(y, fn, mode="approx", directions=directions)
+            assert (est.divergence_kind, est.samples) == ("monte_carlo", 3)
+            # A one-probe value is lead + scale * term, so the values spread
+            # |scale| times as wide as the terms.
+            spread = float(np.std([one.value for one in ones], ddof=1) / np.sqrt(3))
+            assert est.stderr == pytest.approx(spread, rel=1e-9)
+
+
 class TestRiskEstimateSerialization:
     def test_json_fields(self):
         est = risk.RiskEstimate(1.5, "SURE", "monte_carlo", samples=8, stderr=0.1, offset_note="x")
