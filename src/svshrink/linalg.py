@@ -97,6 +97,13 @@ class SvdFactorization:
         return _read_only(mask)
 
     @cached_property
+    def has_ties(self) -> bool:
+        """Whether any singular value is tied with another (any entry of
+        :attr:`tie_mask` is set): read once per factorization, so the
+        per-evaluation formulas skip :func:`check_distinct` with one test."""
+        return bool(self.tie_mask.any())
+
+    @cached_property
     def pair_sums(self) -> np.ndarray:
         """Read-only vector, shape ``(k,)``, of the pair sums
         ``P_k = sum_{l != k} sigma_k / (sigma_k^2 - sigma_l^2)`` over untied
@@ -116,9 +123,10 @@ class SvdFactorization:
 
     def transposed(self) -> "SvdFactorization":
         """Factorization of ``Y^T`` (swap the singular-vector roles); it shares
-        the cached :attr:`tie_mask` and :attr:`pair_sums` already computed."""
+        the cached :attr:`tie_mask`, :attr:`has_ties` and :attr:`pair_sums`
+        already computed."""
         out = SvdFactorization(self.singular_values, self.right_vectors, self.left_vectors)
-        for name in ("tie_mask", "pair_sums"):
+        for name in ("tie_mask", "has_ties", "pair_sums"):
             if name in self.__dict__:
                 out.__dict__[name] = self.__dict__[name]
         return out
@@ -200,7 +208,7 @@ def check_distinct(
 
     Reads the factorization's cached :attr:`SvdFactorization.tie_mask`; the
     pair matrix is built only to name a pair that is about to be reported.
-    Callers skip the call when ``fact.tie_mask`` is all false.
+    Callers skip the call when ``fact.has_ties`` is false.
     """
     inert = np.asarray(values) == 0.0
     if derivs is not None:
@@ -220,19 +228,18 @@ def check_distinct(
 
 
 def _safe_ratio(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """``f_k / sigma_k`` with the 0/0 -> 0 convention for collapsed components."""
-    num = np.asarray(values, dtype=float)
-    den = np.asarray(sigmas, dtype=float)
-    zero = den == 0.0
-    if zero.any():
-        bad = zero & (num != 0.0)
-        if bad.any():
-            k = int(np.argwhere(bad)[0]) + 1
-            raise DegenerateSpectrumError(
-                f"singular value {k} is zero but the spectral map does not vanish there"
-            )
-        den = np.where(zero, 1.0, den)  # num is 0 there, so the ratio is 0
-    return num / den
+    """``f_k / sigma_k`` for float arrays of values and of descending singular
+    values, with the 0/0 -> 0 convention for collapsed components."""
+    if len(sigmas) and sigmas[-1] != 0.0:  # the least value is last: none is zero
+        return values / sigmas
+    zero = sigmas == 0.0
+    bad = zero & (values != 0.0)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0]) + 1
+        raise DegenerateSpectrumError(
+            f"singular value {k} is zero but the spectral map does not vanish there"
+        )
+    return values / np.where(zero, 1.0, sigmas)  # values are 0 there, so the ratio is 0
 
 
 def directional_derivative(
@@ -287,7 +294,7 @@ def directional_derivative(
     d = np.asarray(shrink_derivs, dtype=float)
     if f.shape != s.shape or d.shape != s.shape:
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    if fact.tie_mask.any():
+    if fact.has_ties:
         check_distinct(fact, f, d)
 
     inside = (f != 0.0) | (d != 0.0)  # the support A, as a mask
@@ -364,7 +371,7 @@ def soft_threshold_values(sigmas: np.ndarray, lam: float) -> np.ndarray:
 def soft_threshold_derivs(sigmas: np.ndarray, lam: float) -> np.ndarray:
     # 1 above the threshold, 0 below; an exact float tie takes the symmetric
     # subgradient 1/2 so that central-difference probes of the kink agree.
-    out = np.where(sigmas > lam, 1.0, 0.0)
+    out = (sigmas > lam).astype(float)
     out[sigmas == lam] = 0.5
     return out
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -119,6 +119,12 @@ class SpectralScore:
     residual and ``||X||_F^2`` are computed on first use and kept, so each
     estimate costs O(k) instead of an n x m compose.  Equal to the entrywise
     :func:`metric` up to rounding.
+
+    ``values`` may be one spectrum, shape ``(k,)``, scored as a float, or a
+    ``(C, k)`` stack of spectra (the rank caps of one fit, say), scored in
+    one pass as a length-``C`` array whose entry ``i`` equals, bit for bit,
+    the score of row ``i`` alone: the sum runs along the last axis, row by
+    row, as it does over one spectrum.
     """
 
     def __init__(self, signal: np.ndarray, fact: SvdFactorization):
@@ -139,15 +145,17 @@ class SpectralScore:
     def energy(self) -> float:
         return float(np.sum(self.signal**2))
 
-    def squared_error(self, values: np.ndarray) -> float:
+    def squared_error(self, values: np.ndarray) -> Union[float, np.ndarray]:
         c = np.asarray(values, dtype=float)
-        if c.shape != self.fact.singular_values.shape:
+        if c.ndim not in (1, 2) or c.shape[-1:] != self.fact.singular_values.shape:
             raise DomainError("spectral values must match the number of singular values")
-        return float(np.sum((c - self.projections) ** 2)) + self.residual
+        error = ((c - self.projections) ** 2).sum(axis=-1) + self.residual
+        return float(error) if c.ndim == 1 else error
 
-    def metric(self, kind: str, values: np.ndarray) -> float:
+    def metric(self, kind: str, values: np.ndarray) -> Union[float, np.ndarray]:
         """:func:`metric` of the unclamped estimate with spectral ``values``,
-        for ``kind`` in :data:`SPECTRAL_METRICS`."""
+        or of each row of a stack of them, for ``kind`` in
+        :data:`SPECTRAL_METRICS`."""
         if kind == "se":
             return self.squared_error(values)
         if kind == "nmse":

@@ -35,6 +35,7 @@ class Gaussian:
     tau: float
 
     def __post_init__(self):
+        object.__setattr__(self, "tau", json_type(self.tau, "$.model.tau", "number"))
         if not 0 < self.tau < np.inf:
             raise ParameterError(f"tau must be positive and finite, got {self.tau}")
         # The risk estimates and weight fits square tau as a float.
@@ -78,6 +79,7 @@ class Gamma:
     shape: float
 
     def __post_init__(self):
+        object.__setattr__(self, "shape", json_type(self.shape, "$.model.L", "number"))
         if not 0 < self.shape < np.inf:
             raise ParameterError(f"Gamma shape L must be positive and finite, got {self.shape}")
 
@@ -165,7 +167,7 @@ def model_from_config(config: dict) -> NoiseModel:
         raise _invalid("$.model.family", f"{family!r} is not one of {list(_FAMILIES)!r}")
     cls, keys = _FAMILIES[family]
     json_object(config, "$.model", ("family",) + keys)
-    return cls(*(json_type(config[key], f"$.model.{key}", "number") for key in keys))
+    return cls(*(config[key] for key in keys))  # the constructor checks each number
 
 
 def _invalid(where: str, message: str) -> ParameterError:

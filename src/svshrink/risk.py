@@ -124,13 +124,10 @@ def divergence_closed_form(
     d = np.asarray(shrink_derivs, dtype=float)
     if f.shape != s.shape or d.shape != s.shape:
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    if fact.tie_mask.any():
+    if fact.has_ties:
         linalg.check_distinct(fact, f, d)
-
-    ratio = linalg._safe_ratio(f, s)
-    total = abs(fact.m - fact.n) * float(ratio.sum()) + float(d.sum())
-    total += 2.0 * float(f @ fact.pair_sums)
-    return total
+    total = abs(fact.m - fact.n) * float(linalg._safe_ratio(f, s).sum()) + float(d.sum())
+    return total + 2.0 * float(f @ fact.pair_sums)
 
 
 def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -279,7 +276,7 @@ def sure_gaussian(
     est = np.asarray(estimate, dtype=float)
     if y.shape != est.shape:
         raise DomainError("estimate must match the observation shape")
-    return _sure(y.shape, float(np.sum((est - y) ** 2)), tau, divergence)
+    return _sure(y.shape, float(((est - y) ** 2).sum()), tau, divergence)
 
 
 def sure_gaussian_spectral(
@@ -298,7 +295,7 @@ def sure_gaussian_spectral(
     f = np.asarray(shrink_values, dtype=float)
     if f.shape != fact.singular_values.shape:
         raise DomainError("shrink_values must match the singular values")
-    residual = float(np.sum((f - fact.singular_values) ** 2))
+    residual = float(((f - fact.singular_values) ** 2).sum())
     return _sure((fact.n, fact.m), residual, tau, divergence)
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from svshrink import linalg
+from svshrink import linalg, risk
+from svshrink.errors import DegenerateSpectrumError, DomainError
 
 
 def quadratic_profile(n: int) -> np.ndarray:
@@ -87,3 +88,65 @@ def derivative_probe(fn: linalg.SpectralFunction, fact, delta, free=None) -> np.
             free = linalg.compose(fact, fn.values(s)) >= fn.clamp_floor
         dd = np.where(free, dd, 0.0)
     return dd
+
+
+# -- the Gaussian SURE chain with its per-call overhead: each array converted
+# and masked on every call, and each sum through np.sum ----------------------
+
+
+def reference_safe_ratio(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """``f_k / sigma_k`` with the 0/0 -> 0 convention, the zero mask built on
+    every call."""
+    num = np.asarray(values, dtype=float)
+    den = np.asarray(sigmas, dtype=float)
+    zero = den == 0.0
+    if zero.any():
+        bad = zero & (num != 0.0)
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0]) + 1
+            raise DegenerateSpectrumError(
+                f"singular value {k} is zero but the spectral map does not vanish there"
+            )
+        den = np.where(zero, 1.0, den)
+    return num / den
+
+
+def reference_divergence_closed_form(fact, shrink_values, shrink_derivs) -> float:
+    """The closed-form divergence, reading the tie mask on every call."""
+    s = fact.singular_values
+    f = np.asarray(shrink_values, dtype=float)
+    d = np.asarray(shrink_derivs, dtype=float)
+    if f.shape != s.shape or d.shape != s.shape:
+        raise DomainError("shrink_values and shrink_derivs must match the singular values")
+    if fact.tie_mask.any():
+        linalg.check_distinct(fact, f, d)
+
+    ratio = reference_safe_ratio(f, s)
+    total = abs(fact.m - fact.n) * float(ratio.sum()) + float(d.sum())
+    total += 2.0 * float(f @ fact.pair_sums)
+    return total
+
+
+def reference_sure_gaussian_spectral(fact, shrink_values, tau, divergence) -> risk.RiskEstimate:
+    """Gaussian SURE of the unclamped spectral estimate from the spectrum."""
+    f = np.asarray(shrink_values, dtype=float)
+    if f.shape != fact.singular_values.shape:
+        raise DomainError("shrink_values must match the singular values")
+    residual = float(np.sum((f - fact.singular_values) ** 2))
+    return risk._sure((fact.n, fact.m), residual, tau, divergence)
+
+
+def reference_sure_gaussian(observed, estimate, tau, divergence) -> risk.RiskEstimate:
+    """Gaussian SURE of an n x m estimate."""
+    y = np.asarray(observed, dtype=float)
+    est = np.asarray(estimate, dtype=float)
+    if y.shape != est.shape:
+        raise DomainError("estimate must match the observation shape")
+    return risk._sure(y.shape, float(np.sum((est - y) ** 2)), tau, divergence)
+
+
+def reference_soft_threshold_derivs(sigmas: np.ndarray, lam: float) -> np.ndarray:
+    """1 above the threshold, 0 below, 1/2 at an exact tie."""
+    out = np.where(sigmas > lam, 1.0, 0.0)
+    out[sigmas == lam] = 0.5
+    return out

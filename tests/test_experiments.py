@@ -155,6 +155,14 @@ class TestSignalSpec:
                 estimators=("pca",), replications=1, root_seed=0,
             )
 
+    @pytest.mark.parametrize("floor", ["3", True])
+    def test_a_direct_clamp_floor_is_a_json_number(self, floor):
+        with pytest.raises(ParameterError, match=rf"\$\.clamp_floor: {floor!r} is not of type 'number'"):
+            ExperimentConfig(
+                n=10, m=10, model=Gaussian(0.1), signal=SignalSpec("spike", sigmas=(2.0,)),
+                estimators=("pca",), replications=1, root_seed=0, clamp_floor=floor,
+            )
+
 
 class TestRunner:
     @pytest.mark.parametrize(

@@ -1,0 +1,115 @@
+"""The Gaussian SURE chain (the closed-form divergence, SURE from the
+spectrum and the soft-threshold derivative) against copies that convert,
+mask and reduce on every call: the same bits, and the same errors."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svshrink import linalg, risk
+from svshrink.errors import DegenerateSpectrumError, SvshrinkError
+from svshrink.linalg import SvdFactorization
+
+from helpers import (
+    reference_divergence_closed_form,
+    reference_soft_threshold_derivs,
+    reference_sure_gaussian,
+    reference_sure_gaussian_spectral,
+)
+
+shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 12)),  # 1 x m
+    st.tuples(st.integers(2, 8), st.integers(9, 14)),  # wide
+    st.tuples(st.integers(9, 14), st.integers(2, 8)),  # tall
+    st.integers(1, 10).map(lambda n: (n, n)),
+)
+# A few shared values give exact ties and exact zeros among the singular values.
+spectrum_values = st.one_of(st.sampled_from([0.0, 0.5, 2.0, 3.0]), st.floats(0.0, 10.0))
+map_kinds = st.sampled_from(["soft", "soft_at_value", "weights", "arbitrary"])
+
+
+def factorization(shape, values) -> SvdFactorization:
+    """A factorization with the given singular values, sorted descending; the
+    divergence and SURE read only the spectrum and the shape."""
+    n, m = shape
+    k = min(n, m)
+    s = np.sort(np.resize(np.asarray(values, dtype=float), k))[::-1].copy()
+    return SvdFactorization(s, np.eye(n, k), np.eye(m, k))
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except SvshrinkError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, expected):
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert type(got) is type(expected)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
+
+
+def spectral_map(kind, s, draw):
+    """``(values, derivs)`` of a map on the spectrum ``s``: a soft threshold
+    (at a drawn level, or exactly at one of the singular values), a weight
+    map, or arbitrary values and derivatives."""
+    k = len(s)
+    if kind.startswith("soft"):
+        if kind == "soft_at_value":
+            lam = float(s[draw(st.integers(0, k - 1))])
+        else:
+            lam = draw(st.floats(0.0, float(s[0]) + 1.0))
+        derivs = linalg.soft_threshold_derivs(s, lam)
+        expected = reference_soft_threshold_derivs(s, lam)
+        assert derivs.dtype == expected.dtype and derivs.tobytes() == expected.tobytes()
+        return linalg.soft_threshold_values(s, lam), derivs
+    entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(entries, min_size=k, max_size=k)))
+    if kind == "weights":
+        return w * s, w
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
+    return 2.0 * signs * w, np.array(draw(st.lists(entries, min_size=k, max_size=k)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shapes, st.lists(spectrum_values, min_size=1, max_size=14), map_kinds, st.floats(0.01, 10.0), st.data())
+def test_divergence_and_sure_are_bit_identical(shape, values, kind, tau, data):
+    fact = factorization(shape, values)
+    f, d = spectral_map(kind, fact.singular_values, data.draw)
+    div = outcome(risk.divergence_closed_form, fact, f, d)
+    assert_same(div, outcome(reference_divergence_closed_form, fact, f, d))
+    if isinstance(div, tuple):
+        return
+    got = risk.sure_gaussian_spectral(fact, f, tau, div)
+    expected = reference_sure_gaussian_spectral(fact, f, tau, div)
+    assert_same(got.value, expected.value)
+    assert got == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(shapes, st.integers(0, 2**32 - 1), st.floats(0.01, 10.0), st.floats(-50.0, 50.0))
+def test_entrywise_sure_is_bit_identical(shape, seed, tau, divergence):
+    rng = np.random.default_rng(seed)
+    y, estimate = rng.standard_normal(shape), rng.standard_normal(shape)
+    got = risk.sure_gaussian(y, estimate, tau, divergence)
+    assert_same(got.value, reference_sure_gaussian(y, estimate, tau, divergence).value)
+
+
+def test_ties_zeros_and_a_threshold_at_a_value():
+    # A tie under a map that does not vanish there raises, and one under a
+    # map that does is exempt; so is a zero singular value the map keeps at 0.
+    fact = factorization((3, 5), [2.0, 2.0, 0.0])
+    assert fact.has_ties and fact.singular_values[-1] == 0.0
+    raised = outcome(risk.divergence_closed_form, fact, np.ones(3), np.ones(3))
+    assert raised[0] is DegenerateSpectrumError and "coincide" in raised[1]
+    assert outcome(reference_divergence_closed_form, fact, np.ones(3), np.ones(3)) == raised
+    exempt = np.zeros(3)
+    assert_same(risk.divergence_closed_form(fact, exempt, exempt), 0.0)
+    untied = factorization((3, 5), [3.0, 2.0, 0.0])
+    zero = outcome(risk.divergence_closed_form, untied, np.ones(3), np.zeros(3))
+    assert zero == (DegenerateSpectrumError, "singular value 3 is zero but the spectral map does not vanish there")
+    assert linalg.soft_threshold_derivs(untied.singular_values, 2.0).tolist() == [1.0, 0.5, 0.0]

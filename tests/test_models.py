@@ -91,3 +91,15 @@ class TestConfig:
                 Gaussian(bad)
             with pytest.raises(ParameterError, match="positive and finite"):
                 Gamma(bad)
+
+    @pytest.mark.parametrize("build, key", [(Gaussian, "tau"), (Gamma, "L")])
+    @pytest.mark.parametrize("bad", ["3", True])
+    def test_parameters_are_json_numbers(self, build, key, bad):
+        # A directly built model follows the rule of a config file: a string
+        # or a bool is no number, and the error names the field.
+        with pytest.raises(ParameterError, match=rf"\$\.model\.{key}: {bad!r} is not of type 'number'"):
+            build(bad)
+
+    def test_parameters_are_stored_as_floats(self):
+        assert type(Gaussian(2).tau) is float and Gaussian(2) == Gaussian(2.0)
+        assert type(Gamma(np.float64(5.0)).shape) is float

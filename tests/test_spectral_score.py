@@ -48,25 +48,33 @@ def spectral_values(kind, fact, rng):
 
 
 @settings(max_examples=120, deadline=None)
-@given(shapes, seeds, value_kinds, st.booleans(), st.floats(1e-3, 1e3))
-def test_spectral_score_matches_entrywise_metric(shape, seed, kind, deficient, scale):
+@given(shapes, seeds, value_kinds, st.booleans(), st.floats(1e-3, 1e3), st.integers(1, 6))
+def test_spectral_score_matches_entrywise_metric(shape, seed, kind, deficient, scale, rows):
+    # The rank caps of one fit are scored as one (C, k) stack: each row's
+    # score equals, bit for bit, the score of that row on its own, which is
+    # np.sum over that one spectrum.
     y = observation(shape, seed, deficient)
     fact = linalg.svd(y)
     rng = np.random.default_rng(seed + 1)
     x = scale * rng.standard_normal(shape)
-    c = spectral_values(kind, fact, rng)
+    stack = np.stack([spectral_values(kind, fact, rng) for _ in range(rows)])
     score = metrics.SpectralScore(x, fact)
-    xhat = linalg.compose(fact, c)
     energy = float(np.sum(x**2))
     for name in metrics.SPECTRAL_METRICS:
-        dense = metrics.metric(name, xhat, x)
-        fast = score.metric(name, c)
-        se = dense * energy if name == "nmse" else dense
-        tol = 1e-12 * max(se, EPS * energy)
-        if name == "nmse":
-            tol /= energy
-        assert fast >= 0.0
-        assert abs(fast - dense) <= tol, (name, fast, dense)
+        alone = [score.metric(name, c) for c in stack]
+        assert all(type(v) is float for v in alone)
+        stacked = score.metric(name, stack)
+        assert stacked.shape == (rows,) and stacked.tobytes() == np.array(alone).tobytes()
+        for c, fast in zip(stack, alone):
+            se_alone = float(np.sum((c - score.projections) ** 2)) + score.residual
+            assert fast == (se_alone / score.energy if name == "nmse" else se_alone)
+            dense = metrics.metric(name, linalg.compose(fact, c), x)
+            se = dense * energy if name == "nmse" else dense
+            tol = 1e-12 * max(se, EPS * energy)
+            if name == "nmse":
+                tol /= energy
+            assert fast >= 0.0
+            assert abs(fast - dense) <= tol, (name, fast, dense)
 
 
 @settings(max_examples=80, deadline=None)
@@ -103,6 +111,12 @@ def test_spectral_score_errors_match_the_entrywise_metric():
         metrics.SpectralScore(np.zeros((5, 4)), fact).metric("se", np.zeros(4))
     with pytest.raises(DomainError):
         zero.metric("se", np.zeros(3))
+    with pytest.raises(DomainError):
+        zero.metric("se", np.zeros((2, 3)))
+    with pytest.raises(DomainError):
+        zero.metric("se", np.zeros((2, 2, 4)))
+    with pytest.raises(DomainError, match="all-zero signal"):
+        zero.metric("nmse", np.zeros((2, 4)))
     with pytest.raises(ParameterError):
         zero.metric("kls", np.zeros(4))
 
@@ -184,6 +198,50 @@ def test_rank_cap_records_match_the_dense_scoring_loop():
     assert len(result.records) == len(expected)
     for rec in result.records:
         assert rec["value"] == pytest.approx(expected[record_key(rec)], rel=1e-12, abs=0.0)
+
+
+def per_cell_summaries(records) -> list[dict]:
+    """The summary cells of sorted records, one np.quantile call per cell."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r["sweep_param"], r["estimator"], r["metric_name"]), []).append(r["value"])
+    summaries = []
+    for (label, tag, metric_name), cell in cells.items():
+        q10, med, q90 = np.quantile(cell, [0.1, 0.5, 0.9], method="linear")
+        summaries.append(
+            {
+                "sweep_param": label, "estimator": tag, "metric_name": metric_name,
+                "count": len(cell), "q10": float(q10), "median": float(med), "q90": float(q90),
+            }
+        )
+    return summaries
+
+
+def test_summaries_of_unequal_cells_match_per_cell_quantiles(monkeypatch, tmp_path):
+    # One failed task leaves the first point's cells one record short, so
+    # the cells form two stacks of different lengths.
+    config = ExperimentConfig.from_config(
+        rank_cap_config(
+            sweep={"parameter": "sigma1", "values": [4.0, 6.0, 5.0]},
+            signal={"type": "spike", "sigmas": [4.0, 2.5, 1.5]},
+            replications=12,
+        )
+    )
+    replication_records = experiments._replication_records
+
+    def fail_one(config, point_idx, rep):
+        if (point_idx, rep) == (0, 3):
+            raise DomainError("the task failed")
+        return replication_records(config, point_idx, rep)
+
+    monkeypatch.setattr(experiments, "_replication_records", fail_one)
+    result = experiments.run_experiment(config)
+    assert len(result.failures) == 1
+    assert sorted({c["count"] for c in result.summaries}) == [11, 12]
+    expected = experiments.ExperimentResult(result.records, per_cell_summaries(result.records), result.failures)
+    result.write_summary(tmp_path / "stacked.json")
+    expected.write_summary(tmp_path / "per_cell.json")
+    assert (tmp_path / "stacked.json").read_bytes() == (tmp_path / "per_cell.json").read_bytes()
 
 
 def count_composes(monkeypatch) -> list:
