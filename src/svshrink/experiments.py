@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import numbers
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
@@ -435,7 +434,7 @@ class ExperimentConfig:
         # family alone, so one resolution serves every task.
         methods = tuple(parse_estimator_tag(tag, self.model) for tag in self.estimators)
         object.__setattr__(self, "methods", methods)
-        # A repeated entry would pool its records into one summary cell.
+        # A repeated entry would give two summary cells one key.
         lists = {"estimators": self.estimators, "metrics": self.metrics}
         if parameter is not None:
             lists[f"{parameter} sweep values"] = self.sweep_values
@@ -544,25 +543,26 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
     return value, model, x, signal_values
 
 
-def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> list[dict]:
-    """All records of one task: replication ``rep`` at data point
-    ``point_idx``.  A rank_cap task records every cap."""
-    value, model, x, x_values = config.points[point_idx]
+def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> np.ndarray:
+    """The scores of one task, replication ``rep`` at data point
+    ``point_idx``, as a (caps, estimators, metrics) array.  A rank_cap task
+    has one row per cap; any other task has one row at the full rank."""
+    _, model, x, x_values = config.points[point_idx]
     rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, point_idx, rep]))
     y = model.sample(x, rng)
     fact = linalg.svd(y)
 
-    caps = [(value, fact.rank_bound)]  # (sweep_param label, rank cap)
+    caps = [fact.rank_bound]
     if config.sweep_parameter == "rank_cap":
-        caps = [(cap, int(cap)) for cap in config.sweep_values]
+        caps = [int(cap) for cap in config.sweep_values]
 
     # Quadratic metrics of unclamped estimates are scored from the spectrum,
     # every cap of a fit in one stack; clamped estimates and the other
     # metrics need the n x m estimate of each cap.
     spectral = metrics.SpectralScore(x, fact)
     # kept[i, j]: cap i keeps index j.
-    kept = np.array([cap for _, cap in caps])[:, None] > np.arange(fact.rank_bound)
-    records = []
+    kept = np.array(caps)[:, None] > np.arange(fact.rank_bound)
+    scores = np.empty((len(caps), len(config.methods), len(config.metrics)))
     for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
         est_rng = np.random.default_rng(
             np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
@@ -574,12 +574,12 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
         stacked = {}  # metric name -> the scores of every cap, from the first cap that needs them
         # A score outside the float range fails the task by name, not with a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, (label, _) in enumerate(caps):
+            for i in range(len(caps)):
                 xhat = None
-                for metric_name in config.metrics:
+                for j, metric_name in enumerate(config.metrics):
                     if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
                         if metric_name not in stacked:
-                            stacked[metric_name] = spectral.metric(metric_name, capped).tolist()
+                            stacked[metric_name] = spectral.metric(metric_name, capped)
                         score = stacked[metric_name][i]
                     else:
                         if xhat is None:
@@ -587,23 +587,19 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
                         score = metrics.metric(metric_name, xhat, x, model)
                     if not math.isfinite(score):
                         raise NumericalError(f"{tag}: the {metric_name} value is not finite ({score})")
-                    records.append(
-                        {
-                            "sweep_param": label,
-                            "estimator": tag,
-                            "replication": rep,
-                            "metric_name": metric_name,
-                            "value": score,
-                        }
-                    )
-    return records
+                    scores[i, est_idx, j] = score
+    return scores
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run every (data point, replication) task and summarize each
-    (sweep point, estimator, metric) cell by its 10%, 50% and 90% quantiles,
-    with one ``np.quantile(..., axis=1)`` call per stack of cells of equal
-    length.
+    (sweep point, estimator, metric) cell by its 10%, 50% and 90% quantiles.
+
+    The scores fill one (sweep rows, estimators, replications, metrics)
+    array, whose rows are the sweep values (a point's own, or a cap of the
+    single rank_cap point).  Records are read off it in that order, and each
+    row's cells are summarized by one ``np.quantile(..., axis=1)`` call over
+    its finished replications.
 
     Individual replication failures are recorded rather than fatal; the run
     aborts with :class:`NumericalError` only if more than 10% of the replication
@@ -616,7 +612,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         try:
             return _replication_records(config, idx, rep), None
         except (SvshrinkError, np.linalg.LinAlgError) as exc:
-            return [], {"sweep_param": config.points[idx][0], "replication": rep, "error": str(exc)}
+            return None, {"sweep_param": config.points[idx][0], "replication": rep, "error": str(exc)}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -624,51 +620,44 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     else:
         outcomes = [run_task(t) for t in tasks]
 
-    records = [rec for recs, _ in outcomes for rec in recs]
     failures = [failure for _, failure in outcomes if failure is not None]
     if len(failures) > 0.1 * len(tasks):
         raise NumericalError(
             f"{len(failures)} of {len(tasks)} replication tasks failed; first: {failures[0]}"
         )
 
-    estimator_order = {tag: i for i, tag in enumerate(config.estimators)}
-    metric_order = {name: i for i, name in enumerate(config.metrics)}
-    sweep_order = {v: i for i, v in enumerate(config.sweep_values)}
-    records.sort(
-        key=lambda r: (
-            sweep_order.get(r["sweep_param"], -1),
-            estimator_order[r["estimator"]],
-            r["replication"],
-            metric_order[r["metric_name"]],
-        )
-    )
+    # The rows of a run are its sweep values: a point's own, or a cap of the
+    # single rank_cap point.  Point idx fills rows idx * caps to (idx + 1) * caps.
+    labels = config.sweep_values or (None,)
+    caps = len(labels) // len(config.points)
+    scores = np.empty((len(labels), len(config.estimators), config.replications, len(config.metrics)))
+    done = np.zeros((len(labels), config.replications), dtype=bool)
+    for (idx, rep), (task_scores, _) in zip(tasks, outcomes):
+        if task_scores is not None:
+            rows = slice(idx * caps, (idx + 1) * caps)
+            scores[rows, :, rep] = task_scores
+            done[rows, rep] = True
 
-    # A task records every metric of every estimator or nothing, so the cells
-    # first appear in the sorted records in config order.
-    cells = defaultdict(list)
-    for r in records:
-        cells[r["sweep_param"], r["estimator"], r["metric_name"]].append(r["value"])
-    # The cells of one length are a stack, and np.quantile takes each row as
-    # it takes one cell alone; a failed task leaves some cells shorter.
-    by_length = defaultdict(list)
-    for key, cell in cells.items():
-        by_length[len(cell)].append(key)
-    quantiles = {}
-    for keys in by_length.values():
-        stack = np.quantile([cells[key] for key in keys], [0.1, 0.5, 0.9], axis=1, method="linear")
-        quantiles.update(zip(keys, stack.T.tolist()))
-    summaries = []
-    for (label, tag, metric_name), cell in cells.items():
-        q10, med, q90 = quantiles[label, tag, metric_name]
-        summaries.append(
+    records, summaries = [], []
+    for label, cells, finished in zip(labels, scores, done):
+        kept = np.flatnonzero(finished).tolist()
+        if not kept:  # every task of the point failed
+            continue
+        cells = cells[:, kept]
+        # Python floats: repr(np.float64) is not repr(float).
+        records += [
+            {"sweep_param": label, "estimator": tag, "replication": rep, "metric_name": name, "value": value}
+            for tag, by_rep in zip(config.estimators, cells.tolist())
+            for rep, values in zip(kept, by_rep)
+            for name, value in zip(config.metrics, values)
+        ]
+        quantiles = np.quantile(cells, [0.1, 0.5, 0.9], axis=1, method="linear").transpose(1, 2, 0)
+        summaries += [
             {
-                "sweep_param": label,
-                "estimator": tag,
-                "metric_name": metric_name,
-                "count": len(cell),
-                "q10": q10,
-                "median": med,
-                "q90": q90,
+                "sweep_param": label, "estimator": tag, "metric_name": name,
+                "count": len(kept), "q10": q10, "median": med, "q90": q90,
             }
-        )
+            for tag, by_metric in zip(config.estimators, quantiles.tolist())
+            for name, (q10, med, q90) in zip(config.metrics, by_metric)
+        ]
     return ExperimentResult(records, summaries, failures)

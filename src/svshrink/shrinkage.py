@@ -17,6 +17,7 @@ them into a :class:`~svshrink.linalg.SpectralFunction`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -294,19 +295,22 @@ def soft_threshold_fit(fact: SvdFactorization, score: Score, clamp_floor: Option
     """The soft threshold in ``[0, sigma_1]`` minimizing ``score`` of the
     soft-threshold map; 0, without a search, for an all-zero spectrum.
 
-    The search runs in units of ``min(1, sigma_1)``, so it stops within
-    ``BOUNDED_XATOL * min(1, sigma_1)`` and a small spectrum is searched as
-    a unit one is.  In units of lambda itself, a parabolic step multiplies
-    two lambda differences by a score difference; for SURE, a score of
-    scale sigma_1^2, the product underflows to zero below about
-    sigma_1 = 1e-75.
+    The search runs in units of the power of two at or below ``sigma_1``,
+    on ``[0, sigma_1 / unit]``, a range in [1, 2), and stops within
+    ``BOUNDED_XATOL * min(1, unit)`` of lambda.  In units of lambda itself, a
+    parabolic step multiplies two lambda differences by a score difference;
+    for SURE, a score of scale sigma_1^2, the product underflows to zero
+    below about sigma_1 = 1e-75 and overflows above about sigma_1 = 1e80.
+    Brent's steps scale exactly by a power of two, so a spectrum with
+    sigma_1 >= 1 takes the lambda path of a search in units of lambda.
     """
     top = float(fact.singular_values[0])
     if top == 0.0:
         return 0.0
-    unit = min(1.0, top)
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
     t = minimize_bounded(
-        lambda t: score(linalg.soft_threshold_function(t * unit, clamp_floor)), 0.0, top / unit
+        lambda t: score(linalg.soft_threshold_function(t * unit, clamp_floor)),
+        0.0, top / unit, xatol=BOUNDED_XATOL / max(unit, 1.0),
     )
     return t * unit
 

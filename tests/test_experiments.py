@@ -522,6 +522,20 @@ class TestRunner:
         with pytest.raises(NumericalError, match="pca:active=all: the nmse value is not finite"):
             experiments.run_experiment(cfg)
 
+    @pytest.mark.parametrize("tau", [1e80, 1e153])
+    def test_soft_fits_at_a_large_noise_level_raise_no_warning(self, tau):
+        # In units of lambda, the soft search's parabolic step overflows at
+        # these noise levels; the suite makes a RuntimeWarning an error.
+        cfg = ExperimentConfig.from_config(
+            small_config(
+                n=10, m=10, model={"family": "gaussian", "tau": tau}, signal={"type": "spike", "sigmas": [3.0]},
+                estimators=["soft", "weighted", "pca"], replications=4,
+            )
+        )
+        result = experiments.run_experiment(cfg)
+        assert not result.failures
+        assert len(result.records) == 3 * 4
+
     @pytest.mark.parametrize("name", ["shrinker", "oracle-shrinker"])
     def test_tall_shrinkers_fit_as_their_wide_transpose(self, name):
         model = Gaussian(1.0 / np.sqrt(60))

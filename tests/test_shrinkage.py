@@ -414,10 +414,10 @@ def scaled_soft_fit(case, a: float) -> float:
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(-300, 0))
+@given(st.integers(-300, 300))
 def test_soft_fits_scale_with_small_inputs(j):
     # Each fit on a*Y gives a times its lambda on Y, within the search's
-    # tolerance, which scales as min(1, sigma_1); a = 2^j scales exactly.  No
+    # tolerance, at scales small and large; a = 2^j scales exactly.  No
     # RuntimeWarning may be raised (the suite makes one an error).
     a = 2.0**j
     for case in SCALE_CASES:

@@ -201,7 +201,7 @@ def test_rank_cap_records_match_the_dense_scoring_loop():
 
 
 def per_cell_summaries(records) -> list[dict]:
-    """The summary cells of sorted records, one np.quantile call per cell."""
+    """The summary cells of ordered records, one np.quantile call per cell."""
     cells = {}
     for r in records:
         cells.setdefault((r["sweep_param"], r["estimator"], r["metric_name"]), []).append(r["value"])
@@ -217,31 +217,53 @@ def per_cell_summaries(records) -> list[dict]:
     return summaries
 
 
+# (sweep, replications, the failed task's replication at the first data
+# point, the cell counts of the run).  The failed task leaves the first
+# point's cells one record short, every cap of the rank_cap sweep's single
+# data point, the one point of a run with no sweep, or, at one replication,
+# no cell at all for the first point.
+UNEQUAL_CELL_RUNS = (
+    ({"parameter": "sigma1", "values": [4.0, 6.0, 5.0]}, 12, 3, [11, 12]),
+    ({"parameter": "rank_cap", "values": [3, 1, 20, 2]}, 12, 3, [11]),
+    (None, 12, 3, [11]),
+    ({"parameter": "sigma1", "values": [4.0 + k for k in range(10)]}, 1, 0, [1]),
+)
+
+
 def test_summaries_of_unequal_cells_match_per_cell_quantiles(monkeypatch, tmp_path):
-    # One failed task leaves the first point's cells one record short, so
-    # the cells form two stacks of different lengths.
-    config = ExperimentConfig.from_config(
-        rank_cap_config(
-            sweep={"parameter": "sigma1", "values": [4.0, 6.0, 5.0]},
-            signal={"type": "spike", "sigmas": [4.0, 2.5, 1.5]},
-            replications=12,
-        )
-    )
     replication_records = experiments._replication_records
 
     def fail_one(config, point_idx, rep):
-        if (point_idx, rep) == (0, 3):
+        if (point_idx, rep) == (0, failed_rep):  # the run's failed task, read at call time
             raise DomainError("the task failed")
         return replication_records(config, point_idx, rep)
 
     monkeypatch.setattr(experiments, "_replication_records", fail_one)
-    result = experiments.run_experiment(config)
-    assert len(result.failures) == 1
-    assert sorted({c["count"] for c in result.summaries}) == [11, 12]
-    expected = experiments.ExperimentResult(result.records, per_cell_summaries(result.records), result.failures)
-    result.write_summary(tmp_path / "stacked.json")
-    expected.write_summary(tmp_path / "per_cell.json")
-    assert (tmp_path / "stacked.json").read_bytes() == (tmp_path / "per_cell.json").read_bytes()
+    for sweep, replications, failed_rep, counts in UNEQUAL_CELL_RUNS:
+        raw = rank_cap_config(signal={"type": "spike", "sigmas": [4.0, 2.5, 1.5]}, replications=replications)
+        raw.pop("sweep")
+        config = ExperimentConfig.from_config(dict(raw, sweep=sweep) if sweep else raw)
+        result = experiments.run_experiment(config)
+        assert len(result.failures) == 1
+        assert sorted({c["count"] for c in result.summaries}) == counts
+        # Records come out in (sweep value, estimator, replication, metric)
+        # order; the failed task drops every row of its data point.
+        labels = sweep["values"] if sweep else [None]
+        failed = labels if sweep is None or sweep["parameter"] == "rank_cap" else labels[:1]
+        assert [record_key(r) for r in result.records] == [
+            (label, tag, rep, metric)
+            for label in labels
+            for tag in config.estimators
+            for rep in range(replications)
+            if not (label in failed and rep == failed_rep)
+            for metric in config.metrics
+        ]
+        expected = experiments.ExperimentResult(
+            result.records, per_cell_summaries(result.records), result.failures
+        )
+        result.write_summary(tmp_path / "stacked.json")
+        expected.write_summary(tmp_path / "per_cell.json")
+        assert (tmp_path / "stacked.json").read_bytes() == (tmp_path / "per_cell.json").read_bytes()
 
 
 def count_composes(monkeypatch) -> list:
