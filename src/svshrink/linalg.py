@@ -145,13 +145,18 @@ def svd(matrix: np.ndarray) -> SvdFactorization:
     DomainError
         If the input is not a finite 2-D array.
     NumericalError
-        If the underlying decomposition fails to converge.
+        If the underlying decomposition fails to converge, or a singular
+        value of the finite input overflows double precision.
     """
     a = _as_matrix(matrix)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(s).all():
+        raise NumericalError(
+            f"the singular values are not finite (largest {s[0]:g}): the spectrum overflows double precision"
+        )
     v = vt.T
     u, v = _apply_sign_convention(u, v)
     return SvdFactorization(s, u, v)

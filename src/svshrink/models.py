@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ParameterError
 
@@ -92,6 +91,8 @@ class Gamma:
             raise DomainError("observed and mean matrices must share a shape")
         validate_positive(y, "Gamma observations")
         x = validate_positive(x, "Gamma mean")
+        from scipy.special import gammaln  # imported on use: no other path of the package needs SciPy
+
         L = self.shape
         ll = L * np.log(L) + (L - 1.0) * np.log(y) - gammaln(L) - L * np.log(x) - L * y / x
         return float(np.sum(ll))
@@ -116,6 +117,8 @@ class Poisson:
         if y.shape != x.shape:
             raise DomainError("observed and mean matrices must share a shape")
         x = validate_positive(x, "Poisson mean")
+        from scipy.special import gammaln
+
         # The log(y!) constant is kept so that values are comparable across
         # candidate estimates, not just their differences.
         ll = y * np.log(x) - x - gammaln(y + 1.0)

@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError
+from .errors import CapacityError, DegenerateSpectrumError, DomainError, NumericalError, ParameterError
 from .linalg import SpectralFunction, SvdFactorization
 from .models import validate_counts, validate_positive
 
@@ -118,6 +118,8 @@ def divergence_closed_form(
     (:attr:`SvdFactorization.pair_sums`), so each call costs O(k).  A tie
     between singular values raises :class:`DegenerateSpectrumError` unless
     the map vanishes on both tied indices (:func:`linalg.check_distinct`).
+    The first term is computed only when ``m != n``; where a tiny singular
+    value makes it overflow, :class:`NumericalError` is raised.
     """
     s = fact.singular_values
     f = np.asarray(shrink_values, dtype=float)
@@ -126,7 +128,16 @@ def divergence_closed_form(
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
     if fact.has_ties:
         linalg.check_distinct(fact, f, d)
-    total = abs(fact.m - fact.n) * float(linalg._safe_ratio(f, s).sum()) + float(d.sum())
+    total = float(d.sum())
+    if fact.m != fact.n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = abs(fact.m - fact.n) * float(linalg._safe_ratio(f, s).sum())
+        if not math.isfinite(term):
+            raise NumericalError(
+                f"the divergence term |m - n| sum_k f_k / sigma_k is not finite: the least "
+                f"singular value {s[-1]:.6g} is too small for the map's values"
+            )
+        total = term + total
     return total + 2.0 * float(f @ fact.pair_sums)
 
 

@@ -18,10 +18,9 @@ them into a :class:`~svshrink.linalg.SpectralFunction`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import activeset, linalg, metrics, risk
 from .errors import (
@@ -135,6 +134,121 @@ def weight1_poisson_pure_exact(observed: np.ndarray, fact: SvdFactorization) -> 
     return float(np.clip(total / top**2, 0.0, 1.0))
 
 
+class BoundedResult(NamedTuple):
+    """The outcome of :func:`minimize_scalar`: the best point found and its
+    value, the evaluation and iteration counts (equal for this search), and
+    whether it stopped within ``xatol`` with no NaN seen."""
+
+    x: float
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    message: str
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _sign(v: float) -> float:
+    """``np.sign`` of a float: -1, 0 or 1, and NaN for NaN."""
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return v if v != v else 0.0
+
+
+def minimize_scalar(
+    fn: Callable[[float], float], lower: float, upper: float, xatol: float, maxiter: int
+) -> BoundedResult:
+    """Brent's bounded minimization of ``fn`` on ``[lower, upper]``: golden
+    sections, with parabolic steps where the parabola through the three best
+    points is acceptable (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 5).
+
+    The steps, counts and stopping rule are those of SciPy's
+    ``minimize_scalar(method="bounded")`` (``fminbound``), in Python floats:
+    the same points are evaluated in the same order.  The search stops once
+    the bracket is within ``xatol`` (plus a relative ``sqrt(eps)``) of the
+    best point, with ``success`` true, or after ``maxiter`` evaluations,
+    with ``success`` false; a NaN point or value also makes it false.
+    Non-finite or inverted bounds raise :class:`DomainError`.
+    """
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError(f"bounds must be finite, got [{lower}, {upper}]")
+    if lower > upper:
+        raise DomainError(f"the lower bound {lower} exceeds the upper bound {upper}")
+    a, b = lower, upper
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = x = fulc
+    rat = e = 0.0
+    fx = float(fn(x))
+    num = 1
+    fu = math.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    flag = 0
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (_sign(xm - xf) + (xm - xf == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        # max() keeps a NaN step, as np.maximum does; tol1 is never NaN here.
+        x = xf + (_sign(rat) + (rat == 0)) * max(abs(rat), tol1)
+        fu = float(fn(x))
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            flag = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        flag = 2
+    message = ("Solution found.", "Maximum number of function calls reached.", "NaN result encountered.")
+    return BoundedResult(xf, fx, num, num, flag == 0, message[flag])
+
+
 def minimize_bounded(
     fn: Callable[[float], float],
     lower: float,
@@ -142,16 +256,13 @@ def minimize_bounded(
     xatol: float = BOUNDED_XATOL,
     maxiter: int = BOUNDED_MAXITER,
 ) -> float:
-    """Bounded scalar minimization (golden section with parabolic steps).
+    """The point :func:`minimize_scalar` finds for ``fn`` on ``[lower, upper]``.
 
     Raises :class:`NumericalError` when the search stops without reaching
     ``xatol`` (e.g. after ``maxiter`` iterations), instead of returning the
     last iterate.
     """
-    res = minimize_scalar(
-        fn, bounds=(lower, upper), method="bounded",
-        options={"xatol": xatol, "maxiter": maxiter},
-    )
+    res = minimize_scalar(fn, lower, upper, xatol, maxiter)
     if not res.success:
         raise NumericalError(
             f"bounded minimization on [{lower:.6g}, {upper:.6g}] did not converge after "

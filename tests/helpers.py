@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from svshrink import linalg, risk
-from svshrink.errors import DegenerateSpectrumError, DomainError
+from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError
 
 
 def quadratic_profile(n: int) -> np.ndarray:
@@ -112,7 +114,9 @@ def reference_safe_ratio(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
 
 def reference_divergence_closed_form(fact, shrink_values, shrink_derivs) -> float:
-    """The closed-form divergence, reading the tie mask on every call."""
+    """The closed-form divergence, reading the tie mask on every call; the
+    ``|m - n|`` term computed only for non-square shapes, with overflow
+    warnings off."""
     s = fact.singular_values
     f = np.asarray(shrink_values, dtype=float)
     d = np.asarray(shrink_derivs, dtype=float)
@@ -121,8 +125,16 @@ def reference_divergence_closed_form(fact, shrink_values, shrink_derivs) -> floa
     if fact.tie_mask.any():
         linalg.check_distinct(fact, f, d)
 
-    ratio = reference_safe_ratio(f, s)
-    total = abs(fact.m - fact.n) * float(ratio.sum()) + float(d.sum())
+    total = float(d.sum())
+    if fact.m != fact.n:
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = abs(fact.m - fact.n) * float(reference_safe_ratio(f, s).sum())
+        if not math.isfinite(term):
+            raise NumericalError(
+                f"the divergence term |m - n| sum_k f_k / sigma_k is not finite: the least "
+                f"singular value {s[-1]:.6g} is too small for the map's values"
+            )
+        total = term + total
     total += 2.0 * float(f @ fact.pair_sums)
     return total
 

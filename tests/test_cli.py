@@ -16,6 +16,15 @@ from svshrink.models import Gamma, Poisson
 from helpers import rank_one_positive, spiked_signal
 
 
+def run_fresh(code: str, *args) -> subprocess.CompletedProcess:
+    """``python -c code *args`` in a fresh interpreter that imports this
+    checkout's package."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-c", code, *map(str, args)]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+
+
 @pytest.fixture
 def spiked_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -321,6 +330,76 @@ class TestActiveSetCommand:
         assert capsys.readouterr().err.startswith("usage error: --")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["denoise", "--family", "gaussian", "--tau", "1", "--method", "soft"],
+        ["denoise", "--family", "gamma", "--L", "5", "--method", "weights"],
+        ["activeset", "--family", "poisson"],
+    ],
+)
+def test_spectrum_that_overflows_is_numerical_error(tmp_path, capsys, flags):
+    # Finite entries whose largest singular value, sqrt(6) * 1e308, is not.
+    path = tmp_path / "y.csv"
+    matrixio.write_matrix_csv(path, np.full((2, 3), 1e308))
+    out = ["--output", str(tmp_path / "x.csv")] if flags[0] == "denoise" else []
+    assert cli.main(flags[:1] + ["--input", str(path)] + flags[1:] + out) == 2
+    assert capsys.readouterr().err == (
+        "error: the singular values are not finite (largest inf): the spectrum overflows double precision\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+class TestWithoutScipy:
+    """SciPy serves only the Gamma and Poisson log-likelihoods, so importing
+    the CLI and every Gaussian command run without it."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        done = run_fresh("import sys, svshrink.cli; print([m for m in sys.modules if m.startswith('scipy')])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_gaussian_commands_run_with_scipy_blocked(self, tmp_path, spiked_csv):
+        path, _ = spiked_csv
+        cfg = tmp_path / "cfg.json"
+        config = dict(
+            TestExperimentCommand.CONFIG, replications=2,
+            estimators=["pca:rank=1,active=all", "soft:objective=sure", "weighted:objective=sure"],
+        )
+        cfg.write_text(json.dumps(config))
+        commands = [["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]] + [
+            ["denoise", "--input", str(path), "--family", "gaussian", "--tau", "0.2",
+             "--method", method, "--output", str(tmp_path / f"{method}.csv")]
+            for method in ("soft", "weights")
+        ]
+        code = (
+            "import json, sys; sys.modules['scipy'] = None; from svshrink import cli; "
+            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))"
+        )
+        done = run_fresh(code, json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "records.csv").exists()
+        for method in ("soft", "weights"):
+            assert json.loads((tmp_path / f"{method}.csv.json").read_text())["risk"]["kind"] == "SURE"
+
+    def test_gamma_soft_fit_imports_scipy_on_use(self, tmp_path):
+        y = Gamma(5.0).sample(rank_one_positive(12, 10, 40.0), np.random.default_rng(4))
+        path = tmp_path / "y.csv"
+        matrixio.write_matrix_csv(path, y)
+        argv = [
+            "denoise", "--input", str(path), "--family", "gamma", "--L", "5",
+            "--method", "soft", "--output", str(tmp_path / "x.csv"),
+        ]
+        code = (
+            "import sys; from svshrink import cli; code = cli.main(sys.argv[1:]); "
+            "print('scipy.special' in sys.modules); sys.exit(code)"
+        )
+        done = run_fresh(code, *argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"  # the greedy active set's likelihoods
+        assert "active_set" in json.loads((tmp_path / "x.csv.json").read_text())
+
+
 class TestExperimentCommand:
     CONFIG = {
         "n": 15,
@@ -482,10 +561,7 @@ class TestExperimentCommand:
             "import sys; sys.modules['jsonschema'] = None; from svshrink import cli; "
             "sys.exit(cli.main(['experiment', '--config', sys.argv[1], '--out-dir', sys.argv[2]]))"
         )
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-c", code, str(cfg), str(tmp_path / "o")]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env)
+        done = run_fresh(code, cfg, tmp_path / "o")
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "o" / "records.csv").exists()
 

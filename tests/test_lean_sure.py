@@ -3,11 +3,11 @@ spectrum and the soft-threshold derivative) against copies that convert,
 mask and reduce on every call: the same bits, and the same errors."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from svshrink import linalg, risk
-from svshrink.errors import DegenerateSpectrumError, SvshrinkError
+from svshrink.errors import DegenerateSpectrumError, NumericalError, SvshrinkError
 from svshrink.linalg import SvdFactorization
 
 from helpers import (
@@ -53,33 +53,50 @@ def assert_same(got, expected):
         assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
 
-def spectral_map(kind, s, draw):
+# What a map on up to 14 singular values is drawn from: a threshold level as
+# a share of sigma_1 + 1, an index to threshold exactly at, and per-index
+# weights, signs and derivatives (read from the front).
+entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+map_draws = st.tuples(
+    st.floats(0.0, 1.0),
+    st.integers(0, 13),
+    st.lists(entries, min_size=14, max_size=14),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=14, max_size=14),
+    st.lists(entries, min_size=14, max_size=14),
+)
+
+
+def spectral_map(kind, s, draws):
     """``(values, derivs)`` of a map on the spectrum ``s``: a soft threshold
     (at a drawn level, or exactly at one of the singular values), a weight
     map, or arbitrary values and derivatives."""
     k = len(s)
+    share, index, weights, signs, derivs = draws
     if kind.startswith("soft"):
-        if kind == "soft_at_value":
-            lam = float(s[draw(st.integers(0, k - 1))])
-        else:
-            lam = draw(st.floats(0.0, float(s[0]) + 1.0))
-        derivs = linalg.soft_threshold_derivs(s, lam)
+        lam = float(s[index % k]) if kind == "soft_at_value" else share * (float(s[0]) + 1.0)
+        d = linalg.soft_threshold_derivs(s, lam)
         expected = reference_soft_threshold_derivs(s, lam)
-        assert derivs.dtype == expected.dtype and derivs.tobytes() == expected.tobytes()
-        return linalg.soft_threshold_values(s, lam), derivs
-    entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    w = np.array(draw(st.lists(entries, min_size=k, max_size=k)))
+        assert d.dtype == expected.dtype and d.tobytes() == expected.tobytes()
+        return linalg.soft_threshold_values(s, lam), d
+    w = np.array(weights[:k])
     if kind == "weights":
         return w * s, w
-    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=k, max_size=k)))
-    return 2.0 * signs * w, np.array(draw(st.lists(entries, min_size=k, max_size=k)))
+    return 2.0 * np.array(signs[:k]) * w, np.array(derivs[:k])
+
+
+# A value of -2 at a subnormal singular value: its |m - n| term would be
+# 0 * -inf for a square shape, where it is skipped, and overflows otherwise.
+subnormal = (2.2250738585e-313,)
+overflowing_map = (0.0, 0, [1.0] * 14, [-1.0] * 14, [0.0] * 14)
 
 
 @settings(max_examples=400, deadline=None)
-@given(shapes, st.lists(spectrum_values, min_size=1, max_size=14), map_kinds, st.floats(0.01, 10.0), st.data())
-def test_divergence_and_sure_are_bit_identical(shape, values, kind, tau, data):
+@given(shapes, st.lists(spectrum_values, min_size=1, max_size=14), map_kinds, st.floats(0.01, 10.0), map_draws)
+@example((1, 1), subnormal, "arbitrary", 1.0, overflowing_map)
+@example((1, 2), subnormal, "arbitrary", 1.0, overflowing_map)
+def test_divergence_and_sure_are_bit_identical(shape, values, kind, tau, draws):
     fact = factorization(shape, values)
-    f, d = spectral_map(kind, fact.singular_values, data.draw)
+    f, d = spectral_map(kind, fact.singular_values, draws)
     div = outcome(risk.divergence_closed_form, fact, f, d)
     assert_same(div, outcome(reference_divergence_closed_form, fact, f, d))
     if isinstance(div, tuple):
@@ -113,3 +130,12 @@ def test_ties_zeros_and_a_threshold_at_a_value():
     zero = outcome(risk.divergence_closed_form, untied, np.ones(3), np.zeros(3))
     assert zero == (DegenerateSpectrumError, "singular value 3 is zero but the spectral map does not vanish there")
     assert linalg.soft_threshold_derivs(untied.singular_values, 2.0).tolist() == [1.0, 0.5, 0.0]
+
+
+def test_a_subnormal_singular_value_under_a_map_that_does_not_vanish():
+    # The square shape has no |m - n| term, so its divergence is finite; the
+    # wide one's term is -2 / 2.2e-313 and raises rather than warns.
+    f, d = np.array([-2.0]), np.zeros(1)
+    assert_same(risk.divergence_closed_form(factorization((1, 1), subnormal), f, d), 0.0)
+    raised = outcome(risk.divergence_closed_form, factorization((1, 2), subnormal), f, d)
+    assert raised[0] is NumericalError and "is not finite" in raised[1]
