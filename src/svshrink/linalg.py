@@ -26,6 +26,11 @@ DEGENERACY_RTOL = 1e-12
 # stay positive for their likelihoods and risk estimates.
 DEFAULT_CLAMP_FLOOR = 1e-6
 
+# The largest float whose square is finite, about 1.34e154.  The tie and pair
+# caches and the SURE residual square the singular values, and the Gaussian
+# risk estimates and weights square tau.
+LARGEST_SQUARE_ROOT = float(np.sqrt(np.finfo(float).max))
+
 
 def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
@@ -145,17 +150,19 @@ def svd(matrix: np.ndarray) -> SvdFactorization:
     DomainError
         If the input is not a finite 2-D array.
     NumericalError
-        If the underlying decomposition fails to converge, or a singular
-        value of the finite input overflows double precision.
+        If the underlying decomposition fails to converge, or the largest
+        singular value of the finite input is not finite or has no finite
+        square (it exceeds :data:`LARGEST_SQUARE_ROOT`).
     """
     a = _as_matrix(matrix)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    if not np.isfinite(s).all():
+    if not (np.isfinite(s).all() and s[0] <= LARGEST_SQUARE_ROOT):
         raise NumericalError(
-            f"the singular values are not finite (largest {s[0]:g}): the spectrum overflows double precision"
+            f"the largest singular value {s[0]:g} exceeds {LARGEST_SQUARE_ROOT:.4g}, "
+            "the largest whose square is finite in double precision"
         )
     v = vt.T
     u, v = _apply_sign_convention(u, v)

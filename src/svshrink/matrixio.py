@@ -2,12 +2,13 @@
 
 CSV: one matrix row per line, ``,`` separated, ``#``-prefixed lines ignored.
 Binary: magic ``SSMX``, then ``n`` and ``m`` as little-endian u64, then the
-``n * m`` entries as little-endian f64 in row-major order.
+``n * m`` entries as little-endian f64 in row-major order.  The package
+reads both and writes CSV; any tool that follows the byte layout can write
+SSMX.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from pathlib import Path
 
@@ -51,15 +52,6 @@ def read_matrix_binary(path) -> np.ndarray:
         raise DomainError(f"{path} has {len(data)} bytes, expected {expected} for a {n}x{m} matrix")
     entries = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     return entries.reshape(n, m).astype(float)
-
-
-def write_matrix_binary(path, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n, m = matrix.shape
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(BINARY_MAGIC, n, m))
-    buf.write(np.ascontiguousarray(matrix, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
 
 
 def read_matrix(path) -> np.ndarray:

@@ -1,30 +1,28 @@
 """Noise models for matrix observations: Gaussian, Gamma, and Poisson.
 
-Each model packages the entrywise log-likelihood, a seeded sampler and its
-JSON form; the risk estimates in :mod:`svshrink.risk` write out the terms of
-each family they need.  All observations have mean ``X_ij`` entrywise; the
-variances are ``tau^2``, ``X_ij^2 / L``, and ``X_ij`` respectively.
+Each model packages the entrywise log-likelihood and a seeded sampler, and
+:func:`model_from_config` builds one from its JSON form; the risk estimates
+in :mod:`svshrink.risk` write out the terms of each family they need.  All
+observations have mean ``X_ij`` entrywise; the variances are ``tau^2``,
+``X_ij^2 / L``, and ``X_ij`` respectively.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .linalg import LARGEST_SQUARE_ROOT
 
 
 def _first_bad_entry(mask: np.ndarray) -> tuple[int, int]:
     i, j = np.argwhere(mask)[0]
     return int(i), int(j)
-
-
-_LARGEST_SQUARE_ROOT = math.sqrt(sys.float_info.max)  # its square is still finite
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,7 @@ class Gaussian:
         if not 0 < self.tau < np.inf:
             raise ParameterError(f"tau must be positive and finite, got {self.tau}")
         # The risk estimates and weight fits square tau as a float.
-        if self.tau > _LARGEST_SQUARE_ROOT:
+        if self.tau > LARGEST_SQUARE_ROOT:
             raise ParameterError(f"tau must have a finite square, got {self.tau}")
 
     family = "gaussian"
@@ -63,9 +61,6 @@ class Gaussian:
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = np.asarray(mean, dtype=float)
         return x + self.tau * rng.standard_normal(x.shape)
-
-    def to_config(self) -> dict:
-        return {"family": "gaussian", "tau": self.tau}
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,6 @@ class Gamma:
         x = validate_positive(mean, "Gamma mean")
         return rng.gamma(shape=self.shape, scale=x / self.shape)
 
-    def to_config(self) -> dict:
-        return {"family": "gamma", "L": self.shape}
-
 
 @dataclass(frozen=True)
 class Poisson:
@@ -127,9 +119,6 @@ class Poisson:
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         x = validate_positive(mean, "Poisson mean")
         return rng.poisson(x).astype(float)
-
-    def to_config(self) -> dict:
-        return {"family": "poisson"}
 
 
 NoiseModel = Union[Gaussian, Gamma, Poisson]

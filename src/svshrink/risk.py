@@ -584,15 +584,6 @@ def _check_ties(fn: SpectralFunction, lam: np.ndarray, root: np.ndarray) -> None
             )
 
 
-def _guard_exact_size(matrix: np.ndarray) -> None:
-    n, m = matrix.shape
-    if n * m > EXACT_DOWNDATE_CAP:
-        raise CapacityError(
-            f"exact one-count enumeration is guarded to n*m <= {EXACT_DOWNDATE_CAP}; "
-            f"got {n}x{m}; use the Monte-Carlo approximation instead"
-        )
-
-
 def _poisson_downdates(
     observed, fn: SpectralFunction, mode: str, samples, rng, directions, fact, term
 ) -> tuple[np.ndarray, Union[float, MonteCarloDivergence]]:
@@ -607,7 +598,12 @@ def _poisson_downdates(
     if mode == "approx":
         directions = probe_directions(y.shape, samples, rng, directions)
     elif mode == "exact":
-        _guard_exact_size(y)
+        n, m = y.shape
+        if n * m > EXACT_DOWNDATE_CAP:
+            raise CapacityError(
+                f"exact one-count enumeration is guarded to n*m <= {EXACT_DOWNDATE_CAP}; "
+                f"got {n}x{m}; use the Monte-Carlo approximation instead"
+            )
     else:
         raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
     fn, fact, raw = _estimate(fn, y, fact)

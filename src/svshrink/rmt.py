@@ -3,10 +3,11 @@
 With noise standard deviation ``1/sqrt(m)`` and aspect ratio ``n/m -> c`` in
 (0, 1], the noise singular values fill ``[1 - sqrt(c), 1 + sqrt(c)]`` and a
 signal spike ``sigma > c^(1/4)`` sends an observed singular value to
-``rho(sigma)`` above the bulk edge.  These scalar maps provide the oracles that finite-sample
-estimators are verified against: the spike-location map and its inverse, the
-Cauchy transform of the limiting spectral distribution, the optimal
-shrinkers, and the limits of the risk-estimate and degrees-of-freedom terms.
+``rho(sigma)`` above the bulk edge.  These scalar maps are what
+``svshrink asymptotics`` reports and what the ``shrinker`` estimators apply:
+the spike-location map and its inverse, the Cauchy transform of the limiting
+spectral distribution, the optimal shrinkers, the limit of the data-driven
+weight and of the degrees-of-freedom term.
 """
 
 from __future__ import annotations
@@ -54,18 +55,6 @@ def sigma_from_rho(y, c: float):
     t = y**2 - (c + 1.0)
     inv_sq = (t - np.sqrt(t**2 - 4.0 * c)) / (2.0 * c)
     out = 1.0 / np.sqrt(inv_sq)
-    return float(out) if out.ndim == 0 else out
-
-
-def mp_density(lam, c: float):
-    """Density of the limiting squared-singular-value distribution on
-    ``[(1 - sqrt(c))^2, (1 + sqrt(c))^2]``."""
-    c = _check_c(c)
-    lam = np.asarray(lam, dtype=float)
-    lo, hi = (1.0 - np.sqrt(c)) ** 2, (1.0 + np.sqrt(c)) ** 2
-    inside = (lam > lo) & (lam < hi)
-    out = np.zeros_like(lam)
-    out[inside] = np.sqrt((hi - lam[inside]) * (lam[inside] - lo)) / (2.0 * np.pi * c * lam[inside])
     return float(out) if out.ndim == 0 else out
 
 
@@ -132,31 +121,6 @@ def asymptotic_optimal_weight(sigma, c: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _spike_terms(f_values, sigmas, c: float) -> tuple:
-    """The checked ``(c, f, sigmas, rho(sigmas))`` of the spike limits: every
-    spike above the detectability threshold, one value ``f_k`` per spike."""
-    c = _check_c(c)
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(sigmas <= c**0.25):
-        raise DomainError(f"all spikes must exceed c^(1/4) = {c**0.25:.6g}")
-    f = np.atleast_1d(np.asarray(f_values, dtype=float))
-    if f.shape != sigmas.shape:
-        raise DomainError("f_values must align with sigmas")
-    return c, f, sigmas, rho(sigmas, c)
-
-
-def asymptotic_sure(f_values, sigmas, c: float) -> float:
-    """Almost-sure limit of the estimator-dependent part of the Gaussian risk
-    estimate for a shrinker taking value ``f_k`` at ``rho(sigma_k)``:
-    ``sum_k (f_k - rho_k)^2 + 2 f_k (sigma_k^2 (1+c) + 2c) / (sigma_k^2 rho_k)``.
-
-    The per-index quadratic is minimized by the optimal shrinker value.
-    """
-    c, f, sigmas, r = _spike_terms(f_values, sigmas, c)
-    bracket = (sigmas**2 * (1.0 + c) + 2.0 * c) / (sigmas**2 * r)
-    return float(np.sum((f - r) ** 2 + 2.0 * f * bracket))
-
-
 def asymptotic_dof(f_values, sigmas, c: float) -> float:
     """Limit of the degrees of freedom per column dimension:
     ``sum_k (f_k / rho_k) (1 + c + 2c / sigma_k^2)``.
@@ -164,5 +128,11 @@ def asymptotic_dof(f_values, sigmas, c: float) -> float:
     With ``f_k = rho_k`` (plain truncation) each term is at most
     ``(1 + sqrt(c))^2``, which is what justifies the active-set penalty.
     """
-    c, f, sigmas, r = _spike_terms(f_values, sigmas, c)
-    return float(np.sum(f / r * (1.0 + c + 2.0 * c / sigmas**2)))
+    c = _check_c(c)
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if np.any(sigmas <= c**0.25):
+        raise DomainError(f"all spikes must exceed c^(1/4) = {c**0.25:.6g}")
+    f = np.atleast_1d(np.asarray(f_values, dtype=float))
+    if f.shape != sigmas.shape:
+        raise DomainError("f_values must align with sigmas")
+    return float(np.sum(f / rho(sigmas, c) * (1.0 + c + 2.0 * c / sigmas**2)))

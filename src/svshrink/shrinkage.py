@@ -112,28 +112,6 @@ def weight1_poisson_pukla(observed: np.ndarray, fact: SvdFactorization) -> float
     return float(np.clip(float(np.sum(y)) / rank1_total, 0.0, 1.0))
 
 
-def weight1_poisson_pure_exact(observed: np.ndarray, fact: SvdFactorization) -> float:
-    """Leading weight minimizing the exact Poisson MSE estimate.
-
-    Enumerates the rank-one component of every one-count downdate, so it is
-    guarded to small matrices; it serves as the small-matrix reference for
-    the Monte-Carlo fitting path.
-    """
-    y = validate_counts(observed)
-    risk._guard_exact_size(y)
-    top = fact.singular_values[0]
-    if top == 0.0:
-        return 0.0
-    nonzero = np.argwhere(y > 0)
-    if len(nonzero) == 0:
-        return 0.0
-    leading = np.zeros(fact.rank_bound)
-    leading[0] = 1.0
-    down = risk.downdated_entries(linalg.weights_function(leading), y, nonzero, fact=fact)
-    total = float(np.sum(y[nonzero[:, 0], nonzero[:, 1]] * down))
-    return float(np.clip(total / top**2, 0.0, 1.0))
-
-
 class BoundedResult(NamedTuple):
     """The outcome of :func:`minimize_scalar`: the best point found and its
     value, the evaluation and iteration counts (equal for this search), and

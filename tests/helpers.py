@@ -6,8 +6,39 @@ import math
 
 import numpy as np
 
-from svshrink import linalg, risk
+from svshrink import linalg, matrixio, rmt, risk
 from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError
+
+
+def write_matrix_binary(path, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as an SSMX file: the magic, ``n`` and ``m`` as
+    little-endian u64, then the entries as little-endian f64, row-major."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    n, m = matrix.shape
+    header = matrixio.BINARY_MAGIC + n.to_bytes(8, "little") + m.to_bytes(8, "little")
+    path.write_bytes(header + np.ascontiguousarray(matrix, dtype="<f8").tobytes())
+
+
+def mp_density(lam, c: float):
+    """Density of the limiting squared-singular-value distribution on
+    ``[(1 - sqrt(c))^2, (1 + sqrt(c))^2]``: the quadrature oracle for
+    :func:`svshrink.rmt.mp_cauchy`."""
+    lo, hi = (1.0 - np.sqrt(c)) ** 2, (1.0 + np.sqrt(c)) ** 2
+    if not lo < lam < hi:
+        return 0.0
+    return np.sqrt((hi - lam) * (lam - lo)) / (2.0 * np.pi * c * lam)
+
+
+def asymptotic_sure(f_values, sigmas, c: float) -> float:
+    """Almost-sure limit of the estimator-dependent part of the Gaussian risk
+    estimate for a shrinker taking value ``f_k`` at ``rho(sigma_k)``:
+    ``sum_k (f_k - rho_k)^2 + 2 f_k (sigma_k^2 (1+c) + 2c) / (sigma_k^2 rho_k)``.
+    Its per-index minimizer is the optimal shrinker value."""
+    f = np.asarray(f_values, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    r = rmt.rho(sigmas, c)
+    bracket = (sigmas**2 * (1.0 + c) + 2.0 * c) / (sigmas**2 * r)
+    return float(np.sum((f - r) ** 2 + 2.0 * f * bracket))
 
 
 def quadratic_profile(n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from svshrink import activeset, cli, experiments, linalg, matrixio, risk, rmt, s
 from svshrink.errors import DomainError
 from svshrink.models import Gamma, Poisson
 
-from helpers import rank_one_positive, spiked_signal
+from helpers import rank_one_positive, spiked_signal, write_matrix_binary
 
 
 def run_fresh(code: str, *args) -> subprocess.CompletedProcess:
@@ -260,7 +260,7 @@ class TestDenoise:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((8, 6))
         path = tmp_path / "y.ssmx"
-        matrixio.write_matrix_binary(path, y)
+        write_matrix_binary(path, y)
         out = tmp_path / "x.csv"
         code = cli.main(
             [
@@ -330,6 +330,15 @@ class TestActiveSetCommand:
         assert capsys.readouterr().err.startswith("usage error: --")
 
 
+def run_on_constant(tmp_path, flags, entry):
+    """``svshrink`` with ``flags`` on a 2x3 matrix of ``entry``, whose only
+    nonzero singular value is ``sqrt(6) * entry``; the exit code."""
+    path = tmp_path / "y.csv"
+    matrixio.write_matrix_csv(path, np.full((2, 3), entry))
+    out = ["--output", str(tmp_path / "x.csv")] if flags[0] == "denoise" else []
+    return cli.main(flags[:1] + ["--input", str(path)] + flags[1:] + out)
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -340,14 +349,44 @@ class TestActiveSetCommand:
 )
 def test_spectrum_that_overflows_is_numerical_error(tmp_path, capsys, flags):
     # Finite entries whose largest singular value, sqrt(6) * 1e308, is not.
-    path = tmp_path / "y.csv"
-    matrixio.write_matrix_csv(path, np.full((2, 3), 1e308))
-    out = ["--output", str(tmp_path / "x.csv")] if flags[0] == "denoise" else []
-    assert cli.main(flags[:1] + ["--input", str(path)] + flags[1:] + out) == 2
+    assert run_on_constant(tmp_path, flags, 1e308) == 2
     assert capsys.readouterr().err == (
-        "error: the singular values are not finite (largest inf): the spectrum overflows double precision\n"
+        "error: the largest singular value inf exceeds 1.341e+154, "
+        "the largest whose square is finite in double precision\n"
     )
     assert not (tmp_path / "x.csv").exists()
+
+
+SQUARE_OVERFLOW_FLAGS = [
+    ["denoise", "--family", "gamma", "--L", "5", "--method", "weights"],
+    ["denoise", "--family", "gaussian", "--tau", "1", "--method", "soft"],
+    ["denoise", "--family", "gaussian", "--tau", "1", "--method", "weights"],
+    ["denoise", "--family", "gamma", "--L", "5", "--method", "soft"],
+    ["denoise", "--family", "poisson", "--method", "weights"],
+    ["activeset", "--family", "poisson"],
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", SQUARE_OVERFLOW_FLAGS)
+def test_spectrum_whose_square_overflows_is_numerical_error(tmp_path, capsys, flags):
+    # sigma_1 = sqrt(6) * 5e307 = 1.22e308 is finite, but its square is not.
+    assert run_on_constant(tmp_path, flags, 5e307) == 2
+    assert capsys.readouterr().err == (
+        "error: the largest singular value 1.22474e+308 exceeds 1.341e+154, "
+        "the largest whose square is finite in double precision\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flags", SQUARE_OVERFLOW_FLAGS)
+def test_spectrum_just_below_the_square_limit_runs(tmp_path, capsys, flags):
+    # sigma_1 = sqrt(6) * 5.47e153 = 1.3399e154, just below sqrt(float max).
+    assert run_on_constant(tmp_path, flags, 5.47e153) == 0
+    assert capsys.readouterr().err == ""
+    if flags[0] == "denoise":
+        assert np.all(np.isfinite(matrixio.read_matrix(tmp_path / "x.csv")))
 
 
 class TestWithoutScipy:

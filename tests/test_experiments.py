@@ -19,6 +19,13 @@ from svshrink.models import Gamma, Gaussian, Poisson
 from helpers import quadratic_profile
 
 
+def test_every_committed_config_loads():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert {p.name for p in paths} >= {"fig2.json", "fig5.json", "gamma.json", "poisson.json"}
+    for path in paths:
+        ExperimentConfig.from_config(json.loads(path.read_text()))
+
+
 def small_config(**overrides):
     base = {
         "n": 20,

@@ -6,6 +6,8 @@ import pytest
 from svshrink import matrixio
 from svshrink.errors import DomainError
 
+from helpers import write_matrix_binary
+
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
@@ -27,14 +29,14 @@ def test_binary_round_trip_exact(tmp_path):
     rng = np.random.default_rng(1)
     y = rng.standard_normal((7, 2))
     path = tmp_path / "y.ssmx"
-    matrixio.write_matrix_binary(path, y)
+    write_matrix_binary(path, y)
     back = matrixio.read_matrix_binary(path)
     assert np.array_equal(back, y)
 
 
 def test_binary_layout(tmp_path):
     path = tmp_path / "y.ssmx"
-    matrixio.write_matrix_binary(path, np.array([[1.0, 2.0]]))
+    write_matrix_binary(path, np.array([[1.0, 2.0]]))
     raw = path.read_bytes()
     assert raw[:4] == b"SSMX"
     assert int.from_bytes(raw[4:12], "little") == 1
@@ -46,7 +48,7 @@ def test_read_matrix_sniffs_format(tmp_path):
     y = np.arange(6, dtype=float).reshape(2, 3)
     csv_path, bin_path = tmp_path / "a.csv", tmp_path / "b.ssmx"
     matrixio.write_matrix_csv(csv_path, y)
-    matrixio.write_matrix_binary(bin_path, y)
+    write_matrix_binary(bin_path, y)
     np.testing.assert_allclose(matrixio.read_matrix(csv_path), y)
     np.testing.assert_array_equal(matrixio.read_matrix(bin_path), y)
 

@@ -231,24 +231,36 @@ class TestWeight1Poisson:
 
 
 class TestWeight1PoissonPureExact:
-    def test_all_zero_counts(self):
-        assert shrinkage.weight1_poisson_pure_exact(np.zeros((3, 3)), linalg.svd(np.zeros((3, 3)))) == 0.0
+    """The leading weight that minimizes the exact PURE of the rank-one map
+    ``w sigma_1 u_1 v_1^T``, found by a bounded search over every one-count
+    downdate."""
+
+    @staticmethod
+    def exact_minimizer(y):
+        fact = linalg.svd(y)
+
+        def pure_of(w):
+            weights = np.zeros(fact.rank_bound)
+            weights[0] = w
+            return risk.pure_poisson(y, linalg.weights_function(weights), mode="exact", fact=fact).value
+
+        return shrinkage.minimize_bounded(pure_of, 0.0, 1.0, xatol=1e-9, maxiter=500)
 
     def test_hand_enumeration_single_count(self):
         # Y = [[2,0],[0,0]]: the only downdate is at (0,0) and leaves [[1,0],[0,0]],
-        # whose top singular triple is (1, e1, e1).  The weight is
-        # 2 * 1 * 1 * 1 / sigma_1^2 = 2 / 4.
+        # whose top singular triple is (1, e1, e1).  PURE is 4 w^2 - 2 * 2 * w,
+        # minimized at 2 * 1 * 1 * 1 / sigma_1^2 = 2 / 4.
         y = np.array([[2.0, 0.0], [0.0, 0.0]])
-        assert shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y)) == pytest.approx(0.5, rel=1e-12)
+        assert abs(self.exact_minimizer(y) - 0.5) < 1e-6
 
     def test_hand_enumeration_count_three(self):
         y = np.array([[3.0, 0.0], [0.0, 0.0]])
-        assert shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y)) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert abs(self.exact_minimizer(y) - 2.0 / 3.0) < 1e-6
 
     def test_close_to_approx_pure_minimizer(self):
         x = rank_one_positive(15, 10, 55.0)
         y = Poisson().sample(x, np.random.default_rng(8))
-        exact = shrinkage.weight1_poisson_pure_exact(y, linalg.svd(y))
+        exact = self.exact_minimizer(y)
         fact = linalg.svd(y)
         score = risk_score(y, fact, Poisson(), "pure", np.random.default_rng(9))
         weights = shrinkage.optimize_weights_greedy(fact, score, [1], 1e-6)
