@@ -21,15 +21,25 @@ _HEADER = struct.Struct("<4sQQ")
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    # loadtxt warns before it returns an empty array, so a file without a
+    # data row is turned away first.
+    if not _has_data_row(path):
+        raise DomainError(f"matrix CSV {path} contains no data rows")
     try:
         matrix = np.loadtxt(path, delimiter=",", comments="#", ndmin=2, dtype=float)
     except ValueError as exc:
         raise DomainError(f"could not parse matrix CSV {path}: {exc}") from exc
-    if matrix.size == 0:
-        raise DomainError(f"matrix CSV {path} contains no data rows")
     if not np.all(np.isfinite(matrix)):
         raise DomainError(f"matrix CSV {path} contains non-finite entries")
     return matrix
+
+
+def _has_data_row(path) -> bool:
+    """Whether a line of the file holds more than a comment and its line
+    ending: loadtxt skips exactly the other lines, and parses a line of
+    blanks as a row."""
+    with open(path, "rb") as fh:
+        return any(line.split(b"#", 1)[0].rstrip(b"\r\n") for line in fh)
 
 
 def write_matrix_csv(path, matrix: np.ndarray, header: str | None = None) -> None:

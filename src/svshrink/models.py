@@ -86,10 +86,8 @@ class Gamma:
             raise DomainError("observed and mean matrices must share a shape")
         validate_positive(y, "Gamma observations")
         x = validate_positive(x, "Gamma mean")
-        from scipy.special import gammaln  # imported on use: no other path of the package needs SciPy
-
         L = self.shape
-        ll = L * np.log(L) + (L - 1.0) * np.log(y) - gammaln(L) - L * np.log(x) - L * y / x
+        ll = L * np.log(L) + (L - 1.0) * np.log(y) - math.lgamma(L) - L * np.log(x) - L * y / x
         return float(np.sum(ll))
 
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -109,11 +107,9 @@ class Poisson:
         if y.shape != x.shape:
             raise DomainError("observed and mean matrices must share a shape")
         x = validate_positive(x, "Poisson mean")
-        from scipy.special import gammaln
-
         # The log(y!) constant is kept so that values are comparable across
         # candidate estimates, not just their differences.
-        ll = y * np.log(x) - x - gammaln(y + 1.0)
+        ll = y * np.log(x) - x - _log_factorial(y)
         return float(np.sum(ll))
 
     def sample(self, mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -122,6 +118,47 @@ class Poisson:
 
 
 NoiseModel = Union[Gaussian, Gamma, Poisson]
+
+# log(k!) = lgamma(k + 1) for the counts k below the table's length.
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(256)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(counts: np.ndarray) -> np.ndarray:
+    """``log(y!)`` of each entry of ``counts``, an array of nonnegative
+    integer-valued floats: read off a table below 256, and from Stirling's
+    series at and above it, where it is within a few ulp of ``lgamma(y + 1)``."""
+    large = counts >= len(_LOG_FACTORIALS)
+    if not large.any():
+        return np.take(_LOG_FACTORIALS, counts.astype(np.intp))
+    if large.all():
+        return _stirling(counts + 1.0)
+    out = np.take(_LOG_FACTORIALS, np.minimum(counts, len(_LOG_FACTORIALS) - 1).astype(np.intp))
+    at = np.flatnonzero(large)
+    np.put(out, at, _stirling(np.take(counts, at) + 1.0))
+    return out
+
+
+def _stirling(z: np.ndarray) -> np.ndarray:
+    """``log Gamma(z)`` for ``z >= 257`` by Stirling's series (Abramowitz and
+    Stegun 6.1.41), ``(z - 1/2) log z - z + log(2 pi) / 2 + 1/(12 z) - 1/(360 z^3)
+    + 1/(1260 z^5)``; its first omitted term is below 1e-20 there.  Overwrites
+    ``z``.  The steps reuse four arrays: a new array per step made the series
+    a third slower on a 500 x 500 matrix."""
+    out = np.log(z)
+    tmp = z - 0.5
+    out *= tmp
+    out -= z
+    r = np.reciprocal(z, out=z)
+    r2 = np.multiply(r, r, out=tmp)
+    tail = r2 / 1260.0
+    np.subtract(1.0 / 360.0, tail, out=tail)
+    tail *= r2
+    np.subtract(1.0 / 12.0, tail, out=tail)
+    tail *= r
+    tail += _HALF_LOG_2PI
+    out += tail
+    return out
 
 
 def validate_positive(x: np.ndarray, what: str) -> np.ndarray:

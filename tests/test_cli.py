@@ -322,6 +322,14 @@ class TestActiveSetCommand:
         assert cli.main(["activeset", "--input", str(path)] + flags) == 1
         assert "must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "# a comment, and a blank line\n\n"])
+    def test_csv_without_rows_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert cli.main(["activeset", "--input", str(path), "--family", "poisson"]) == 2
+        assert capsys.readouterr().err == f"error: matrix CSV {path} contains no data rows\n"
+
     @pytest.mark.parametrize("flags", [["--family", "gaussian"], ["--family", "poisson", "--epsilon", "0"]])
     def test_flags_are_checked_before_the_input_is_read(self, tmp_path, capsys, flags):
         path = tmp_path / "bad.csv"
@@ -390,53 +398,60 @@ def test_spectrum_just_below_the_square_limit_runs(tmp_path, capsys, flags):
 
 
 class TestWithoutScipy:
-    """SciPy serves only the Gamma and Poisson log-likelihoods, so importing
-    the CLI and every Gaussian command run without it."""
+    """No command loads SciPy: NumPy is the package's only runtime dependency."""
 
     def test_importing_the_cli_loads_no_scipy(self):
         done = run_fresh("import sys, svshrink.cli; print([m for m in sys.modules if m.startswith('scipy')])")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
-    def test_gaussian_commands_run_with_scipy_blocked(self, tmp_path, spiked_csv):
-        path, _ = spiked_csv
-        cfg = tmp_path / "cfg.json"
-        config = dict(
-            TestExperimentCommand.CONFIG, replications=2,
-            estimators=["pca:rank=1,active=all", "soft:objective=sure", "weighted:objective=sure"],
-        )
-        cfg.write_text(json.dumps(config))
-        commands = [["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]] + [
-            ["denoise", "--input", str(path), "--family", "gaussian", "--tau", "0.2",
-             "--method", method, "--output", str(tmp_path / f"{method}.csv")]
-            for method in ("soft", "weights")
-        ]
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path, spiked_csv):
+        # The soft and weight fits of Gamma and Poisson noise and their
+        # experiments' weighted estimators run the greedy active set, which
+        # scores penalized likelihoods.
+        inputs = {"gaussian": (spiked_csv[0], ["--tau", "0.2"])}
+        rng = np.random.default_rng(4)
+        for family, model, flags in [("gamma", Gamma(5.0), ["--L", "5"]), ("poisson", Poisson(), [])]:
+            inputs[family] = (tmp_path / f"{family}.csv", flags)
+            matrixio.write_matrix_csv(inputs[family][0], model.sample(rank_one_positive(12, 10, 40.0), rng))
+        base = {"n": 12, "m": 15, "signal": {"type": "spike", "recipe": "quadratic_profile"},
+                "replications": 1, "root_seed": 5}
+        configs = {
+            "gaussian": dict(
+                TestExperimentCommand.CONFIG, replications=2,
+                estimators=["pca:rank=1,active=all", "soft:objective=sure", "weighted:objective=sure"],
+            ),
+            "gamma": dict(base, model={"family": "gamma", "L": 4}, estimators=["weighted:objective=gsure"],
+                          signal=dict(base["signal"], sigmas=[60.0])),
+            "poisson": dict(base, model={"family": "poisson"}, estimators=["weighted:objective=pure"],
+                            signal=dict(base["signal"], sigmas=[150.0])),
+        }
+        commands = [["asymptotics", "--c", "0.5", "--sigma", "2"]]
+        for family, (path, flags) in inputs.items():
+            cfg = tmp_path / f"{family}.json"
+            cfg.write_text(json.dumps(configs[family]))
+            commands.append(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / family)])
+            commands.append(["activeset", "--input", str(path), "--family", family, *flags,
+                             "--output", str(tmp_path / f"{family}-active.json")])
+            commands += [
+                ["denoise", "--input", str(path), "--family", family, *flags,
+                 "--method", method, "--output", str(tmp_path / f"{family}-{method}.csv")]
+                for method in ("soft", "weights")
+            ]
         code = (
             "import json, sys; sys.modules['scipy'] = None; from svshrink import cli; "
-            "sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "sys.exit(f'exit codes {codes}' if any(codes) else 0)"
         )
         done = run_fresh(code, json.dumps(commands))
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "o" / "records.csv").exists()
-        for method in ("soft", "weights"):
-            assert json.loads((tmp_path / f"{method}.csv.json").read_text())["risk"]["kind"] == "SURE"
-
-    def test_gamma_soft_fit_imports_scipy_on_use(self, tmp_path):
-        y = Gamma(5.0).sample(rank_one_positive(12, 10, 40.0), np.random.default_rng(4))
-        path = tmp_path / "y.csv"
-        matrixio.write_matrix_csv(path, y)
-        argv = [
-            "denoise", "--input", str(path), "--family", "gamma", "--L", "5",
-            "--method", "soft", "--output", str(tmp_path / "x.csv"),
-        ]
-        code = (
-            "import sys; from svshrink import cli; code = cli.main(sys.argv[1:]); "
-            "print('scipy.special' in sys.modules); sys.exit(code)"
-        )
-        done = run_fresh(code, *argv)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "True\n"  # the greedy active set's likelihoods
-        assert "active_set" in json.loads((tmp_path / "x.csv.json").read_text())
+        for family, kind in [("gaussian", "SURE"), ("gamma", "SUKLS"), ("poisson", "PUKLA")]:
+            assert (tmp_path / family / "records.csv").exists()
+            assert json.loads((tmp_path / f"{family}-active.json").read_text())["selected"]
+            for method in ("soft", "weights"):
+                sidecar = json.loads((tmp_path / f"{family}-{method}.csv.json").read_text())
+                assert "active_set" in sidecar
+                assert sidecar["risk"]["kind"] == kind
 
 
 class TestExperimentCommand:
@@ -593,7 +608,7 @@ class TestExperimentCommand:
         assert "the fit failed" in err
 
     def test_runs_where_jsonschema_cannot_be_imported(self, tmp_path):
-        # The package depends on numpy and scipy only.
+        # NumPy is the package's only runtime dependency.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(self.CONFIG, replications=1)))
         code = (

@@ -65,3 +65,19 @@ def test_malformed_csv_rejected(tmp_path):
     path.write_text("1.0,oops\n")
     with pytest.raises(DomainError):
         matrixio.read_matrix_csv(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [b"", b"\n\n", b"# only\n# comments\n", b"\r\n# a comment\r\n"])
+def test_csv_without_rows_raises_the_domain_error_alone(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text)
+    with pytest.raises(DomainError, match="contains no data rows"):
+        matrixio.read_matrix_csv(path)
+
+
+def test_csv_line_of_blanks_is_a_row_that_fails_to_parse(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_bytes(b"# a comment\n   \n")
+    with pytest.raises(DomainError, match="could not parse"):
+        matrixio.read_matrix_csv(path)
