@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import activeset, linalg, metrics, rmt, shrinkage
+from . import activeset, linalg, metrics, risk, rmt, shrinkage
 from .errors import DomainError, NumericalError, ParameterError, SvshrinkError
 from .linalg import DEFAULT_CLAMP_FLOOR, SpectralFunction, SvdFactorization
 from .models import Gaussian, NoiseModel, json_object, json_type, model_from_config
@@ -259,17 +259,31 @@ def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
         raise ParameterError(f"estimator tag {tag!r}: {exc}") from exc
 
 
-def resolve_active(method: FitMethod, y, fact, model, clamp_floor) -> tuple[int, ...]:
-    """The 1-based indices a resolved method keeps, capped at ``method.rank``."""
-    if method.active == "all":
-        selected = tuple(range(1, fact.rank_bound + 1))
-    elif method.active == "bulk":
-        selected = activeset.active_set_gaussian(fact, model.tau).selected
-    else:
-        selected = activeset.active_set_greedy(y, model, clamp_floor=clamp_floor, fact=fact).selected
+def resolve_active(
+    method: FitMethod, y, fact, model, clamp_floor, memo: Optional[dict] = None
+) -> tuple[int, ...]:
+    """The 1-based indices a resolved method keeps, capped at ``method.rank``.
+
+    ``memo``, a dict the caller owns for one observation, factorization,
+    model and clamp floor, keeps each uncapped set by its kind, so that the
+    fits of one replication compute a greedy set once; the cap applies after.
+    """
+    memo = {} if memo is None else memo
+    if method.active not in memo:
+        memo[method.active] = _active_set(method.active, y, fact, model, clamp_floor)
+    selected = memo[method.active]
     if method.rank is not None:
         selected = tuple(k for k in selected if k <= method.rank)
     return selected
+
+
+def _active_set(kind: str, y, fact, model, clamp_floor) -> tuple[int, ...]:
+    """The uncapped active set of ``kind``: all, bulk or greedy."""
+    if kind == "all":
+        return tuple(range(1, fact.rank_bound + 1))
+    if kind == "bulk":
+        return activeset.active_set_gaussian(fact, model.tau).selected
+    return activeset.active_set_greedy(y, model, clamp_floor=clamp_floor, fact=fact).selected
 
 
 def fit_estimator(
@@ -281,13 +295,18 @@ def fit_estimator(
     signal: Optional[np.ndarray] = None,
     clamp_floor: float = DEFAULT_CLAMP_FLOOR,
     signal_values: Optional[np.ndarray] = None,
+    signal_projections: Optional[np.ndarray] = None,
+    active_sets: Optional[dict] = None,
 ) -> tuple[SpectralFunction, dict]:
     """Fit one resolved method on one realization.
 
     Returns the fitted estimator and what the fit chose (active set, weights,
     threshold or scale).  This is the one place where fitted parameters
     become an estimator.  The oracle shrinker reads ``signal_values``, the
-    singular values of ``signal``, which each data point computes once.
+    singular values of ``signal``, which each data point computes once; the
+    oracle weights read ``signal_projections``, ``diag(U^T X V)``, when the
+    caller has them (else they are computed here); and ``active_sets`` is the
+    ``memo`` of :func:`resolve_active`, shared by the fits of one observation.
     """
     y = np.asarray(observed, dtype=float)
     s = fact.singular_values
@@ -297,13 +316,17 @@ def fit_estimator(
         raise ParameterError(f"{method.name} needs the true signal")
 
     if method.name == "pca":
-        active = resolve_active(method, y, fact, model, clamp_floor)
+        active = resolve_active(method, y, fact, model, clamp_floor, active_sets)
         keep = np.zeros(fact.rank_bound)
         keep[np.asarray(active, dtype=int) - 1] = 1.0
         return linalg.weights_function(keep, floor), {"active_set": list(active)}
 
     # The fits search a score: a risk estimate built once per fit, or the
-    # oracle's realized loss.
+    # oracle's realized loss.  Gaussian SURE scores a soft threshold from the
+    # spectrum, with no map per trial.
+    if method.name == "soft" and method.objective == "sure":
+        lam = shrinkage.soft_threshold_fit(fact, risk.soft_threshold_sure(fact, model.tau))
+        return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
     if method.name in ("soft", "weighted"):
         evaluate = shrinkage.make_risk_objective(y, fact, model, method.objective, rng=rng)
         score = lambda fn: evaluate(fn).value
@@ -311,17 +334,18 @@ def fit_estimator(
         score = lambda fn: metrics.metric(method.loss, linalg.reconstruct(fact, fn), signal, model)
 
     if method.name in ("soft", "oracle-soft"):
-        lam = shrinkage.soft_threshold_fit(fact, score, floor)
+        threshold_score = lambda lam: score(linalg.soft_threshold_function(lam, floor))
+        lam = shrinkage.soft_threshold_fit(fact, threshold_score)
         return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
 
     if method.name == "weighted":
-        active = resolve_active(method, y, fact, model, clamp_floor)
+        active = resolve_active(method, y, fact, model, clamp_floor, active_sets)
         w = _fit_weights(y, fact, model, method.objective, active, floor, score)
         info = {"active_set": list(active), "weights": {str(k): float(w[k - 1]) for k in active}}
         return linalg.weights_function(w, floor), info
 
     if method.name == "oracle-weights":
-        values = shrinkage.oracle_weights(signal, fact)
+        values = shrinkage.oracle_weights(signal, fact) if signal_projections is None else signal_projections
         raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
         return _fixed_values(values, floor), {"raw_weights": raw.tolist()}
 
@@ -563,12 +587,15 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
     # kept[i, j]: cap i keeps index j.
     kept = np.array(caps)[:, None] > np.arange(fact.rank_bound)
     scores = np.empty((len(caps), len(config.methods), len(config.metrics)))
+    active_sets = {}  # the fits of this observation share their active sets
     for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
         est_rng = np.random.default_rng(
             np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
         )
         fn, _ = fit_estimator(
-            method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor, signal_values=x_values
+            method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor,
+            signal_values=x_values, active_sets=active_sets,
+            signal_projections=spectral.projections if method.name == "oracle-weights" else None,
         )
         capped = np.where(kept, fn.values(fact.singular_values), 0.0)
         stacked = {}  # metric name -> the scores of every cap, from the first cap that needs them

@@ -388,9 +388,15 @@ def soft_threshold_derivs(sigmas: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def soft_threshold_function(lam: float, clamp_floor: Optional[float] = None) -> SpectralFunction:
+def check_threshold(lam: float) -> None:
+    """Raise :class:`DomainError` for a negative soft threshold; a NaN passes,
+    and its map is NaN wherever it is evaluated."""
     if lam < 0:
         raise DomainError("soft threshold must be nonnegative")
+
+
+def soft_threshold_function(lam: float, clamp_floor: Optional[float] = None) -> SpectralFunction:
+    check_threshold(lam)
     return SpectralFunction(
         lambda s: soft_threshold_values(s, lam),
         lambda s: soft_threshold_derivs(s, lam),

@@ -20,7 +20,9 @@ mean over +-1 probes ``delta`` of ``delta * (J delta)`` (Ramani, Blu &
 Unser, IEEE TIP 2008) or of first-order downdates, whose standard error the
 estimate scales by ``|scale|``.  One constructor builds the five
 :class:`RiskEstimate` s, and one prelude gives every map-level estimate its
-checked map, factorization and unclamped estimate.
+checked map, factorization and unclamped estimate.  The soft-threshold
+search scores SURE as a float from the threshold
+(:func:`soft_threshold_sure`), with the formulas of the map-level SURE.
 
 The exact enumeration reuses the observation's factorization: with
 ``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
@@ -37,9 +39,10 @@ a :class:`ParameterError`).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,8 +84,7 @@ class RiskEstimate:
     offset_note: str = ""
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"risk estimate is not finite: {self.value}")
+        _finite(self.value)
         if self.divergence_kind == "monte_carlo" and (self.samples is None or self.samples < 1):
             raise DomainError("Monte-Carlo risk estimates must record samples >= 1")
 
@@ -98,6 +100,13 @@ class RiskEstimate:
         if self.stderr is not None:
             out["stderr"] = self.stderr
         return out
+
+
+def _finite(value: float) -> float:
+    """``value``, or :class:`DomainError` when it is not finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"risk estimate is not finite: {value}")
+    return value
 
 
 def divergence_closed_form(
@@ -128,8 +137,16 @@ def divergence_closed_form(
         raise DomainError("shrink_values and shrink_derivs must match the singular values")
     if fact.has_ties:
         linalg.check_distinct(fact, f, d)
-    total = float(d.sum())
+    return _divergence(fact, f, float(d.sum()))
+
+
+def _divergence(fact: SvdFactorization, f: np.ndarray, slope: float) -> float:
+    """The closed-form divergence of a map with values ``f``, whose
+    derivatives sum to ``slope``, once its ties are checked: the
+    ``|m - n|`` term, then the slope, then the pair term."""
+    total = slope
     if fact.m != fact.n:
+        s = fact.singular_values
         with np.errstate(over="ignore", invalid="ignore"):
             term = abs(fact.m - fact.n) * float(linalg._safe_ratio(f, s).sum())
         if not math.isfinite(term):
@@ -139,6 +156,48 @@ def divergence_closed_form(
             )
         total = term + total
     return total + 2.0 * float(f @ fact.pair_sums)
+
+
+def soft_threshold_sure(fact: SvdFactorization, tau: float) -> Callable[[float], float]:
+    """The score ``lambda -> SURE`` of the unclamped soft threshold at
+    ``lambda``, for Gaussian noise of level ``tau`` on the factorized
+    observation: the value of :func:`sure_gaussian_spectral` with
+    :func:`divergence_closed_form`, bit for bit, with the same errors, and
+    no map, derivative vector or :class:`RiskEstimate` per evaluation.
+
+    The derivatives of a soft threshold are 1 above it, 1/2 at it and 0
+    below, and every partial sum of such terms is a multiple of 1/2, so
+    their sum is exactly the count ``#(sigma > lambda) + #(sigma = lambda)/2``,
+    read off the sorted spectrum by bisection (:func:`_soft_threshold_slope`).
+    The other reductions run as in the map chain.  A negative threshold
+    raises :class:`DomainError`, and so does a value that is not finite,
+    with :class:`RiskEstimate`'s text.
+    """
+    s = fact.singular_values
+    ascending = (-s).tolist()  # -sigma in ascending order, for bisect
+    shape, ties = (fact.n, fact.m), fact.has_ties
+
+    def score(lam: float) -> float:
+        linalg.check_threshold(lam)
+        f = linalg.soft_threshold_values(s, lam)
+        if ties:
+            linalg.check_distinct(fact, f, linalg.soft_threshold_derivs(s, lam))
+        divergence = _divergence(fact, f, _soft_threshold_slope(ascending, lam))
+        lead, scale = _sure_terms(shape, _residual(fact, f), tau)
+        return _finite(lead + scale * divergence)
+
+    return score
+
+
+def _soft_threshold_slope(ascending: list, lam: float) -> float:
+    """The sum of the soft threshold's derivatives at the singular values,
+    ``#(sigma > lam) + #(sigma = lam) / 2``, from ``ascending``, the list of
+    ``-sigma`` in ascending order; 0 at a NaN ``lam``, which no value
+    exceeds or equals (a bisection would count it equal to all)."""
+    if lam != lam:
+        return 0.0
+    above = bisect.bisect_left(ascending, -lam)
+    return above + 0.5 * (bisect.bisect_right(ascending, -lam, above) - above)
 
 
 def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -306,8 +365,21 @@ def sure_gaussian_spectral(
     f = np.asarray(shrink_values, dtype=float)
     if f.shape != fact.singular_values.shape:
         raise DomainError("shrink_values must match the singular values")
-    residual = float(((f - fact.singular_values) ** 2).sum())
-    return _sure((fact.n, fact.m), residual, tau, divergence)
+    return _sure((fact.n, fact.m), _residual(fact, f), tau, divergence)
+
+
+def _residual(fact: SvdFactorization, f: np.ndarray) -> float:
+    """``||sum_k f_k u_k v_k^T - Y||_F^2 = sum_k (f_k - sigma_k)^2``."""
+    return float(((f - fact.singular_values) ** 2).sum())
+
+
+def _sure_terms(shape: tuple[int, int], residual: float, tau: float) -> tuple[float, float]:
+    """SURE's lead ``-n m tau^2 + residual`` and divergence scale ``2 tau^2``,
+    from the squared residual ``||estimate - Y||_F^2``."""
+    if not tau > 0:
+        raise ParameterError("tau must be positive")
+    n, m = shape
+    return -n * m * tau**2 + residual, 2.0 * tau**2
 
 
 def _sure(
@@ -317,12 +389,8 @@ def _sure(
     divergence: Union[float, MonteCarloDivergence],
 ) -> RiskEstimate:
     """SURE from the squared residual ``||estimate - Y||_F^2``."""
-    if not tau > 0:
-        raise ParameterError("tau must be positive")
-    n, m = shape
-    return _risk_estimate(
-        "SURE", -n * m * tau**2 + residual, 2.0 * tau**2, divergence, "estimates the MSE itself"
-    )
+    lead, scale = _sure_terms(shape, residual, tau)
+    return _risk_estimate("SURE", lead, scale, divergence, "estimates the MSE itself")
 
 
 def _gamma_inputs(observed, estimate, shape, name: str) -> tuple[float, np.ndarray, np.ndarray]:

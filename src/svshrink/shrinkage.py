@@ -4,11 +4,14 @@ The estimators keep the observation's singular vectors and modify its
 singular values: hard truncation, soft thresholding, or per-index weighting.
 A fit searches one family of maps for the lowest score: a soft threshold
 over ``[0, sigma_1]`` (:func:`soft_threshold_fit`) or weights in [0, 1], one
-coordinate at a time (:func:`optimize_weights_greedy`).  The score is any
-map from a :class:`~svshrink.linalg.SpectralFunction` to a float, so the
-same searches serve the unbiased risk estimates built by
+coordinate at a time (:func:`optimize_weights_greedy`).  The weight search
+scores maps, any map from a :class:`~svshrink.linalg.SpectralFunction` to a
+float, so it serves the unbiased risk estimates built by
 :func:`make_risk_objective` (SURE, GSURE, SUKLS, PURE, PUKLA) and the
-realized losses of the oracles; the searches know nothing of the noise.
+realized losses of the oracles.  The threshold search scores the threshold:
+such a map score of its soft-threshold map, or Gaussian SURE read off the
+spectrum by :func:`svshrink.risk.soft_threshold_sure`.  The searches know
+nothing of the noise.
 Closed forms replace the search where they exist: Gaussian weights, and the
 rank-one Gamma synthesis-KL and Poisson analysis-KL weights.  The fits
 return parameters, and :func:`svshrink.experiments.fit_estimator` turns
@@ -293,7 +296,9 @@ def make_risk_objective(
     needs them only once an evaluation finds the clamp floor active, since
     a clamped estimate has no closed form.  SURE scores maps without a
     clamp floor only, from the spectrum alone
-    (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed.
+    (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed; a
+    soft-threshold search scores the same value from the threshold, with no
+    map per trial (:func:`risk.soft_threshold_sure`).
     ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
     ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
     one fit.  Every evaluation reuses ``fact``; none factors ``observed``
@@ -380,9 +385,14 @@ def optimize_weights_greedy(
     return weights
 
 
-def soft_threshold_fit(fact: SvdFactorization, score: Score, clamp_floor: Optional[float] = None) -> float:
-    """The soft threshold in ``[0, sigma_1]`` minimizing ``score`` of the
-    soft-threshold map; 0, without a search, for an all-zero spectrum.
+def soft_threshold_fit(fact: SvdFactorization, score: Callable[[float], float]) -> float:
+    """The soft threshold in ``[0, sigma_1]`` minimizing ``score``, a map from
+    a threshold to a float; 0, without a search, for an all-zero spectrum.
+
+    ``score`` may build the threshold's map and score it,
+    ``lambda lam: map_score(linalg.soft_threshold_function(lam, floor))``, or
+    score the threshold directly, as :func:`svshrink.risk.soft_threshold_sure`
+    scores Gaussian SURE from the spectrum with no map per trial.
 
     The search runs in units of the power of two at or below ``sigma_1``,
     on ``[0, sigma_1 / unit]``, a range in [1, 2), and stops within
@@ -397,10 +407,7 @@ def soft_threshold_fit(fact: SvdFactorization, score: Score, clamp_floor: Option
     if top == 0.0:
         return 0.0
     unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    t = minimize_bounded(
-        lambda t: score(linalg.soft_threshold_function(t * unit, clamp_floor)),
-        0.0, top / unit, xatol=BOUNDED_XATOL / max(unit, 1.0),
-    )
+    t = minimize_bounded(lambda t: score(t * unit), 0.0, top / unit, xatol=BOUNDED_XATOL / max(unit, 1.0))
     return t * unit
 
 

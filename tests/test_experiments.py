@@ -214,6 +214,51 @@ class TestRunner:
         else:
             assert counts == [9 if c[0] == first else 10 for c in cells]
 
+    def test_one_greedy_active_set_per_replication(self, monkeypatch):
+        # Three weighted fits read the greedy set, one of them capped at rank
+        # 1; the replication computes it once, and the cap still applies.
+        cfg = ExperimentConfig.from_config(
+            small_config(
+                n=8, m=9, model={"family": "gamma", "L": 4},
+                signal={"type": "spike", "sigmas": [60.0, 8.0], "recipe": "quadratic_profile"},
+                estimators=[
+                    "weighted:objective=gsure", "weighted:objective=sukls", "weighted:objective=sukls,rank=1",
+                ],
+                replications=2, clamp_floor=1.0,
+            )
+        )
+        calls, capped = [], []
+        greedy, fit = experiments.activeset.active_set_greedy, experiments.fit_estimator
+
+        def counted_greedy(*args, **kwargs):
+            calls.append(kwargs["fact"])
+            return greedy(*args, **kwargs)
+
+        def recorded_fit(method, *args, **kwargs):
+            fn, info = fit(method, *args, **kwargs)
+            if method.rank == 1:
+                capped.append(info["active_set"])
+            return fn, info
+
+        monkeypatch.setattr(experiments.activeset, "active_set_greedy", counted_greedy)
+        monkeypatch.setattr(experiments, "fit_estimator", recorded_fit)
+        result = experiments.run_experiment(cfg)
+        assert not result.failures
+        assert len(calls) == 2 and calls[0] is not calls[1]
+        assert len(capped) == 2 and all(active in ([], [1]) for active in capped)
+
+    def test_one_signal_projection_pass_per_replication(self, monkeypatch):
+        # The oracle weights read the projections the task's spectral score
+        # computes for the nmse of every Gaussian estimate.
+        cfg = ExperimentConfig.from_config(
+            small_config(estimators=["oracle-weights", "pca:rank=1,active=all"], replications=3)
+        )
+        projections = metrics.signal_projections
+        calls = []
+        monkeypatch.setattr(metrics, "signal_projections", lambda *a: calls.append(1) or projections(*a))
+        experiments.run_experiment(cfg)
+        assert len(calls) == 3
+
     def test_deterministic_repeat(self):
         cfg = ExperimentConfig.from_config(small_config(replications=1))
         a = experiments.run_experiment(cfg)

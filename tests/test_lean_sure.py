@@ -1,14 +1,16 @@
 """The Gaussian SURE chain (the closed-form divergence, SURE from the
 spectrum and the soft-threshold derivative) against copies that convert,
-mask and reduce on every call: the same bits, and the same errors."""
+mask and reduce on every call, and the soft-threshold SURE scorer against
+the chain: the same bits, and the same errors."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svshrink import linalg, risk
-from svshrink.errors import DegenerateSpectrumError, NumericalError, SvshrinkError
+from svshrink import linalg, risk, shrinkage
+from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, SvshrinkError
 from svshrink.linalg import SvdFactorization
+from svshrink.models import Gaussian
 
 from helpers import (
     reference_divergence_closed_form,
@@ -139,3 +141,83 @@ def test_a_subnormal_singular_value_under_a_map_that_does_not_vanish():
     assert_same(risk.divergence_closed_form(factorization((1, 1), subnormal), f, d), 0.0)
     raised = outcome(risk.divergence_closed_form, factorization((1, 2), subnormal), f, d)
     assert raised[0] is NumericalError and "is not finite" in raised[1]
+
+
+def chain_score(fact, tau):
+    """SURE of a soft threshold through the map chain the scorer replaces."""
+    y = linalg.compose(fact, fact.singular_values)
+    evaluate = shrinkage.make_risk_objective(y, fact, Gaussian(tau), "sure")
+    return lambda lam: evaluate(linalg.soft_threshold_function(lam)).value
+
+
+def threshold(kind, s, share, index):
+    """A threshold on the spectrum ``s``: 0, exactly one of the singular
+    values, a share of ``sigma_1 + 1``, above ``sigma_1``, NaN or negative."""
+    return {
+        "zero": 0.0,
+        "at_value": float(s[index % len(s)]),
+        "share": share * (float(s[0]) + 1.0),
+        "above": float(s[0]) * (1.0 + share) + 1.0,
+        "nan": float("nan"),
+        "negative": -share - 1e-3,
+    }[kind]
+
+
+# The largest taus have a finite square, but not n m tau^2 or 2 tau^2 times
+# the divergence, so the estimate is not finite.
+taus = st.one_of(st.floats(0.01, 10.0), st.sampled_from([1e153, 1e154, 1.3e154]))
+threshold_kinds = st.sampled_from(["zero", "at_value", "share", "above", "nan", "negative"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shapes, st.lists(spectrum_values, min_size=1, max_size=14), threshold_kinds,
+    st.floats(0.0, 1.0), st.integers(0, 13), taus,
+)
+@example((3, 5), [2.0, 2.0, 0.0], "at_value", 0.0, 0, 1.0)  # a tie the map keeps
+@example((3, 5), [2.0, 2.0, 0.0], "above", 0.0, 0, 1.0)  # a tie the map drops
+@example((2, 3), [3.0, 0.0], "nan", 0.0, 0, 1.0)  # a zero under a NaN map
+@example((10, 10), [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0], "share", 0.5, 0, 1e154)
+def test_soft_threshold_sure_is_the_chain_bit_for_bit(shape, values, kind, share, index, tau):
+    fact = factorization(shape, values)
+    lam = threshold(kind, fact.singular_values, share, index)
+    got = outcome(risk.soft_threshold_sure(fact, tau), lam)
+    assert_same(got, outcome(chain_score(fact, tau), lam))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(spectrum_values, min_size=1, max_size=14), threshold_kinds, st.floats(0.0, 1.0), st.integers(0, 13))
+def test_the_slope_is_the_derivative_sum(values, kind, share, index):
+    # Exact: every partial sum of 0, 1/2 and 1 terms is a multiple of 1/2.
+    s = np.sort(np.asarray(values))[::-1]
+    lam = threshold(kind, s, share, index)
+    expected = float(linalg.soft_threshold_derivs(s, lam).sum())
+    assert_same(risk._soft_threshold_slope((-s).tolist(), lam), expected)
+
+
+def test_soft_threshold_sure_errors():
+    # Each error keeps the chain's type and text.
+    tied = factorization((3, 5), [2.0, 2.0, 0.0])
+    raised = outcome(risk.soft_threshold_sure(tied, 1.0), 1.0)
+    assert raised[0] is DegenerateSpectrumError and "coincide" in raised[1]
+    dropped = risk.soft_threshold_sure(tied, 1.0)(2.5)  # the map vanishes on the tied pair
+    assert_same(dropped, chain_score(tied, 1.0)(2.5))
+    zero = outcome(risk.soft_threshold_sure(factorization((2, 3), [3.0, 0.0]), 1.0), float("nan"))
+    assert zero == (DegenerateSpectrumError, "singular value 2 is zero but the spectral map does not vanish there")
+    wide = outcome(risk.soft_threshold_sure(factorization((2, 3), [3.0, 1.0]), 1.0), float("nan"))
+    assert wide[0] is NumericalError and "is not finite" in wide[1]
+    square = outcome(risk.soft_threshold_sure(factorization((2, 2), [3.0, 1.0]), 1.0), float("nan"))
+    assert square == (DomainError, "risk estimate is not finite: nan")
+    large = outcome(risk.soft_threshold_sure(factorization((10, 10), np.arange(10.0, 0.0, -1.0)), 1e154), 1.0)
+    assert large == (DomainError, "risk estimate is not finite: nan")
+    assert outcome(risk.soft_threshold_sure(tied, 1.0), -1.0) == (DomainError, "soft threshold must be nonnegative")
+
+
+def test_soft_threshold_fit_finds_the_chains_threshold():
+    # Equal scores at every trial give the same Brent path and threshold.
+    for seed, shape in enumerate(((12, 10), (10, 12), (9, 9), (1, 7))):
+        y = np.random.default_rng(seed).standard_normal(shape)
+        y[0] += 3.0
+        fact = linalg.svd(y)
+        lam = shrinkage.soft_threshold_fit(fact, risk.soft_threshold_sure(fact, 0.5))
+        assert_same(lam, shrinkage.soft_threshold_fit(fact, chain_score(fact, 0.5)))

@@ -342,7 +342,7 @@ class TestSoftThresholdFit:
         v, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         y = (u * [5.0, 4.0, 3.0]) @ v.T
         fact = linalg.svd(y)
-        lam = shrinkage.soft_threshold_fit(fact, risk_score(y, fact, Gaussian(1e-12), "sure"))
+        lam = shrinkage.soft_threshold_fit(fact, risk.soft_threshold_sure(fact, 1e-12))
         assert lam <= 1e-4 * 5.0
 
     def test_pure_noise_thresholds_out_everything(self):
@@ -351,7 +351,7 @@ class TestSoftThresholdFit:
             rng = np.random.default_rng(np.random.SeedSequence([15, i]))
             y = 0.1 * rng.standard_normal((100, 150))
             fact = linalg.svd(y)
-            lam = shrinkage.soft_threshold_fit(fact, risk_score(y, fact, Gaussian(0.1), "sure"))
+            lam = shrinkage.soft_threshold_fit(fact, risk.soft_threshold_sure(fact, 0.1))
             fitted.append(lam / fact.singular_values[0])
             estimate = linalg.reconstruct(fact, linalg.soft_threshold_function(lam))
             leftovers.append(np.sum(estimate**2) / np.sum(y**2))
@@ -368,7 +368,7 @@ class TestSoftThresholdFit:
         def value_at(lam):
             return objective(linalg.soft_threshold_function(lam)).value
 
-        lam = shrinkage.soft_threshold_fit(fact, lambda fn: objective(fn).value)
+        lam = shrinkage.soft_threshold_fit(fact, value_at)
         top = fact.singular_values[0]
         best_grid = min(value_at(l) for l in np.arange(0.0, top + 1e-9, 1e-3 * top))
         assert value_at(lam) <= best_grid + 1e-6
@@ -390,7 +390,8 @@ class TestSoftThresholdFit:
         fact = linalg.svd(y)
         for model, objective in ((Gaussian(0.5), "sure"), (Poisson(), "pure"), (Poisson(), "pukla")):
             rng = np.random.default_rng(0)
-            assert shrinkage.soft_threshold_fit(fact, risk_score(y, fact, model, objective, rng)) == 0.0
+            score = risk_score(y, fact, model, objective, rng)
+            assert shrinkage.soft_threshold_fit(fact, lambda lam: score(linalg.soft_threshold_function(lam))) == 0.0
         for objective in ("gsure", "sukls"):
             with pytest.raises(DomainError, match="Gamma observations must be positive"):
                 risk_score(y, fact, Gamma(4.0), objective, np.random.default_rng(0))
