@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import activeset, experiments, linalg, matrixio, rmt, shrinkage
+from . import experiments, linalg, matrixio, rmt, shrinkage
 from .errors import NumericalError, ParameterError, SvshrinkError
 from .models import Gamma, Gaussian, Poisson
 
@@ -141,9 +141,10 @@ def _cmd_denoise(args) -> int:
     if args.rank is not None and args.rank > fact.rank_bound:
         raise UsageError(f"--rank must be in [0, {fact.rank_bound}]")
 
-    fn, sidecar = experiments.fit_estimator(method, y, fact, model, rng, clamp_floor=args.epsilon)
+    obs = experiments.Observation(y, fact, model, args.epsilon)
+    fn, sidecar = experiments.fit_estimator(method, obs, rng)
     if method.name == "soft":
-        sidecar["active_set"] = list(experiments.resolve_active(method, y, fact, model, args.epsilon))
+        sidecar["active_set"] = list(obs.selected(method))
     denoised = linalg.reconstruct(fact, fn)
     if objective is not None:
         evaluate = shrinkage.make_risk_objective(
@@ -168,11 +169,8 @@ def _cmd_activeset(args) -> int:
     pca = experiments.FitMethod("pca", active=args.method or "default")
     method = _as_usage(experiments.resolve_method, pca, model)
     y = matrixio.read_matrix(path)
-    fact = linalg.svd(y)
-    if method.active == "bulk":
-        report = activeset.active_set_gaussian(fact, model.tau)
-    else:
-        report = activeset.active_set_greedy(y, model, clamp_floor=args.epsilon, fact=fact)
+    obs = experiments.Observation(y, linalg.svd(y), model, args.epsilon)
+    report = obs.bulk if method.active == "bulk" else obs.greedy
     payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
     if args.output:
         Path(args.output).write_text(payload, encoding="utf-8")

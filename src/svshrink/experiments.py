@@ -14,6 +14,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -259,64 +260,65 @@ def parse_estimator_tag(tag: str, model: NoiseModel) -> FitMethod:
         raise ParameterError(f"estimator tag {tag!r}: {exc}") from exc
 
 
-def resolve_active(
-    method: FitMethod, y, fact, model, clamp_floor, memo: Optional[dict] = None
-) -> tuple[int, ...]:
-    """The 1-based indices a resolved method keeps, capped at ``method.rank``.
+@dataclass(frozen=True, eq=False)
+class Observation:
+    """One observed matrix ``y`` and what every fit on it shares: its SVD
+    ``fact``, the noise model, the clamp floor of Gamma and Poisson fits, the
+    bulk and greedy active sets and the :class:`metrics.SpectralScore` of the
+    true ``signal``, each computed on first use and kept.  The oracle
+    shrinker reads ``signal_values``, the signal's singular values."""
 
-    ``memo``, a dict the caller owns for one observation, factorization,
-    model and clamp floor, keeps each uncapped set by its kind, so that the
-    fits of one replication compute a greedy set once; the cap applies after.
-    """
-    memo = {} if memo is None else memo
-    if method.active not in memo:
-        memo[method.active] = _active_set(method.active, y, fact, model, clamp_floor)
-    selected = memo[method.active]
-    if method.rank is not None:
-        selected = tuple(k for k in selected if k <= method.rank)
-    return selected
+    y: np.ndarray
+    fact: SvdFactorization
+    model: NoiseModel
+    clamp_floor: float = DEFAULT_CLAMP_FLOOR
+    signal: Optional[np.ndarray] = None
+    signal_values: Optional[np.ndarray] = None
 
+    @property
+    def floor(self) -> Optional[float]:
+        """The clamp floor of every fit: ``None`` under Gaussian noise."""
+        return None if isinstance(self.model, Gaussian) else self.clamp_floor
 
-def _active_set(kind: str, y, fact, model, clamp_floor) -> tuple[int, ...]:
-    """The uncapped active set of ``kind``: all, bulk or greedy."""
-    if kind == "all":
-        return tuple(range(1, fact.rank_bound + 1))
-    if kind == "bulk":
-        return activeset.active_set_gaussian(fact, model.tau).selected
-    return activeset.active_set_greedy(y, model, clamp_floor=clamp_floor, fact=fact).selected
+    @cached_property
+    def bulk(self) -> activeset.ActiveSetReport:
+        return activeset.active_set_gaussian(self.fact, self.model.tau)
+
+    @cached_property
+    def greedy(self) -> activeset.ActiveSetReport:
+        return activeset.active_set_greedy(self.y, self.model, clamp_floor=self.clamp_floor, fact=self.fact)
+
+    def selected(self, method: FitMethod) -> tuple[int, ...]:
+        """The 1-based indices a resolved method keeps, capped at ``method.rank``."""
+        if method.active == "all":
+            selected = range(1, self.fact.rank_bound + 1)
+        else:
+            selected = (self.bulk if method.active == "bulk" else self.greedy).selected
+        return tuple(k for k in selected if method.rank is None or k <= method.rank)
+
+    @cached_property
+    def spectral(self) -> metrics.SpectralScore:
+        return metrics.SpectralScore(self.signal, self.fact)
 
 
 def fit_estimator(
-    method: FitMethod,
-    observed: np.ndarray,
-    fact: SvdFactorization,
-    model: NoiseModel,
-    rng: np.random.Generator,
-    signal: Optional[np.ndarray] = None,
-    clamp_floor: float = DEFAULT_CLAMP_FLOOR,
-    signal_values: Optional[np.ndarray] = None,
-    signal_projections: Optional[np.ndarray] = None,
-    active_sets: Optional[dict] = None,
+    method: FitMethod, obs: Observation, rng: np.random.Generator
 ) -> tuple[SpectralFunction, dict]:
-    """Fit one resolved method on one realization.
+    """Fit one resolved method on one observation.
 
     Returns the fitted estimator and what the fit chose (active set, weights,
     threshold or scale).  This is the one place where fitted parameters
-    become an estimator.  The oracle shrinker reads ``signal_values``, the
-    singular values of ``signal``, which each data point computes once; the
-    oracle weights read ``signal_projections``, ``diag(U^T X V)``, when the
-    caller has them (else they are computed here); and ``active_sets`` is the
-    ``memo`` of :func:`resolve_active`, shared by the fits of one observation.
+    become an estimator; ``svshrink denoise`` and the experiment runner both
+    call it.  What the fits of one observation share, ``obs`` computes once.
     """
-    y = np.asarray(observed, dtype=float)
+    y, fact, model, floor = obs.y, obs.fact, obs.model, obs.floor
     s = fact.singular_values
-    floor = None if isinstance(model, Gaussian) else clamp_floor
 
-    if method.needs_signal and signal is None:
+    if method.needs_signal and obs.signal is None:
         raise ParameterError(f"{method.name} needs the true signal")
 
     if method.name == "pca":
-        active = resolve_active(method, y, fact, model, clamp_floor, active_sets)
+        active = obs.selected(method)
         keep = np.zeros(fact.rank_bound)
         keep[np.asarray(active, dtype=int) - 1] = 1.0
         return linalg.weights_function(keep, floor), {"active_set": list(active)}
@@ -331,7 +333,7 @@ def fit_estimator(
         evaluate = shrinkage.make_risk_objective(y, fact, model, method.objective, rng=rng)
         score = lambda fn: evaluate(fn).value
     elif method.name == "oracle-soft":
-        score = lambda fn: metrics.metric(method.loss, linalg.reconstruct(fact, fn), signal, model)
+        score = lambda fn: metrics.metric(method.loss, linalg.reconstruct(fact, fn), obs.signal, model)
 
     if method.name in ("soft", "oracle-soft"):
         threshold_score = lambda lam: score(linalg.soft_threshold_function(lam, floor))
@@ -339,13 +341,13 @@ def fit_estimator(
         return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
 
     if method.name == "weighted":
-        active = resolve_active(method, y, fact, model, clamp_floor, active_sets)
-        w = _fit_weights(y, fact, model, method.objective, active, floor, score)
+        active = obs.selected(method)
+        w = _fit_weights(obs, method.objective, active, score)
         info = {"active_set": list(active), "weights": {str(k): float(w[k - 1]) for k in active}}
         return linalg.weights_function(w, floor), info
 
     if method.name == "oracle-weights":
-        values = shrinkage.oracle_weights(signal, fact) if signal_projections is None else signal_projections
+        values = obs.spectral.projections
         raw = np.divide(values, s, out=np.zeros_like(values), where=s != 0)
         return _fixed_values(values, floor), {"raw_weights": raw.tolist()}
 
@@ -361,9 +363,9 @@ def fit_estimator(
         return _fixed_values(values, floor), {"scale": scale}
 
     if method.name == "oracle-shrinker":
-        if signal_values is None:
+        if obs.signal_values is None:
             raise ParameterError("oracle-shrinker needs the true signal's singular values")
-        true_s = signal_values / scale
+        true_s = obs.signal_values / scale
         values = np.zeros_like(s)
         r = int(np.sum(true_s > 1e-12 * max(true_s[0], 1.0)))
         for k in range(min(r, len(s))):
@@ -376,20 +378,20 @@ def fit_estimator(
     raise ParameterError(f"unhandled estimator {method.name!r}")
 
 
-def _fit_weights(y, fact, model, objective, active, clamp_floor, score) -> np.ndarray:
+def _fit_weights(obs: Observation, objective, active, score) -> np.ndarray:
     """The weight vector of a weighted fit: the greedy search of ``score``,
     or a fast path: the Gaussian closed form, and the rank-one closed forms
     when the active set is exactly {1}."""
-    if isinstance(model, Gaussian) and objective == "sure":
-        return shrinkage.weights_gaussian(fact, model.tau, active)
+    if isinstance(obs.model, Gaussian) and objective == "sure":
+        return shrinkage.weights_gaussian(obs.fact, obs.model.tau, active)
     if active == (1,) and objective in ("sukls", "pukla"):
-        w = np.zeros(fact.rank_bound)
+        w = np.zeros(obs.fact.rank_bound)
         if objective == "sukls":
-            w[0] = shrinkage.weight1_gamma_sukls(y, fact, model.shape)
+            w[0] = shrinkage.weight1_gamma_sukls(obs.y, obs.fact, obs.model.shape)
         else:
-            w[0] = shrinkage.weight1_poisson_pukla(y, fact)
+            w[0] = shrinkage.weight1_poisson_pukla(obs.y, obs.fact)
         return w
-    return shrinkage.optimize_weights_greedy(fact, score, active, clamp_floor)
+    return shrinkage.optimize_weights_greedy(obs.fact, score, active, obs.floor)
 
 
 def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralFunction:
@@ -575,6 +577,7 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
     rng = np.random.default_rng(np.random.SeedSequence([config.root_seed, point_idx, rep]))
     y = model.sample(x, rng)
     fact = linalg.svd(y)
+    obs = Observation(y, fact, model, config.clamp_floor, x, x_values)
 
     caps = [fact.rank_bound]
     if config.sweep_parameter == "rank_cap":
@@ -583,20 +586,14 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
     # Quadratic metrics of unclamped estimates are scored from the spectrum,
     # every cap of a fit in one stack; clamped estimates and the other
     # metrics need the n x m estimate of each cap.
-    spectral = metrics.SpectralScore(x, fact)
     # kept[i, j]: cap i keeps index j.
     kept = np.array(caps)[:, None] > np.arange(fact.rank_bound)
     scores = np.empty((len(caps), len(config.methods), len(config.metrics)))
-    active_sets = {}  # the fits of this observation share their active sets
     for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
         est_rng = np.random.default_rng(
             np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
         )
-        fn, _ = fit_estimator(
-            method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor,
-            signal_values=x_values, active_sets=active_sets,
-            signal_projections=spectral.projections if method.name == "oracle-weights" else None,
-        )
+        fn, _ = fit_estimator(method, obs, est_rng)
         capped = np.where(kept, fn.values(fact.singular_values), 0.0)
         stacked = {}  # metric name -> the scores of every cap, from the first cap that needs them
         # A score outside the float range fails the task by name, not with a warning.
@@ -606,7 +603,7 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
                 for j, metric_name in enumerate(config.metrics):
                     if fn.clamp_floor is None and metric_name in metrics.SPECTRAL_METRICS:
                         if metric_name not in stacked:
-                            stacked[metric_name] = spectral.metric(metric_name, capped)
+                            stacked[metric_name] = obs.spectral.metric(metric_name, capped)
                         score = stacked[metric_name][i]
                     else:
                         if xhat is None:

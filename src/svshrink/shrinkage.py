@@ -286,8 +286,10 @@ def make_risk_objective(
     """Build a deterministic map from spectral functions to risk estimates.
 
     The soft and weight searches minimize its value and know nothing of the
-    noise family.  A Gamma observation is checked for positivity here, once,
-    when the objective is built.  Monte-Carlo criteria draw their ``samples``
+    noise family.  A Gamma observation is checked for positivity when the
+    objective is built, so that a fit that evaluates nothing (a soft search
+    on an all-zero spectrum) still rejects it; each GSURE and SUKLS
+    evaluation checks it again.  Monte-Carlo criteria draw their ``samples``
     probe directions on the first evaluation that needs them and reuse them
     for every later one, so the returned objective is a fixed function
     suitable for bounded minimization, and an objective never evaluated

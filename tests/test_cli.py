@@ -304,6 +304,40 @@ class TestActiveSetCommand:
         assert cli.main(argv + ["--method", "bulk"]) == 1
         assert "needs Gaussian noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, flags, y",
+        [
+            (
+                "gaussian", ["--tau", str(1 / np.sqrt(30))],
+                spiked_signal(20, 30, [3.0, 2.0], np.random.default_rng(5))
+                + np.random.default_rng(6).standard_normal((20, 30)) / np.sqrt(30),
+            ),
+            ("gamma", ["--L", "4"], Gamma(4.0).sample(rank_one_positive(12, 15, 20.0), np.random.default_rng(7))),
+            ("poisson", [], Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))),
+        ],
+    )
+    def test_selected_is_the_active_set_of_each_denoise(self, tmp_path, capsys, family, flags, y):
+        # The report and the soft and pca fits read one active set.
+        path = tmp_path / "y.csv"
+        matrixio.write_matrix_csv(path, y)
+        given = ["--input", str(path), "--family", family, *flags]
+
+        def selected(*extra):
+            assert cli.main(["activeset", *given, *extra]) == 0
+            return json.loads(capsys.readouterr().out)["selected"]
+
+        def active_set(method, *extra):
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["denoise", *given, "--method", method, *extra, "--output", str(out)]) == 0
+            return json.loads(out.with_suffix(".csv.json").read_text(encoding="utf-8"))["active_set"]
+
+        default = selected()
+        assert 0 < len(default) < min(y.shape)
+        assert active_set("soft") == default
+        assert active_set("pca") == default
+        if family == "gaussian":
+            assert selected("--method", "bulk") == active_set("pca", "--active-set", "bulk") == default
+
     @pytest.mark.parametrize("epsilon", ["0", "-1"])
     def test_nonpositive_epsilon_is_usage_error(self, tmp_path, epsilon):
         y = Poisson().sample(rank_one_positive(15, 10, 55.0), np.random.default_rng(1))

@@ -598,8 +598,11 @@ class TestRunner:
         for obs, signal in ((y, x), (y.T, x.T)):
             fact = linalg.svd(obs)
             fn, _ = experiments.fit_estimator(
-                method, obs, fact, model, np.random.default_rng(0), signal=signal,
-                signal_values=np.linalg.svd(signal, compute_uv=False),
+                method,
+                experiments.Observation(
+                    obs, fact, model, signal=signal, signal_values=np.linalg.svd(signal, compute_uv=False)
+                ),
+                np.random.default_rng(0),
             )
             fits.append(fn.values(fact.singular_values))
         assert np.count_nonzero(fits[0]) == 2
@@ -611,8 +614,8 @@ class TestRunner:
         y = np.ones((4, 5))
         with pytest.raises(ParameterError, match="singular values"):
             experiments.fit_estimator(
-                FitMethod("oracle-shrinker"), y, linalg.svd(y), Gaussian(1.0),
-                np.random.default_rng(0), signal=y,
+                FitMethod("oracle-shrinker"), experiments.Observation(y, linalg.svd(y), Gaussian(1.0), signal=y),
+                np.random.default_rng(0),
             )
 
     def test_shared_signals_keep_fig2_records_identical_across_threads(self, tmp_path):
@@ -763,7 +766,8 @@ def test_edge_shape_fits_raise_typed_or_match_their_info(family, name, kind, siz
     y = edge_observation(family, kind, size, seed)
     try:
         fact = linalg.svd(y)
-        fn, info = experiments.fit_estimator(method, y, fact, model, np.random.default_rng(seed))
+        obs = experiments.Observation(y, fact, model)
+        fn, info = experiments.fit_estimator(method, obs, np.random.default_rng(seed))
         estimate = linalg.reconstruct(fact, fn)
     except SvshrinkError:
         return

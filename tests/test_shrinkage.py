@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, ParameterError
-from svshrink.experiments import FitMethod, fit_estimator
+from svshrink.experiments import FitMethod, Observation, fit_estimator
 from svshrink.linalg import SvdFactorization
 from svshrink.models import Gamma, Gaussian, Poisson
 
@@ -44,7 +44,7 @@ class TestApply:
         y = rng.standard_normal((5, 7))
         fact = linalg.svd(y)
         method = FitMethod("pca", active="all", rank=5)
-        fn, info = fit_estimator(method, y, fact, Gaussian(1.0), rng)
+        fn, info = fit_estimator(method, Observation(y, fact, Gaussian(1.0)), rng)
         assert info["active_set"] == [1, 2, 3, 4, 5]
         np.testing.assert_allclose(linalg.reconstruct(fact, fn), y, atol=1e-12)
 
@@ -60,7 +60,7 @@ class TestApply:
         y = rng.standard_normal((4, 4))
         fact = linalg.svd(y)
         method = FitMethod("pca", active="all", rank=4)
-        fn, _ = fit_estimator(method, y, fact, Gamma(3.0), rng, clamp_floor=1e-2)
+        fn, _ = fit_estimator(method, Observation(y, fact, Gamma(3.0), clamp_floor=1e-2), rng)
         assert fn.clamp_floor == 1e-2
         assert linalg.reconstruct(fact, fn).min() >= 1e-2
 
@@ -304,7 +304,7 @@ class TestGreedyWeights:
         rng = np.random.default_rng(31)
         before = rng.bit_generator.state
         method = FitMethod("weighted", objective=objective, active="all", rank=1)
-        _, info = fit_estimator(method, y, linalg.svd(y), model, rng)
+        _, info = fit_estimator(method, Observation(y, linalg.svd(y), model), rng)
         assert info["active_set"] == [1]
         assert rng.bit_generator.state == before
 
@@ -397,7 +397,7 @@ class TestSoftThresholdFit:
                 risk_score(y, fact, Gamma(4.0), objective, np.random.default_rng(0))
             with pytest.raises(DomainError, match="Gamma observations must be positive"):
                 fit_estimator(
-                    FitMethod("soft", objective=objective), y, fact, Gamma(4.0), np.random.default_rng(0)
+                    FitMethod("soft", objective=objective), Observation(y, fact, Gamma(4.0)), np.random.default_rng(0)
                 )
 
 
@@ -419,10 +419,8 @@ SCALE_CASES = (
 def scaled_soft_fit(case, a: float) -> float:
     method, y, model_at, signal = case
     fact = linalg.svd(a * y)
-    _, info = fit_estimator(
-        method, a * y, fact, model_at(a), np.random.default_rng(24),
-        signal=None if signal is None else a * signal, clamp_floor=a * 1e-6,
-    )
+    obs = Observation(a * y, fact, model_at(a), a * 1e-6, None if signal is None else a * signal)
+    _, info = fit_estimator(method, obs, np.random.default_rng(24))
     return info["lambda"]
 
 
@@ -448,7 +446,7 @@ class TestOracles:
         fact = linalg.svd(y)
         values = shrinkage.oracle_weights(y, fact)
         np.testing.assert_allclose(values, fact.singular_values, rtol=1e-10)
-        _, info = fit_estimator(FitMethod("oracle-weights"), y, fact, Gaussian(1.0), rng, signal=y)
+        _, info = fit_estimator(FitMethod("oracle-weights"), Observation(y, fact, Gaussian(1.0), signal=y), rng)
         np.testing.assert_allclose(info["raw_weights"], 1.0, rtol=0, atol=1e-10)
 
     def test_zero_signal(self):
@@ -457,7 +455,7 @@ class TestOracles:
         fact = linalg.svd(y)
         np.testing.assert_allclose(shrinkage.oracle_weights(np.zeros((6, 5)), fact), 0.0, atol=1e-12)
         method = FitMethod("oracle-soft", loss="se")
-        _, info = fit_estimator(method, y, fact, Gaussian(1.0), rng, signal=np.zeros((6, 5)))
+        _, info = fit_estimator(method, Observation(y, fact, Gaussian(1.0), signal=np.zeros((6, 5))), rng)
         assert info["lambda"] >= 0.999 * fact.singular_values[0]
 
     def test_oracle_values_are_local_minimizers(self):

@@ -162,7 +162,7 @@ def dense_records(config: ExperimentConfig, rep: int) -> list[dict]:
             np.random.SeedSequence([config.root_seed, 0, rep, est_idx])
         )
         fn, _ = experiments.fit_estimator(
-            method, y, fact, model, est_rng, signal=x, clamp_floor=config.clamp_floor
+            method, experiments.Observation(y, fact, model, config.clamp_floor, x), est_rng
         )
         values = fn.values(fact.singular_values)
         for cap in config.sweep_values:
