@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, linalg, matrixio, rmt, shrinkage
+from . import experiments, linalg, matrixio, risk, rmt
 from .errors import NumericalError, ParameterError, SvshrinkError
 from .models import Gamma, Gaussian, Poisson
 
@@ -147,7 +147,7 @@ def _cmd_denoise(args) -> int:
         sidecar["active_set"] = list(obs.selected(method))
     denoised = linalg.reconstruct(fact, fn)
     if objective is not None:
-        evaluate = shrinkage.make_risk_objective(
+        evaluate = risk.make_risk_objective(
             y, fact, model, objective, rng=rng, samples=REPORT_MC_SAMPLES, exact=True
         )
         sidecar["risk"] = evaluate(fn).to_json()

@@ -216,7 +216,7 @@ def resolve_method(method: FitMethod, model: NoiseModel) -> FitMethod:
         raise ParameterError(f"{method.name!r} is defined for Gaussian noise only")
     objective = method.objective
     if objective is not None or method.name in ("soft", "weighted"):
-        objective = shrinkage.resolve_objective(model, objective)
+        objective = risk.resolve_objective(model, objective)
     active = method.active
     if active == "default":
         active = "bulk" if gaussian else "greedy"
@@ -310,6 +310,8 @@ def fit_estimator(
     threshold or scale).  This is the one place where fitted parameters
     become an estimator; ``svshrink denoise`` and the experiment runner both
     call it.  What the fits of one observation share, ``obs`` computes once.
+    Soft and weighted fits wrap the map score of :func:`risk.make_risk_objective`
+    per threshold or weight vector; soft SURE uses :func:`risk.soft_threshold_sure`.
     """
     y, fact, model, floor = obs.y, obs.fact, obs.model, obs.floor
     s = fact.singular_values
@@ -323,14 +325,14 @@ def fit_estimator(
         keep[np.asarray(active, dtype=int) - 1] = 1.0
         return linalg.weights_function(keep, floor), {"active_set": list(active)}
 
-    # The fits search a score: a risk estimate built once per fit, or the
-    # oracle's realized loss.  Gaussian SURE scores a soft threshold from the
+    # The fits search a map score: a risk estimate, or the oracle's
+    # realized loss.  Gaussian SURE scores a soft threshold from the
     # spectrum, with no map per trial.
     if method.name == "soft" and method.objective == "sure":
         lam = shrinkage.soft_threshold_fit(fact, risk.soft_threshold_sure(fact, model.tau))
         return linalg.soft_threshold_function(lam, floor), {"lambda": lam}
     if method.name in ("soft", "weighted"):
-        evaluate = shrinkage.make_risk_objective(y, fact, model, method.objective, rng=rng)
+        evaluate = risk.make_risk_objective(y, fact, model, method.objective, rng=rng)
         score = lambda fn: evaluate(fn).value
     elif method.name == "oracle-soft":
         score = lambda fn: metrics.metric(method.loss, linalg.reconstruct(fact, fn), obs.signal, model)
@@ -342,7 +344,8 @@ def fit_estimator(
 
     if method.name == "weighted":
         active = obs.selected(method)
-        w = _fit_weights(obs, method.objective, active, score)
+        weight_score = lambda w: score(linalg.weights_function(w, floor))
+        w = _fit_weights(obs, method.objective, active, weight_score)
         info = {"active_set": list(active), "weights": {str(k): float(w[k - 1]) for k in active}}
         return linalg.weights_function(w, floor), info
 
@@ -379,9 +382,9 @@ def fit_estimator(
 
 
 def _fit_weights(obs: Observation, objective, active, score) -> np.ndarray:
-    """The weight vector of a weighted fit: the greedy search of ``score``,
-    or a fast path: the Gaussian closed form, and the rank-one closed forms
-    when the active set is exactly {1}."""
+    """The weight vector of a weighted fit: the greedy search of ``score``, a
+    map from a weight vector to a float, or a fast path: the Gaussian closed
+    form, and the rank-one closed forms when the active set is exactly {1}."""
     if isinstance(obs.model, Gaussian) and objective == "sure":
         return shrinkage.weights_gaussian(obs.fact, obs.model.tau, active)
     if active == (1,) and objective in ("sukls", "pukla"):
@@ -391,7 +394,7 @@ def _fit_weights(obs: Observation, objective, active, score) -> np.ndarray:
         else:
             w[0] = shrinkage.weight1_poisson_pukla(obs.y, obs.fact)
         return w
-    return shrinkage.optimize_weights_greedy(obs.fact, score, active, obs.floor)
+    return shrinkage.optimize_weights_greedy(obs.fact, score, active)
 
 
 def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralFunction:

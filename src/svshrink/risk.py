@@ -20,9 +20,10 @@ mean over +-1 probes ``delta`` of ``delta * (J delta)`` (Ramani, Blu &
 Unser, IEEE TIP 2008) or of first-order downdates, whose standard error the
 estimate scales by ``|scale|``.  One constructor builds the five
 :class:`RiskEstimate` s, and one prelude gives every map-level estimate its
-checked map, factorization and unclamped estimate.  The soft-threshold
-search scores SURE as a float from the threshold
-(:func:`soft_threshold_sure`), with the formulas of the map-level SURE.
+checked map, factorization and unclamped estimate.  The fits minimize
+these estimates: :func:`make_risk_objective` scores the maps of one
+observation with the same formulas, and :func:`soft_threshold_sure` scores
+a soft threshold's SURE as a float.
 
 The exact enumeration reuses the observation's factorization: with
 ``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
@@ -49,7 +50,7 @@ import numpy as np
 from . import linalg
 from .errors import CapacityError, DegenerateSpectrumError, DomainError, NumericalError, ParameterError
 from .linalg import SpectralFunction, SvdFactorization
-from .models import validate_counts, validate_positive
+from .models import NoiseModel, validate_counts, validate_positive
 
 EXACT_DOWNDATE_CAP = 10_000  # largest n*m for exact one-count enumerations
 _DOWNDATE_BATCH = 256
@@ -161,9 +162,10 @@ def _divergence(fact: SvdFactorization, f: np.ndarray, slope: float) -> float:
 def soft_threshold_sure(fact: SvdFactorization, tau: float) -> Callable[[float], float]:
     """The score ``lambda -> SURE`` of the unclamped soft threshold at
     ``lambda``, for Gaussian noise of level ``tau`` on the factorized
-    observation: the value of :func:`sure_gaussian_spectral` with
-    :func:`divergence_closed_form`, bit for bit, with the same errors, and
-    no map, derivative vector or :class:`RiskEstimate` per evaluation.
+    observation: the value that the SURE objective of
+    :func:`make_risk_objective` gives the soft-threshold map, bit for bit,
+    with the same errors, and no map, derivative vector or
+    :class:`RiskEstimate` per evaluation.
 
     The derivatives of a soft threshold are 1 above it, 1/2 at it and 0
     below, and every partial sum of such terms is a multiple of 1/2, so
@@ -249,20 +251,12 @@ def _factorization(matrix: np.ndarray, fact: Optional[SvdFactorization]) -> SvdF
     return fact
 
 
-def _estimate(fn, matrix, fact, raw=None) -> tuple[SpectralFunction, SvdFactorization, np.ndarray]:
+def _estimate(fn, matrix, fact) -> tuple[SpectralFunction, SvdFactorization, np.ndarray]:
     """The checked spectral map ``fn``, the factorization of ``matrix`` it is
-    evaluated on and its unclamped estimate ``sum_k f_k u_k v_k^T``: ``raw``
-    when given, checked against the shape, else composed here."""
+    evaluated on and its unclamped estimate ``sum_k f_k u_k v_k^T``."""
     fn = _require_spectral(fn)
     fact = _factorization(matrix, fact)
-    if raw is None:
-        return fn, fact, linalg.compose(fact, fn.values(fact.singular_values))
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (fact.n, fact.m):
-        raise DomainError(
-            f"the unclamped estimate has shape {raw.shape}, expected {(fact.n, fact.m)}"
-        )
-    return fn, fact, raw
+    return fn, fact, linalg.compose(fact, fn.values(fact.singular_values))
 
 
 def _probe_products(fn: SpectralFunction, fact, directions, raw) -> Iterator[np.ndarray]:
@@ -277,6 +271,12 @@ def _probe_products(fn: SpectralFunction, fact, directions, raw) -> Iterator[np.
     for delta in directions:
         jvp = linalg.directional_derivative(fact, values, derivs, delta)
         yield delta * (jvp if free is None else np.where(free, jvp, 0.0))
+
+
+def _probe_mean(fn: SpectralFunction, fact, directions, raw, weights=None) -> MonteCarloDivergence:
+    """The probes' mean of ``sum_ij weights_ij delta_ij (J delta)_ij``, weights 1 by default."""
+    products = _probe_products(fn, fact, directions, raw)
+    return _mean_stderr([float(np.sum(p if weights is None else weights * p)) for p in products])
 
 
 def _mean_stderr(samples: Sequence[float]) -> MonteCarloDivergence:
@@ -309,7 +309,6 @@ def mc_divergence(
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
-    raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo divergence of a spectral map by random trace probing.
 
@@ -322,14 +321,13 @@ def mc_divergence(
     directions : sequence of np.ndarray, optional
         Explicit probe directions (overrides ``samples``/``rng``); useful for
         full enumeration and for freezing an objective during optimization.
-    fact, raw : optional
-        The factorization of ``matrix`` and the unclamped estimate of the
-        map; each is computed once here when not given.
+    fact : SvdFactorization, optional
+        The factorization of ``matrix``, computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    fn, fact, raw = _estimate(apply, matrix, fact, raw)
-    return _mean_stderr([float(np.sum(p)) for p in _probe_products(fn, fact, directions, raw)])
+    fn, fact, raw = _estimate(apply, matrix, fact)
+    return _probe_mean(fn, fact, directions, raw)
 
 
 def sure_gaussian(
@@ -349,27 +347,9 @@ def sure_gaussian(
     return _sure(y.shape, float(((est - y) ** 2).sum()), tau, divergence)
 
 
-def sure_gaussian_spectral(
-    fact: SvdFactorization,
-    shrink_values: np.ndarray,
-    tau: float,
-    divergence: Union[float, MonteCarloDivergence],
-) -> RiskEstimate:
-    """:func:`sure_gaussian` of the unclamped spectral estimate
-    ``sum_k f_k u_k v_k^T`` of the factorized observation, without forming it.
-
-    The singular vectors are orthonormal and the thin SVD holds all of ``Y``,
-    so ``||estimate - Y||_F^2 = sum_k (f_k - sigma_k)^2``: O(k) instead of
-    O(n m k).  Equal to the entrywise value up to floating-point rounding.
-    """
-    f = np.asarray(shrink_values, dtype=float)
-    if f.shape != fact.singular_values.shape:
-        raise DomainError("shrink_values must match the singular values")
-    return _sure((fact.n, fact.m), _residual(fact, f), tau, divergence)
-
-
 def _residual(fact: SvdFactorization, f: np.ndarray) -> float:
-    """``||sum_k f_k u_k v_k^T - Y||_F^2 = sum_k (f_k - sigma_k)^2``."""
+    """``||sum_k f_k u_k v_k^T - Y||_F^2 = sum_k (f_k - sigma_k)^2``, as the
+    thin SVD holds all of ``Y`` in orthonormal vectors."""
     return float(((f - fact.singular_values) ** 2).sum())
 
 
@@ -403,9 +383,43 @@ def _gamma_inputs(observed, estimate, shape, name: str) -> tuple[float, np.ndarr
     if y.shape != f.shape:
         raise DomainError("estimate must match the observation shape")
     validate_positive(y, "Gamma observations")
+    return L, y, _positive(f)
+
+
+def _positive(f: np.ndarray) -> np.ndarray:
+    """``f``, or :class:`DomainError` unless every entry is positive."""
     if np.any(f <= 0):
         raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
-    return L, y, f
+    return f
+
+
+def _theta_divergence(fn: SpectralFunction, fact, directions, raw, L: float, f) -> MonteCarloDivergence:
+    """The probes' mean of ``sum_ij (L / f_ij^2) delta_ij (J delta)_ij`` for a
+    positive ``f``: not finite where ``L / f^2`` overflows, as GSURE then is."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _probe_mean(fn, fact, directions, raw, L / _positive(f) ** 2)
+
+
+def _gsure_carrier(L: float, y: np.ndarray) -> np.ndarray:
+    """GSURE's carrier terms ``(L-1)(L-2)/y^2``, which depend on ``Y`` alone."""
+    return (L - 1.0) * (L - 2.0) / y**2
+
+
+def _gsure(L: float, y, f, carrier, theta_divergence) -> RiskEstimate:
+    """GSURE of the checked observation ``y`` and estimate ``f``; where
+    ``L^2 / f^2`` overflows, :class:`RiskEstimate` rejects the value."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lead = float(np.sum(L**2 / f**2 - 2.0 * L * (L - 1.0) / (y * f) + carrier))
+    return _risk_estimate(
+        "GSURE", lead, 2.0, theta_divergence, "estimates the MSE of the natural parameter eta(X)"
+    )
+
+
+def _sukls(L: float, y, f, divergence) -> RiskEstimate:
+    """SUKLS of the checked observation ``y`` and estimate ``f``."""
+    n, m = y.shape
+    lead = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * n * m
+    return _risk_estimate("SUKLS", lead, 1.0, divergence, "estimates MKLS minus sum_ij A(theta_ij)")
 
 
 def gsure_gamma(
@@ -427,12 +441,7 @@ def gsure_gamma(
     expectation collapse to ``sum (theta_hat - theta)^2``.
     """
     L, y, f = _gamma_inputs(observed, estimate, shape, "natural-parameter risk estimate")
-    lead = float(
-        np.sum(L**2 / f**2 - 2.0 * L * (L - 1.0) / (y * f) + (L - 1.0) * (L - 2.0) / y**2)
-    )
-    return _risk_estimate(
-        "GSURE", lead, 2.0, theta_divergence, "estimates the MSE of the natural parameter eta(X)"
-    )
+    return _gsure(L, y, f, _gsure_carrier(L, y), theta_divergence)
 
 
 def mc_theta_divergence_gamma(
@@ -444,24 +453,18 @@ def mc_theta_divergence_gamma(
     *,
     directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
-    raw: Optional[np.ndarray] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo estimate of the natural-parameter divergence for Gamma.
 
     Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` by averaging
     ``sum_ij (L / f_ij^2) delta_ij (J delta)_ij`` over +-1 directions, as
     :func:`mc_divergence` averages ``sum_ij delta_ij (J delta)_ij``.  ``fact``,
-    the factorization of ``matrix``, and ``raw``, the unclamped estimate, are
-    computed once here when not given.
+    the factorization of ``matrix``, is computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
     directions = probe_directions(matrix.shape, samples, rng, directions)
-    fn, fact, raw = _estimate(spectral_fn, matrix, fact, raw)
-    f = linalg.clamp(raw, fn.clamp_floor)
-    if np.any(f <= 0):
-        raise DomainError("the spectral estimate must be positive entrywise (apply a clamp floor)")
-    weights = float(shape) / f**2
-    return _mean_stderr([float(np.sum(weights * p)) for p in _probe_products(fn, fact, directions, raw)])
+    fn, fact, raw = _estimate(spectral_fn, matrix, fact)
+    return _theta_divergence(fn, fact, directions, raw, float(shape), linalg.clamp(raw, fn.clamp_floor))
 
 
 def sukls_gamma(
@@ -476,9 +479,7 @@ def sukls_gamma(
     ``sum_ij [(L-1) f_ij / y_ij - L log f_ij] - L n m + div f(Y)``.
     """
     L, y, f = _gamma_inputs(observed, estimate, shape, "synthesis KL risk estimate")
-    n, m = y.shape
-    lead = float(np.sum((L - 1.0) * f / y - L * np.log(f))) - L * n * m
-    return _risk_estimate("SUKLS", lead, 1.0, divergence, "estimates MKLS minus sum_ij A(theta_ij)")
+    return _sukls(L, y, f, divergence)
 
 
 def downdated_entries(
@@ -738,3 +739,97 @@ def pukla_poisson(
         "PUKLA", float(np.sum(fhat)), -1.0, logs,
         "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)", exact=mode == "exact",
     )
+
+
+VALID_OBJECTIVES = {
+    "gaussian": ("sure",),
+    "gamma": ("gsure", "sukls"),
+    "poisson": ("pure", "pukla"),
+}
+DEFAULT_OBJECTIVES = {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}
+
+
+def resolve_objective(model: NoiseModel, objective: Optional[str] = None) -> str:
+    """The risk objective to use for ``model``: the family default when none is
+    given; :class:`ParameterError` for a name that is not exactly one the
+    family defines (``SURE`` is not ``sure``), and for GSURE or SUKLS under a
+    Gamma shape ``L <= 2``, where neither estimate is defined."""
+    objective = objective or DEFAULT_OBJECTIVES[model.family]
+    if objective not in VALID_OBJECTIVES[model.family]:
+        raise ParameterError(
+            f"objective {objective!r} is not defined for the {model.family} family; valid pairings: "
+            + "; ".join(f"{k}: {', '.join(v)}" for k, v in VALID_OBJECTIVES.items())
+        )
+    if model.family == "gamma" and not model.shape > 2:
+        raise ParameterError(f"objective {objective!r} requires L > 2, got {model.shape}")
+    return objective
+
+
+def make_risk_objective(
+    observed: np.ndarray,
+    fact: SvdFactorization,
+    model: NoiseModel,
+    objective: str,
+    *,
+    rng: Optional[np.random.Generator] = None,
+    samples: int = 1,
+    exact: bool = False,
+) -> Callable[[SpectralFunction], RiskEstimate]:
+    """Build a deterministic map from spectral functions to risk estimates:
+    the score that a fit minimizes and that a CLI report gives.
+
+    What depends on the observation alone is done once, here: the objective
+    is resolved, ``fact`` is checked against ``observed``, and a Gamma
+    observation is checked for positivity (so a fit that evaluates nothing
+    still rejects it) and its GSURE carrier computed.  Each GSURE or SUKLS
+    evaluation composes, clamps and checks the estimate once, with the
+    formulas of :func:`gsure_gamma`, :func:`sukls_gamma` and their
+    Monte-Carlo divergences.  SURE reads the spectrum alone and takes maps
+    without a clamp floor only.  PURE and PUKLA call :func:`pure_poisson`
+    and :func:`pukla_poisson`, by exact enumeration when ``exact`` (right
+    for a report, too slow to minimize) and ``n m <= EXACT_DOWNDATE_CAP``.
+    Monte-Carlo criteria draw their ``samples`` probes on the first
+    evaluation that needs them and reuse them, so the objective is a fixed
+    function, and one never evaluated draws nothing from ``rng``: GSURE and
+    approximate PURE/PUKLA probe on every evaluation, SUKLS only once the
+    clamp floor binds, since a clamped estimate has no closed form.
+    """
+    objective = resolve_objective(model, objective)
+    y = np.asarray(observed, dtype=float)
+    fact = _factorization(y, fact)
+    s = fact.singular_values
+    mode = "exact" if exact and y.size <= EXACT_DOWNDATE_CAP else "approx"
+    if model.family == "gamma":
+        L = float(model.shape)
+        validate_positive(y, "Gamma observations")
+        carrier = _gsure_carrier(L, y) if objective == "gsure" else None
+    directions: list[np.ndarray] = []
+
+    def probes() -> list[np.ndarray]:
+        if not directions:
+            if rng is None:
+                raise ParameterError(f"objective {objective!r} needs an rng for its probe directions")
+            directions.extend(probe_directions(y.shape, samples, rng))
+        return directions
+
+    def evaluate(fn: SpectralFunction) -> RiskEstimate:
+        if objective in ("pure", "pukla"):
+            poisson = pure_poisson if objective == "pure" else pukla_poisson
+            return poisson(y, fn, mode=mode, directions=probes() if mode == "approx" else None, fact=fact)
+        values = _require_spectral(fn).values(s)
+        if objective == "sure":
+            if fn.clamp_floor is not None:
+                raise ParameterError("SURE scores estimates without a clamp floor only")
+            divergence = divergence_closed_form(fact, values, fn.derivs(s))
+            return _sure(y.shape, _residual(fact, values), model.tau, divergence)
+        raw = linalg.compose(fact, values)
+        f = linalg.clamp(raw, fn.clamp_floor)
+        if objective == "gsure":
+            return _gsure(L, y, f, carrier, _theta_divergence(fn, fact, probes(), raw, L, f))
+        if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
+            divergence = _probe_mean(fn, fact, probes(), raw)
+        else:
+            divergence = divergence_closed_form(fact, values, fn.derivs(s))
+        return _sukls(L, y, _positive(f), divergence)
+
+    return evaluate

@@ -4,14 +4,13 @@ The estimators keep the observation's singular vectors and modify its
 singular values: hard truncation, soft thresholding, or per-index weighting.
 A fit searches one family of maps for the lowest score: a soft threshold
 over ``[0, sigma_1]`` (:func:`soft_threshold_fit`) or weights in [0, 1], one
-coordinate at a time (:func:`optimize_weights_greedy`).  The weight search
-scores maps, any map from a :class:`~svshrink.linalg.SpectralFunction` to a
-float, so it serves the unbiased risk estimates built by
-:func:`make_risk_objective` (SURE, GSURE, SUKLS, PURE, PUKLA) and the
-realized losses of the oracles.  The threshold search scores the threshold:
-such a map score of its soft-threshold map, or Gaussian SURE read off the
-spectrum by :func:`svshrink.risk.soft_threshold_sure`.  The searches know
-nothing of the noise.
+coordinate at a time (:func:`optimize_weights_greedy`).  Each search scores
+its own parameter, a threshold or a weight vector, and knows nothing of the
+noise: the caller's score may build the parameter's map and score it by an
+unbiased risk estimate of :mod:`svshrink.risk` (SURE, GSURE, SUKLS, PURE,
+PUKLA) or an oracle's realized loss, or score the parameter directly, as
+:func:`svshrink.risk.soft_threshold_sure` reads Gaussian SURE off the
+spectrum.
 Closed forms replace the search where they exist: Gaussian weights, and the
 rank-one Gamma synthesis-KL and Poisson analysis-KL weights.  The fits
 return parameters, and :func:`svshrink.experiments.fit_estimator` turns
@@ -25,12 +24,12 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from . import activeset, linalg, metrics, risk
+from . import activeset, linalg, metrics
 from .errors import (
     DegenerateSpectrumError, DomainError, NumericalError, ParameterError, SvshrinkError,
 )
-from .linalg import SpectralFunction, SvdFactorization
-from .models import NoiseModel, validate_counts, validate_positive
+from .linalg import SvdFactorization
+from .models import validate_counts, validate_positive
 
 BOUNDED_XATOL = 1e-6
 BOUNDED_MAXITER = 200
@@ -252,121 +251,21 @@ def minimize_bounded(
     return float(res.x)
 
 
-VALID_OBJECTIVES = {
-    "gaussian": ("sure",),
-    "gamma": ("gsure", "sukls"),
-    "poisson": ("pure", "pukla"),
-}
-DEFAULT_OBJECTIVES = {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}
-
-
-def resolve_objective(model: NoiseModel, objective: Optional[str] = None) -> str:
-    """The risk objective to use for ``model``: the family default when none is
-    given; :class:`ParameterError` for a name that is not exactly one the
-    family defines (``SURE`` is not ``sure``)."""
-    objective = objective or DEFAULT_OBJECTIVES[model.family]
-    if objective not in VALID_OBJECTIVES[model.family]:
-        raise ParameterError(
-            f"objective {objective!r} is not defined for the {model.family} family; valid pairings: "
-            + "; ".join(f"{k}: {', '.join(v)}" for k, v in VALID_OBJECTIVES.items())
-        )
-    return objective
-
-
-def make_risk_objective(
-    observed: np.ndarray,
-    fact: SvdFactorization,
-    model: NoiseModel,
-    objective: str,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    samples: int = 1,
-    exact: bool = False,
-) -> Callable[[SpectralFunction], risk.RiskEstimate]:
-    """Build a deterministic map from spectral functions to risk estimates.
-
-    The soft and weight searches minimize its value and know nothing of the
-    noise family.  A Gamma observation is checked for positivity when the
-    objective is built, so that a fit that evaluates nothing (a soft search
-    on an all-zero spectrum) still rejects it; each GSURE and SUKLS
-    evaluation checks it again.  Monte-Carlo criteria draw their ``samples``
-    probe directions on the first evaluation that needs them and reuse them
-    for every later one, so the returned objective is a fixed function
-    suitable for bounded minimization, and an objective never evaluated
-    draws nothing from ``rng``.  GSURE and approximate PURE/PUKLA need
-    probes on every evaluation; SUKLS uses the closed-form divergence and
-    needs them only once an evaluation finds the clamp floor active, since
-    a clamped estimate has no closed form.  SURE scores maps without a
-    clamp floor only, from the spectrum alone
-    (:func:`risk.sure_gaussian_spectral`), with no n x m matrix formed; a
-    soft-threshold search scores the same value from the threshold, with no
-    map per trial (:func:`risk.soft_threshold_sure`).
-    ``exact=True`` scores PURE and PUKLA by exact one-count enumeration when
-    ``n m <= EXACT_DOWNDATE_CAP``: too slow to minimize, right for reporting
-    one fit.  Every evaluation reuses ``fact``; none factors ``observed``
-    again.
-    """
-    objective = resolve_objective(model, objective)
-    y = np.asarray(observed, dtype=float)
-    if model.family == "gamma":
-        validate_positive(y, "Gamma observations")
-    poisson_mode = "exact" if exact and y.size <= risk.EXACT_DOWNDATE_CAP else "approx"
-    directions: list[np.ndarray] = []
-
-    def probes() -> list[np.ndarray]:
-        if not directions:
-            if rng is None:
-                raise ParameterError(
-                    f"objective {objective!r} needs an rng for its probe directions"
-                )
-            directions.extend(risk.probe_directions(y.shape, samples, rng))
-        return directions
-
-    def evaluate(fn: SpectralFunction) -> risk.RiskEstimate:
-        if objective in ("pure", "pukla"):
-            poisson = risk.pure_poisson if objective == "pure" else risk.pukla_poisson
-            probed = probes() if poisson_mode == "approx" else None
-            return poisson(y, fn, mode=poisson_mode, directions=probed, fact=fact)
-        s = fact.singular_values
-        values = fn.values(s)
-        if objective == "sure":
-            if fn.clamp_floor is not None:
-                raise ParameterError("SURE scores estimates without a clamp floor only")
-            div = risk.divergence_closed_form(fact, values, fn.derivs(s))
-            return risk.sure_gaussian_spectral(fact, values, model.tau, div)
-        # One compose per evaluation: the clamped estimate and the entries
-        # the floor holds fixed both follow from the unclamped one.
-        raw = linalg.compose(fact, values)
-        estimate = linalg.clamp(raw, fn.clamp_floor)
-        if objective == "gsure":
-            theta_div = risk.mc_theta_divergence_gamma(
-                fn, y, model.shape, samples, directions=probes(), fact=fact, raw=raw
-            )
-            return risk.gsure_gamma(y, estimate, model.shape, theta_div)
-        if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
-            div = risk.mc_divergence(fn, y, samples, directions=probes(), fact=fact, raw=raw)
-        else:
-            div = risk.divergence_closed_form(fact, values, fn.derivs(s))
-        return risk.sukls_gamma(y, estimate, model.shape, div)
-
-    return evaluate
-
-
-Score = Callable[[SpectralFunction], float]
-
-
 def optimize_weights_greedy(
     fact: SvdFactorization,
-    score: Score,
+    score: Callable[[np.ndarray], float],
     active_set: Iterable[int],
-    clamp_floor: Optional[float] = None,
 ) -> np.ndarray:
-    """Greedy per-coordinate weight search minimizing ``score``.
+    """Greedy per-coordinate weight search minimizing ``score``, a map from a
+    weight vector, shape ``(min(n, m),)``, to a float.
 
-    One sweep over the active indices in ascending order; each weight is
-    replaced by the bounded minimizer over [0, 1] of ``score`` of the
-    weight map with the other weights held fixed.  Returns the weight
-    vector, shape ``(min(n, m),)``, with weight zero at every inactive index.
+    ``score`` may build the vector's map and score it,
+    ``lambda w: map_score(linalg.weights_function(w, floor))``.  One sweep
+    over the active indices in ascending order; each weight is replaced by
+    the bounded minimizer over [0, 1] of ``score`` with the other weights
+    held fixed.  Returns the weight vector, with weight zero at every
+    inactive index.  A :class:`SvshrinkError` of ``score`` keeps its type,
+    its message extended by the weight index.
     """
     active = activeset.indices(active_set, fact.rank_bound)
     weights = np.zeros(fact.rank_bound)
@@ -376,7 +275,7 @@ def optimize_weights_greedy(
             trial = weights.copy()
             trial[i] = t
             try:
-                return score(linalg.weights_function(trial, clamp_floor))
+                return score(trial)
             except SvshrinkError as exc:
                 # Extend the message in place: the exception keeps its type
                 # and attributes, and no constructor is called again.

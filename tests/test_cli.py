@@ -162,7 +162,8 @@ class TestDenoise:
         )
         assert code == 1
 
-    def test_gamma_low_shape_is_domain_error(self, tmp_path):
+    def test_gamma_low_shape_is_usage_error(self, tmp_path, capsys):
+        # GSURE and SUKLS need L > 2: a flag check, made before the data is read.
         x = rank_one_positive(10, 8, 20.0)
         from svshrink.models import Gamma
 
@@ -176,7 +177,9 @@ class TestDenoise:
                 "--output", str(tmp_path / "x.csv"),
             ]
         )
-        assert code == 2
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: objective 'sukls' requires L > 2, got 1.5\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_tau_is_usage_error(self, tmp_path, spiked_csv):
         path, _ = spiked_csv

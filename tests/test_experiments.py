@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svshrink import experiments, linalg, metrics, shrinkage
+from svshrink import experiments, linalg, metrics, risk
 from svshrink.errors import DomainError, NumericalError, ParameterError, SvshrinkError
 from svshrink.experiments import ExperimentConfig, FitMethod, SignalSpec
 from svshrink.models import Gamma, Gaussian, Poisson
@@ -389,6 +389,15 @@ class TestRunner:
                 {"signal": {"type": "explicit", "entries": [[1.0, 2.0], [True, 4.5]]}},
                 r"at \$\.signal\.entries\[1\]\[0\]: True is not of type 'number'",
             ),
+            # GSURE and SUKLS are not defined at L <= 2, named or by default.
+            (
+                {"model": {"family": "gamma", "L": 2}, "estimators": ["pca", "soft:objective=gsure"]},
+                "'soft:objective=gsure': objective 'gsure' requires L > 2, got 2.0",
+            ),
+            (
+                {"model": {"family": "gamma", "L": 1.5}, "estimators": ["weighted"]},
+                "'weighted': objective 'sukls' requires L > 2, got 1.5",
+            ),
         ],
     )
     def test_invalid_combinations_are_rejected_at_load(self, overrides, message):
@@ -618,6 +627,20 @@ class TestRunner:
                 np.random.default_rng(0),
             )
 
+    def test_oracle_soft_minimizes_its_loss_whatever_the_objective(self):
+        model = Gaussian(1.0 / np.sqrt(40))
+        x = experiments.generate_signal(SignalSpec("spike", sigmas=(3.0, 1.5)), 30, 40)
+        y = model.sample(x, np.random.default_rng(5))
+        obs = experiments.Observation(y, linalg.svd(y), model, signal=x)
+        lams = {
+            tag: experiments.fit_estimator(
+                experiments.parse_estimator_tag(tag, model), obs, np.random.default_rng(0)
+            )[1]["lambda"]
+            for tag in ("oracle-soft", "oracle-soft:objective=sure", "soft:objective=sure")
+        }
+        assert lams["oracle-soft:objective=sure"] == lams["oracle-soft"]
+        assert lams["oracle-soft"] != lams["soft:objective=sure"]
+
     def test_shared_signals_keep_fig2_records_identical_across_threads(self, tmp_path):
         raw = json.loads((Path(__file__).parents[1] / "configs" / "fig2.json").read_text())
         cfg = ExperimentConfig.from_config(dict(raw, replications=2))
@@ -760,7 +783,7 @@ def test_edge_shape_fits_raise_typed_or_match_their_info(family, name, kind, siz
     model = EDGE_MODELS[family]
     objective = None
     if name != "pca":
-        objectives = shrinkage.VALID_OBJECTIVES[family]
+        objectives = risk.VALID_OBJECTIVES[family]
         objective = data.draw(st.sampled_from(objectives), label="objective")
     method = experiments.resolve_method(FitMethod(name, objective), model)
     y = edge_observation(family, kind, size, seed)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, SvshrinkError
-from svshrink.linalg import SvdFactorization
+from svshrink.linalg import SpectralFunction, SvdFactorization
 from svshrink.models import Gaussian
 
 from helpers import (
@@ -103,7 +103,7 @@ def test_divergence_and_sure_are_bit_identical(shape, values, kind, tau, draws):
     assert_same(div, outcome(reference_divergence_closed_form, fact, f, d))
     if isinstance(div, tuple):
         return
-    got = risk.sure_gaussian_spectral(fact, f, tau, div)
+    got = objective_sure(fact, f, d, tau)
     expected = reference_sure_gaussian_spectral(fact, f, tau, div)
     assert_same(got.value, expected.value)
     assert got == expected
@@ -143,10 +143,18 @@ def test_a_subnormal_singular_value_under_a_map_that_does_not_vanish():
     assert raised[0] is NumericalError and "is not finite" in raised[1]
 
 
+def objective_sure(fact, f, d, tau):
+    """SURE of the map with values ``f`` and derivatives ``d``, as the fits'
+    risk objective scores it from the spectrum."""
+    y = linalg.compose(fact, fact.singular_values)
+    fn = SpectralFunction(lambda s: f, lambda s: d)
+    return risk.make_risk_objective(y, fact, Gaussian(tau), "sure")(fn)
+
+
 def chain_score(fact, tau):
     """SURE of a soft threshold through the map chain the scorer replaces."""
     y = linalg.compose(fact, fact.singular_values)
-    evaluate = shrinkage.make_risk_objective(y, fact, Gaussian(tau), "sure")
+    evaluate = risk.make_risk_objective(y, fact, Gaussian(tau), "sure")
     return lambda lam: evaluate(linalg.soft_threshold_function(lam)).value
 
 

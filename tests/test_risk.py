@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svshrink import linalg, metrics, risk
-from svshrink.errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError
+from svshrink.errors import CapacityError, DegenerateSpectrumError, DomainError, ParameterError, SvshrinkError
 from svshrink.linalg import SpectralFunction
 from svshrink.models import Gamma, Gaussian, Poisson
 
@@ -597,9 +597,6 @@ class TestEstimateContract:
         tau, div = 0.3, self.value_of(divergence)
         value = -4 * 6 * tau**2 + float(np.sum((estimate - y) ** 2)) + 2.0 * tau**2 * div
         self.check(risk.sure_gaussian(y, estimate, tau, divergence), "SURE", value, 2.0 * tau**2, divergence)
-        value = -4 * 6 * tau**2 + float(np.sum((f - fact.singular_values) ** 2)) + 2.0 * tau**2 * div
-        est = risk.sure_gaussian_spectral(fact, f, tau, divergence)
-        self.check(est, "SURE", value, 2.0 * tau**2, divergence)
 
     @pytest.mark.parametrize("divergence", DIVERGENCES)
     def test_gsure_and_sukls(self, divergence):
@@ -658,3 +655,118 @@ class TestRiskEstimateSerialization:
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
             risk.RiskEstimate(np.nan, "SURE", "closed_form")
+
+
+# -- the fit objective against the public estimates ---------------------------
+
+objective_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(2, 9)),  # 1 x m
+    st.tuples(st.integers(3, 6), st.integers(7, 10)),  # wide
+    st.tuples(st.integers(7, 10), st.integers(3, 6)),  # tall
+    st.integers(2, 8).map(lambda n: (n, n)),  # square
+)
+# Weights at 0, small or near 1: without a floor, a positive estimate needs a
+# leading weight near 1 and small ones after it.
+objective_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.8, 1.0)), min_size=10, max_size=10
+)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except SvshrinkError as exc:
+        return type(exc), str(exc)
+
+
+def public_gamma_chain(objective, y, fact, L, fn, samples, seed):
+    """GSURE or SUKLS of ``fn`` through the public estimates, each checking its
+    own inputs, with the probes the objective draws from an rng of ``seed``."""
+    s = fact.singular_values
+    raw = linalg.compose(fact, fn.values(s))
+    estimate = linalg.clamp(raw, fn.clamp_floor)
+    directions = lambda: risk.probe_directions(y.shape, samples, np.random.default_rng(seed))
+    if objective == "gsure":
+        theta = risk.mc_theta_divergence_gamma(fn, y, L, samples, directions=directions(), fact=fact)
+        return risk.gsure_gamma(y, estimate, L, theta)
+    if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
+        divergence = risk.mc_divergence(fn, y, samples, directions=directions(), fact=fact)
+    else:
+        divergence = risk.divergence_closed_form(fact, fn.values(s), fn.derivs(s))
+    return risk.sukls_gamma(y, estimate, L, divergence)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    objective_shapes,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gsure", "sukls"]),
+    st.floats(2.5, 10.0),
+    objective_weights,
+    st.sampled_from(["none", "low", "binding"]),
+    st.booleans(),
+    st.sampled_from([1, 64]),
+)
+def test_gamma_objective_is_the_public_chain(shape, seed, objective, L, draws, floor, tie, samples):
+    # The objective checks and precomputes once what the public estimates
+    # check on every call; the estimate it gives must be the same, bit for
+    # bit, and so must every error.
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    y = Gamma(L).sample(rank_one_positive(n, m, 5.0 * np.sqrt(n * m)), rng)
+    fact = linalg.svd(y)
+    weights = np.array(draws[: fact.rank_bound])
+    if tie and fact.rank_bound >= 3:
+        # Tie indices 2 and 3, which the map zeroes: the divergence is then defined.
+        s = fact.singular_values.copy()
+        s[2] = s[1]
+        fact = linalg.SvdFactorization(s, fact.left_vectors, fact.right_vectors)
+        weights[1:3] = 0.0
+    raw = linalg.compose(fact, weights * fact.singular_values)
+    clamp = {"none": None, "low": 1e-6, "binding": float(np.quantile(y, 0.2))}[floor]
+    fn = linalg.weights_function(weights, clamp)
+    probe_seed = seed + 1
+    evaluate = risk.make_risk_objective(
+        y, fact, Gamma(L), objective, rng=np.random.default_rng(probe_seed), samples=samples
+    )
+    got = outcome(evaluate, fn)
+    assert got == outcome(public_gamma_chain, objective, y, fact, L, fn, samples, probe_seed)
+    if objective == "sukls" and floor == "binding" and isinstance(got, risk.RiskEstimate):
+        # SUKLS probes only once the floor binds; GSURE always probes.
+        assert np.any(raw < clamp) == (got.divergence_kind == "monte_carlo")
+
+
+@pytest.mark.parametrize("scale", [1e-158, 4e-266])
+def test_gsure_of_a_vanishing_estimate_is_not_finite(scale):
+    # L / f^2 overflows (or divides by a squared zero) although f > 0: the
+    # estimate is rejected as not finite, with no floating-point warning.
+    y = Gamma(3.0).sample(rank_one_positive(1, 2, 7.0), np.random.default_rng(0))
+    fact = linalg.svd(y)
+    fn = linalg.weights_function(np.array([scale]))
+    evaluate = risk.make_risk_objective(y, fact, Gamma(3.0), "gsure", rng=np.random.default_rng(1))
+    with pytest.raises(DomainError, match="risk estimate is not finite"):
+        evaluate(fn)
+    with pytest.raises(DomainError, match="risk estimate is not finite"):
+        public_gamma_chain("gsure", y, fact, 3.0, fn, 1, 1)
+
+
+def test_gamma_objective_checks_the_observation_once(monkeypatch):
+    y = Gamma(4.0).sample(rank_one_positive(12, 9, 30.0), np.random.default_rng(3))
+    fact = linalg.svd(y)
+    calls = []
+    check = risk.validate_positive
+    monkeypatch.setattr(risk, "validate_positive", lambda *args: calls.append(args) or check(*args))
+    evaluate = risk.make_risk_objective(y, fact, Gamma(4.0), "gsure", rng=np.random.default_rng(4))
+    for w in np.linspace(0.2, 1.0, 5):
+        weights = np.zeros(fact.rank_bound)
+        weights[0] = w
+        assert np.isfinite(evaluate(linalg.weights_function(weights, 1e-6)).value)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("objective", ["gsure", "sukls"])
+def test_gamma_objectives_need_a_shape_above_two(objective):
+    y = Gamma(2.0).sample(rank_one_positive(6, 5, 10.0), np.random.default_rng(5))
+    with pytest.raises(ParameterError, match=f"objective '{objective}' requires L > 2, got 2.0"):
+        risk.make_risk_objective(y, linalg.svd(y), Gamma(2.0), objective)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError
-from svshrink.linalg import SvdFactorization
+from svshrink.linalg import SpectralFunction, SvdFactorization
+from svshrink.models import Gaussian
 
 # -- reference implementations: the per-call formulas as they were before the
 # factorization cached its pair sums and tie mask ---------------------------
@@ -145,7 +146,8 @@ def test_spectral_sure_matches_entrywise(shape, seed, tau):
     f, d = random_map(fact, np.random.default_rng(seed + 1))
     div = risk.divergence_closed_form(fact, f, d)
     entrywise = risk.sure_gaussian(y, linalg.compose(fact, f), tau, div).value
-    spectral = risk.sure_gaussian_spectral(fact, f, tau, div).value
+    fn = SpectralFunction(lambda s: f, lambda s: d)
+    spectral = risk.make_risk_objective(y, fact, Gaussian(tau), "sure")(fn).value
     # SURE sums terms of either sign; compare relative to the largest term so
     # that a value near 0 is not held to a tolerance below its rounding.
     n, m = shape

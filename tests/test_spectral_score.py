@@ -322,7 +322,7 @@ def test_approximate_pukla_report_composes_once(monkeypatch):
     y = poisson_input()
     assert y.size > risk.EXACT_DOWNDATE_CAP  # the report takes the MC path
     fact = linalg.svd(y)
-    evaluate = shrinkage.make_risk_objective(
+    evaluate = risk.make_risk_objective(
         y, fact, Poisson(), "pukla", rng=np.random.default_rng(0), samples=64, exact=True
     )
     fn = rank_two_map(fact.rank_bound)
@@ -346,7 +346,7 @@ def test_every_clamped_objective_composes_once_per_evaluation(monkeypatch, objec
     model = Poisson() if objective in ("pure", "pukla") else Gamma(4.0)
     y = blocks_input(model)
     fact = linalg.svd(y)
-    evaluate = shrinkage.make_risk_objective(
+    evaluate = risk.make_risk_objective(
         y, fact, model, objective, rng=np.random.default_rng(1), samples=5
     )
     # Indices 2 and 3 alone change sign across the matrix.
@@ -384,11 +384,3 @@ def test_shared_floor_mask_gives_bit_identical_estimates():
     mc = risk.mc_divergence(fn, y, 6, directions=directions, fact=fact)
     expected = np.mean([np.sum(d * derivative_probe(fn, fact, d)) for d in directions])
     assert mc.value == float(expected)
-
-
-def test_mismatched_unclamped_estimate_is_domain_error():
-    y = poisson_input(10, 12)
-    fact = linalg.svd(y)
-    with pytest.raises(DomainError, match="unclamped estimate"):
-        risk.mc_divergence(rank_two_map(fact.rank_bound), y, 2, np.random.default_rng(0),
-                           fact=fact, raw=np.ones((12, 10)))
