@@ -28,11 +28,13 @@ a soft threshold's SURE as a float.
 The exact enumeration reuses the observation's factorization: with
 ``n <= m``, the downdate ``Y - e_i e_j^T`` rotated by ``U`` has the Gram
 matrix ``S^2 + z1 z1^T - z2 z2^T`` (``a = U^T e_i``, ``z2 = S V^T e_j``,
-``z1 = a - z2``), so each downdated entry comes from the eigenvalues of a
-``k x k`` symmetric matrix and one O(k) secular vector per root the map keeps,
-instead of an ``n x m`` SVD; a full eigendecomposition runs only where a kept
-root deflates, and a tall ``Y`` is handled as ``Y^T`` (see
-:func:`downdated_entries`).
+``z1 = a - z2``), so each downdated entry comes from the top eigenvalues of
+a ``k x k`` symmetric matrix and one O(k) secular vector per root the map
+keeps, instead of an ``n x m`` SVD.  Only as many roots as the map can keep
+are computed, each by Newton steps on the matrix's secular equation and
+checked by an inertia count; a full eigendecomposition runs only where a
+root fails its check or a kept root deflates, and a tall ``Y`` is handled
+as ``Y^T`` (see :func:`downdated_entries`).
 
 Estimators are :class:`~svshrink.linalg.SpectralFunction` maps (anything else is
 a :class:`ParameterError`).
@@ -55,6 +57,9 @@ from .models import NoiseModel, validate_counts, validate_positive
 EXACT_DOWNDATE_CAP = 10_000  # largest n*m for exact one-count enumerations
 _DOWNDATE_BATCH = 256
 _DEFLATION_RTOL = 1e-10  # a downdate root this close to a pole or another root goes to eigh
+_REPEATED_ROOT_TOL = 1e-6  # the least norm of I + J G at a root whose secular vector is used
+_SECULAR_ATOL = 4 * np.finfo(float).eps  # a converged secular step, in units above sigma_1 + 1
+_SECULAR_MAXITER = 64  # secular steps per root before its position goes to eigh
 PUKLA_LOG_FLOOR = 1e-6  # least log argument of a PUKLA estimate
 
 EstimatorKind = str  # "SURE" | "GSURE" | "SUKLS" | "PURE" | "PUKLA"
@@ -490,7 +495,8 @@ def downdated_entries(
     fact: Optional[SvdFactorization] = None,
 ) -> np.ndarray:
     """Entries ``f_ij(Y - e_i e_j^T)`` of the estimator on one-count downdates,
-    each from a ``k x k`` symmetric eigenproblem on the factorization of ``Y``.
+    each from the top roots of a ``k x k`` symmetric eigenproblem on the
+    factorization of ``Y``.
 
     For ``n <= m`` the left factor ``U`` of ``Y = U S V^T`` is square.  With
     ``a = U^T e_i``, ``z2 = S V^T e_j`` and ``z1 = a - z2``, the downdate
@@ -506,27 +512,45 @@ def downdated_entries(
     then clamped.  For ``n > m`` the same runs on ``Y^T`` at the swapped
     positions (a spectral map commutes with transposition).
 
-    One batched ``eigvalsh`` per chunk of positions replaces an ``n x m`` SVD
-    per position, and only the roots with ``phi_k != 0`` need a vector.  With
-    ``D = S^2``, ``Z = [z1 z2]`` and ``J = diag(1, -1)``, the Gram matrix is
-    ``D + Z J Z^T``; for a root ``lambda`` not equal to any ``d_l``, let
-    ``G = Z^T (D - lambda)^{-1} Z`` (2 x 2) and ``c`` the null vector of
-    ``I + J G``, read off its row of larger norm.  Then::
+    Only the roots with ``phi_k != 0`` enter the sum.  By interlacing,
+    ``sqrt(lambda_1) <= sigma_1 + 1`` and ``sqrt(lambda_k) <= sigma_{k-1}``,
+    so for a map whose values vanish below a point where they vanish (see
+    below), every root past ``R`` has ``phi_k = 0``, ``R`` being the last
+    index at which the map is nonzero at ``(sigma_1 + 1, sigma_1, ...,
+    sigma_{k-1})``: one more than the number of singular values above a
+    soft threshold, or the index of the last nonzero weight.  Only the top
+    ``R`` roots are computed, with no ``n x m`` SVD and no ``k x k``
+    eigensolver per position.  With ``D = S^2``, ``Z = [z1 z2]`` and
+    ``J = diag(1, -1)``, the Gram matrix is ``D + Z J Z^T``, and root ``r``
+    is a zero of ``(d_r - lambda) det(I + J Z^T (D - lambda)^{-1} Z)``,
+    which is smooth at ``d_r``: vectorized Newton steps find it in O(k)
+    per step and root.  An inertia count (Haynsworth) checks each root:
+    exactly ``r`` eigenvalues lie above ``lambda_r - tol``, ``tol`` being
+    ``1e-10`` times ``max(d_1, lambda_1)``.  For a root ``lambda`` not
+    equal to any ``d_l``, let ``G = Z^T (D - lambda)^{-1} Z`` (2 x 2) and
+    ``c`` the null vector of ``I + J G``, read off its row of larger norm.
+    Then::
 
         x = (D - lambda)^{-1} Z c,  normalized
 
     in O(k) per root.  Near a pole the formula loses accuracy, and at a
     repeated root the vector is not determined (deflation; Gu & Eisenstat,
-    SIAM J. Matrix Anal. Appl. 15(4), 1994).  So a position where such a
-    root lies within ``1e-10`` times ``max(d_1, lambda_1)`` of some ``d_l``
-    or of a neighbouring root is solved by a full batched ``eigh`` instead;
-    this covers, for example, the equal-value ties of a soft threshold.
+    SIAM J. Matrix Anal. Appl. 15(4), 1994).  So a position is solved by a
+    full batched ``eigh`` instead where a root's iteration does not
+    converge or it fails its check (as when another root lies within
+    ``tol`` below it), where a needed root lies within ``tol`` of some
+    ``d_l``, or where ``I + J G`` is close to 0 at a needed root (a
+    repeated root); this covers, for example, the equal-value ties of a
+    soft threshold.
 
     The map must vanish at 0, with ``f_k(sigma) = O(sigma)`` near 0, as
     soft thresholds and weight maps do: a zero singular value of ``Y'``
     drops out of the sum, and ``phi_k`` stays bounded for a tiny one.  A map
     with ``f_k(0) != 0`` (the oracle and asymptotic shrinkers' fixed values)
-    raises :class:`ParameterError`.
+    raises :class:`ParameterError`.  Each value ``f_k`` must also depend on
+    ``sigma_k`` alone and vanish at every ``sigma`` below one where it
+    vanishes, as soft thresholds and weight maps do; the map is evaluated
+    with the roots past ``R`` set to 0.
 
     At a tie of two positive singular values of ``Y'`` the entry is defined
     only when the map gives both indices the same value there, as a soft
@@ -551,30 +575,148 @@ def downdated_entries(
     if n > m:
         fact, positions = fact.transposed(), positions[:, ::-1]
     s = fact.singular_values
+    top = _kept_roots(fn, s)
     left, scaled_right = fact.left_vectors, fact.right_vectors * s
     out = np.empty(len(positions))
     for start in range(0, len(positions), _DOWNDATE_BATCH):
         chunk = positions[start : start + _DOWNDATE_BATCH]
-        entries = _downdated_chunk(fn, s, left[chunk[:, 0]], scaled_right[chunk[:, 1]])
+        entries = _downdated_chunk(fn, s, top, left[chunk[:, 0]], scaled_right[chunk[:, 1]])
         out[start : start + len(chunk)] = linalg.clamp(entries, fn.clamp_floor)
     return out
 
 
-def _downdated_chunk(fn: SpectralFunction, s: np.ndarray, a: np.ndarray, z2: np.ndarray) -> np.ndarray:
+def _kept_roots(fn: SpectralFunction, s: np.ndarray) -> int:
+    """``R``, the number of leading downdate roots the map can keep: the
+    last index at which ``fn.values`` is nonzero at the interlacing bounds
+    ``(sigma_1 + 1, sigma_1, ..., sigma_{k-1})`` of the downdate's singular
+    values, or 0 (see :func:`downdated_entries`)."""
+    kept = np.flatnonzero(fn.values(np.r_[s[0] + 1.0, s[:-1]]))
+    return int(kept[-1]) + 1 if kept.size else 0
+
+
+def _downdated_chunk(fn: SpectralFunction, s: np.ndarray, top: int, a: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Unclamped ``f_ij(Y - e_i e_j^T)`` for a chunk of positions, given the
-    rows ``a = U^T e_i`` and ``z2 = S V^T e_j`` (one row per position).  Its
-    ``p x k x k`` Gram buffer is freed on return, before the next chunk's."""
+    rows ``a = U^T e_i`` and ``z2 = S V^T e_j`` (one row per position) and
+    the number ``top`` of leading roots the map can keep: the roots from
+    :func:`_secular_roots` and the entries from :func:`_secular_entries`,
+    or from :func:`_eigh_entries` at the positions these leave."""
     z1 = a - z2
-    z = np.stack([z1, z2], axis=2)
-    gram = z @ (z * [1.0, -1.0]).transpose(0, 2, 1)  # Z J Z^T, one p x k x k buffer
-    diagonal = np.arange(len(s))
     d = s**2
-    gram[:, diagonal, diagonal] += d
-    lam = np.linalg.eigvalsh(gram)[:, ::-1]  # descending, as fn.values expects
-    entries, deflated = _secular_entries(_root_weights(fn, lam), lam, d, a, z1, z2)
-    if deflated.any():
-        entries[deflated] = _eigh_entries(fn, gram[deflated], a[deflated], z1[deflated])
+    entries = np.zeros(len(a))
+    if top == 0:
+        return entries
+    lam, fallback = _secular_roots(s, z1, z2, top)
+    rows = np.flatnonzero(~fallback)
+    if rows.size:
+        padded = np.zeros((len(rows), len(s)))  # the map values the roots past ``top`` at 0
+        padded[:, :top] = lam[rows]
+        phi = _root_weights(fn, padded)[:, :top]
+        entries[rows], deflated = _secular_entries(phi, lam[rows], d, a[rows], z1[rows], z2[rows])
+        fallback[rows[deflated]] = True
+    if fallback.any():
+        a, z1, z2 = a[fallback], z1[fallback], z2[fallback]
+        z = np.stack([z1, z2], axis=2)
+        gram = z @ (z * [1.0, -1.0]).transpose(0, 2, 1)  # Z J Z^T
+        diagonal = np.arange(len(s))
+        gram[:, diagonal, diagonal] += d
+        entries[fallback] = _eigh_entries(fn, gram, a, z1)
     return entries
+
+
+def _secular_roots(s: np.ndarray, z1: np.ndarray, z2: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` largest eigenvalues of each ``diag(s^2) + z1 z1^T - z2 z2^T``
+    (one row per position, descending), and the mask of the positions left
+    to :func:`_eigh_entries`: those where a root did not converge within
+    ``_SECULAR_MAXITER`` steps or fails the inertia check.
+
+    Root ``r`` is a zero of the pole-deflated secular function ``q_r`` of
+    :func:`_secular_terms`, found by Newton steps from ``d_r + z1_r^2 -
+    z2_r^2`` inside the interlacing bracket ``[d_{r+1}, d_{r-1}]`` (with
+    ``(sigma_1 + 1)^2`` above the first root and ``d_k - |z2|^2`` below the
+    last), which the inertia count at each iterate narrows; a step that leaves the
+    bracket, or is not finite, is replaced by the bracket's midpoint.  A
+    root has converged when its step or its bracket is at most
+    ``_SECULAR_ATOL``.  The check: exactly ``r`` eigenvalues lie above
+    ``mu_r - tol``, ``tol`` being the deflation tolerance, so a converged
+    root is the ``r``-th eigenvalue and no other lies within ``tol`` below
+    it.  Next to a pole of ``q_r`` a step is small without a root there;
+    :func:`_secular_entries` sends a needed root that close to a pole to
+    ``eigh``.  The iteration runs in a power-of-two unit above
+    ``sigma_1 + 1``, which scales exactly and keeps every square finite."""
+    bound, t = math.frexp(s[0] + 1.0)  # sqrt(lambda_1) <= sigma_1 + 1 = bound 2^t, bound < 1
+    d = np.ldexp(s, -t) ** 2
+    z1, z2 = np.ldexp(z1, -t), np.ldexp(z2, -t)
+    zz = np.stack([z1 * z1, z2 * z2, z1 * z2], axis=2)
+    p, k = z1.shape
+    lo = np.tile(np.append(d[1:], 0.0)[:top], (p, 1))
+    hi = np.tile(np.append(bound * bound, d[:-1])[:top], (p, 1))
+    if top == k:
+        lo[:, -1] = d[-1] - zz[:, :, 1].sum(axis=1)
+    mu = d[:top] + zz[:, :top, 0] - zz[:, :top, 1]
+    mu = np.where((mu >= lo) & (mu <= hi), mu, 0.5 * (lo + hi))
+    order = np.arange(1, top + 1)
+    active = np.ones((p, top), dtype=bool)
+    for _ in range(_SECULAR_MAXITER):
+        rows = np.flatnonzero(active.any(axis=1))
+        if not rows.size:
+            break
+        now, low, high = mu[rows], lo[rows], hi[rows]
+        q, slope, above = _secular_terms(d, zz[rows], now)
+        low = np.where(above >= order, now, low)  # an undefined (NaN) count moves neither end
+        high = np.where(above < order, now, high)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = q / slope
+        new = now - step
+        converged = np.abs(step) <= _SECULAR_ATOL
+        new = np.where(converged | ((new > low) & (new < high)), new, 0.5 * (low + high))
+        done = converged | (high - low <= _SECULAR_ATOL)
+        moving = active[rows]
+        mu[rows] = np.where(moving, new, now)
+        lo[rows], hi[rows] = low, high
+        active[rows] = moving & ~done
+    tol = _DEFLATION_RTOL * np.maximum(d[0], mu[:, :1])
+    _, _, above = _secular_terms(d, zz, mu - tol)
+    fallback = active.any(axis=1) | np.any(above != order, axis=1)
+    return np.ldexp(mu, 2 * t), fallback
+
+
+def _secular_terms(d: np.ndarray, zz: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """At trial roots ``mu`` (one row per position, column ``r`` for root
+    ``r``), the pole-deflated secular function ``q_r(mu)``, its derivative,
+    and the number of eigenvalues of ``D + Z J Z^T`` above ``mu`` (NaN where
+    that count is undefined), given ``zz``, the rows ``(z1^2, z2^2, z1 z2)``.
+
+    With ``G = Z^T (D - mu)^{-1} Z``, ``det(D + Z J Z^T - mu) = det(D - mu)
+    det(I + J G)``, and the ``1 / (d_r - mu)^2`` terms of ``det(I + J G)``
+    cancel exactly.  So, with ``G = G' + h / (d_r - mu)`` and ``h`` the
+    ``r``-th terms, ``q_r`` is smooth at ``d_r``::
+
+        q_r = (d_r - mu) det(I + J G) = (d_r - mu) P + Q,
+        P = (1 + g'_11)(1 - g'_22) + g'_12^2,
+        Q = h_11 (1 - g'_22) - h_22 (1 + g'_11) + 2 h_12 g'_12
+
+    By Haynsworth inertia additivity the count is ``#(d > mu)`` where
+    ``det(I + J G) > 0``; where it is negative, one more if
+    ``g_11 + g_22 < 0`` and one fewer otherwise."""
+    top = mu.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = d - mu[:, :, None]
+        np.reciprocal(w, out=w)
+        w[:, np.arange(top), np.arange(top)] = 0.0  # the pole q_r deflates
+        g = w @ zz
+        dg = np.square(w, out=w) @ zz
+        g11, g22, g12 = g[..., 0], g[..., 1], g[..., 2]
+        h11, h22, h12 = (zz[:, :top, c] for c in range(3))
+        x = d[:top] - mu
+        p = (1.0 + g11) * (1.0 - g22) + g12 * g12
+        q = x * p + h11 * (1.0 - g22) - h22 * (1.0 + g11) + 2.0 * h12 * g12
+        dp = dg[..., 0] * (1.0 - g22) - (1.0 + g11) * dg[..., 1] + 2.0 * g12 * dg[..., 2]
+        slope = x * dp - p - h11 * dg[..., 1] - h22 * dg[..., 0] + 2.0 * h12 * dg[..., 2]
+        sign = q * x  # the sign of det(I + J G)
+        trace = g11 + g22 + (h11 + h22) / x
+    count = np.searchsorted(-d, -mu)  # #(d > mu), d descending
+    above = count + np.where(sign > 0.0, 0.0, np.where(trace < 0.0, 1.0, -1.0))
+    return q, slope, np.where(np.isfinite(sign) & (sign != 0.0) & np.isfinite(trace), above, np.nan)
 
 
 def _root_weights(fn: SpectralFunction, lam: np.ndarray) -> np.ndarray:
@@ -595,13 +737,15 @@ def _secular_entries(
     ``diag(d) + z1 z1^T - z2 z2^T`` (see :func:`downdated_entries`), and the
     mask of the positions left to :func:`_eigh_entries` (0 in the entries):
     those where such a root lies within ``_DEFLATION_RTOL`` times
-    ``max(d_1, lambda_1)`` of some ``d_l`` or of a neighbouring root."""
+    ``max(d_1, lambda_1)`` of some ``d_l``, or where ``I + J G`` is within
+    ``_REPEATED_ROOT_TOL`` of 0 there, as at a repeated root, and leaves
+    ``x_k`` undetermined.  The inertia count of :func:`_secular_roots`
+    leaves no other root within ``tol`` of a simple one, but it cannot
+    resolve a repeated root, whose computed copies can lie farther apart."""
     tol = _DEFLATION_RTOL * np.maximum(d[0], lam[:, 0])
-    needed = phi != 0.0
-    near_root = (lam[:, :-1] - lam[:, 1:] < tol[:, None]) & (needed[:, :-1] | needed[:, 1:])
-    deflated = near_root.any(axis=1)
-    row, col = np.nonzero(needed)
+    row, col = np.nonzero(phi)
     gap = d - lam[row, col][:, None]  # D - lambda, one row per needed root
+    deflated = np.zeros(len(lam), dtype=bool)
     deflated[row[np.abs(gap).min(axis=1) < tol[row]]] = True
     keep = ~deflated[row]
     row, col, gap = row[keep], col[keep], gap[keep]
@@ -617,6 +761,7 @@ def _secular_entries(
     first = (1.0 + g11) ** 2 >= (1.0 - g22) ** 2
     c1 = np.where(first, g12, 1.0 - g22)
     c2 = np.where(first, -1.0 - g11, g12)
+    deflated[row[np.hypot(c1, c2) < _REPEATED_ROOT_TOL]] = True
     x = w1 * c1[:, None] + w2 * c2[:, None]
     terms = phi[row, col] * np.einsum("nk,nk->n", a, x) * np.einsum("nk,nk->n", z1, x)
     terms /= np.einsum("nk,nk->n", x, x)

@@ -110,6 +110,61 @@ def svd_downdated_entries(fn: linalg.SpectralFunction, matrix: np.ndarray, posit
     return out
 
 
+def eigvalsh_downdated_entries(fn: linalg.SpectralFunction, matrix: np.ndarray, positions) -> np.ndarray:
+    """Reference one-count downdates from every root of each downdate's Gram
+    matrix ``S^2 + z1 z1^T - z2 z2^T`` (``a = U^T e_i``, ``z2 = S V^T e_j``,
+    ``z1 = a - z2``, ``Y`` taken with ``n <= m``): one batched ``eigvalsh``
+    per 256 positions, one secular vector ``(D - lambda)^{-1} Z c`` per root
+    with ``phi_k != 0``, and a full ``eigh`` at the positions where such a
+    root lies within 1e-10 of ``max(d_1, lambda_1)`` of a pole or of a
+    neighbouring root; clamped."""
+    matrix = np.asarray(matrix, dtype=float)
+    positions = np.asarray(positions, dtype=int).reshape(-1, 2)
+    if matrix.shape[0] > matrix.shape[1]:
+        matrix, positions = matrix.T, positions[:, ::-1]
+    fact = linalg.svd(matrix)
+    s = fact.singular_values
+    d = s**2
+    out = np.empty(len(positions))
+    for start in range(0, len(positions), 256):
+        chunk = positions[start : start + 256]
+        a = fact.left_vectors[chunk[:, 0]]
+        z2 = (fact.right_vectors * s)[chunk[:, 1]]
+        z1 = a - z2
+        z = np.stack([z1, z2], axis=2)
+        gram = z @ (z * [1.0, -1.0]).transpose(0, 2, 1)
+        gram[:, np.arange(len(s)), np.arange(len(s))] += d
+        lam = np.linalg.eigvalsh(gram)[:, ::-1]
+        root = np.sqrt(np.maximum(lam, 0.0))
+        values = np.stack([fn.values(row) for row in root])
+        phi = np.divide(values, root, out=np.zeros_like(root), where=lam > 0.0)
+        needed = phi != 0.0
+        tol = 1e-10 * np.maximum(d[0], lam[:, :1])
+        gap = d - lam[:, :, None]  # one row per root
+        deflated = np.any((lam[:, :-1] - lam[:, 1:] < tol) & (needed[:, :-1] | needed[:, 1:]), axis=1)
+        deflated |= np.any(needed & (np.abs(gap).min(axis=2) < tol), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w1, w2 = z1[:, None, :] / gap, z2[:, None, :] / gap
+            g11, g12, g22 = (np.sum(u * w, axis=2) for u, w in ((z1[:, None], w1), (z1[:, None], w2),
+                                                                 (z2[:, None], w2)))
+            first = (1.0 + g11) ** 2 >= (1.0 - g22) ** 2
+            c1 = np.where(first, g12, 1.0 - g22)
+            c2 = np.where(first, -1.0 - g11, g12)
+            x = w1 * c1[:, :, None] + w2 * c2[:, :, None]
+            terms = np.sum(a[:, None] * x, axis=2) * np.sum(z1[:, None] * x, axis=2) / np.sum(x * x, axis=2)
+        entries = -np.sum(np.where(needed, phi * terms, 0.0), axis=1)
+        if deflated.any():
+            lam_e, vectors = np.linalg.eigh(gram[deflated])
+            root_e = np.sqrt(np.maximum(lam_e, 0.0))
+            values_e = np.stack([fn.values(row) for row in root_e[:, ::-1]])[:, ::-1]
+            phi_e = np.divide(values_e, root_e, out=np.zeros_like(root_e), where=lam_e > 0.0)
+            ax = np.einsum("pk,pkl->pl", a[deflated], vectors)
+            zx = np.einsum("pk,pkl->pl", z1[deflated], vectors)
+            entries[deflated] = -np.sum(phi_e * ax * zx, axis=1)
+        out[start : start + len(chunk)] = linalg.clamp(entries, fn.clamp_floor)
+    return out
+
+
 def derivative_probe(fn: linalg.SpectralFunction, fact, delta, free=None) -> np.ndarray:
     """Reference Jacobian-vector product of a (possibly clamped) spectral map:
     values and derivatives evaluated per call, the clamp's derivative 0

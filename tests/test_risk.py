@@ -12,7 +12,7 @@ from svshrink.errors import CapacityError, DegenerateSpectrumError, DomainError,
 from svshrink.linalg import SpectralFunction
 from svshrink.models import Gamma, Gaussian, Poisson
 
-from helpers import fd_divergence, rank_one_positive, svd_downdated_entries
+from helpers import eigvalsh_downdated_entries, fd_divergence, rank_one_positive, svd_downdated_entries
 
 
 def half_map(clamp=None):
@@ -418,6 +418,57 @@ def tied_downdates(matrix, positions, weights) -> np.ndarray:
     return np.any(tied, axis=1)
 
 
+def generic_counts() -> np.ndarray:
+    """A 40 x 40 Poisson draw of a positive signal with well-separated
+    singular values: no one-count downdate at its nonzero counts deflates."""
+    wave = 1.0 + 0.9 * np.cos(np.linspace(0.0, 2.0 * np.pi, 40))
+    signal = rank_one_positive(40, 40, 300.0) + 5.0 * np.outer(wave, wave[::-1])
+    return Poisson().sample(signal, np.random.default_rng(40))
+
+
+def generic_map(kind, s):
+    """A soft threshold between the second and third singular values, which
+    can keep three downdate roots, or two weights, which can keep two."""
+    if kind == "soft":
+        return linalg.soft_threshold_function(0.5 * (s[1] + s[2]), 1e-6)
+    return linalg.weights_function(np.r_[0.9, 0.6, np.zeros(len(s) - 2)], 1e-6)
+
+
+def root_counts(monkeypatch) -> list:
+    """The number of roots each call of the secular solver computes."""
+    counts, solve = [], risk._secular_roots
+
+    def recording(s, z1, z2, top):
+        counts.append(top)
+        return solve(s, z1, z2, top)
+
+    monkeypatch.setattr(risk, "_secular_roots", recording)
+    return counts
+
+
+def pole_case():
+    # Tied singular values 3, 3: most downdates keep 3 as a root, on a pole.
+    y = np.zeros((3, 4))
+    y[[0, 1, 2], [0, 1, 2]] = [3.0, 3.0, 1.0]
+    return y, np.argwhere(np.ones(y.shape, dtype=bool)), linalg.soft_threshold_function(1.5)
+
+
+def near_tie_case():
+    # Two needed roots closer than the deflation tolerance.
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    w, _ = np.linalg.qr(rng.standard_normal((4, 3)))
+    y = (q * [3.0 * (1.0 + 5e-12), 3.0, 1.0]) @ w.T
+    y[0, 0] += 1.0
+    return y, np.array([[0, 0]]), linalg.soft_threshold_function(1.5)
+
+
+def tie_case(kind):
+    # Y - e_0 e_0^T is the identity: its two singular values tie.
+    fn = linalg.soft_threshold_function(0.25) if kind == "soft" else linalg.weights_function([0.6, 0.6])
+    return np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([[0, 0]]), fn
+
+
 class TestDowndatedEntries:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -494,21 +545,91 @@ class TestDowndatedEntries:
 
     @pytest.mark.parametrize("kind", ["soft", "weights"])
     def test_generic_positions_never_reach_eigh(self, monkeypatch, kind):
-        wave = 1.0 + 0.9 * np.cos(np.linspace(0.0, 2.0 * np.pi, 40))
-        signal = rank_one_positive(40, 40, 300.0) + 5.0 * np.outer(wave, wave[::-1])
-        y = Poisson().sample(signal, np.random.default_rng(40))
+        y = generic_counts()
         fact = linalg.svd(y)
-        s = fact.singular_values
-        fn = {"soft": linalg.soft_threshold_function(0.5 * (s[1] + s[2]), 1e-6),
-              "weights": linalg.weights_function(np.r_[0.9, 0.6, np.zeros(38)], 1e-6)}[kind]
+        fn = generic_map(kind, fact.singular_values)
         positions = np.argwhere(y > 0)
         expected = svd_downdated_entries(fn, y, positions)
+        for name in ("eigh", "eigvalsh"):
+            def refuse(gram, name=name):
+                raise AssertionError(f"a generic downdate reached np.linalg.{name}")
 
-        def no_eigh(gram):
-            raise AssertionError("a generic downdate reached np.linalg.eigh")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+            monkeypatch.setattr(np.linalg, name, refuse)
         got = risk.downdated_entries(fn, y, positions, fact=fact)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("kind", ["soft", "weights"])
+    def test_matches_the_eigvalsh_enumeration(self, kind):
+        y = generic_counts()
+        fn = generic_map(kind, linalg.svd(y).singular_values)
+        positions = np.argwhere(y > 0)
+        expected = eigvalsh_downdated_entries(fn, y, positions)
+        got = risk.downdated_entries(fn, y, positions)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("case", [pole_case, near_tie_case, lambda: tie_case("soft"),
+                                      lambda: tie_case("weights")], ids=["pole", "near-tie", "tie-soft", "tie-weights"])
+    def test_deflating_downdates_match_the_eigvalsh_enumeration(self, case):
+        y, positions, fn = case()
+        expected = eigvalsh_downdated_entries(fn, y, positions)
+        got = risk.downdated_entries(fn, y, positions)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_full_support_solves_every_root(self, monkeypatch):
+        y = generic_counts()
+        positions = np.argwhere(y > 0)
+        expected = svd_downdated_entries(half_map(), y, positions)
+        tops = root_counts(monkeypatch)
+        got = risk.downdated_entries(half_map(), y, positions)
+        assert set(tops) == {40}
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    def test_inertia_count_matches_eigvalsh(self):
+        # Haynsworth's count of the eigenvalues of D + Z J Z^T above mu, at
+        # random points, with a tied pair of poles in every third case.
+        rng = np.random.default_rng(7)
+        for case in range(60):
+            k = int(rng.integers(1, 10))
+            d = np.sort(rng.uniform(size=k) ** 2)[::-1]
+            if case % 3 == 0 and k > 2:
+                d[2] = d[1]
+            z1, z2 = rng.standard_normal((2, 4, k)) * rng.uniform(0.01, 1.0, size=(2, 1, 1))
+            mu = rng.uniform(-0.5, 2.0, size=(4, k))
+            _, _, above = risk._secular_terms(d, np.stack([z1 * z1, z2 * z2, z1 * z2], axis=2), mu)
+            for i in range(4):
+                eigenvalues = np.linalg.eigvalsh(np.diag(d) + np.outer(z1[i], z1[i]) - np.outer(z2[i], z2[i]))
+                np.testing.assert_array_equal(above[i], (eigenvalues > mu[i][:, None]).sum(axis=1))
+
+    def test_repeated_root_off_the_poles_falls_back_to_eigh(self, eigh_rows):
+        # Y - e_3 e_1^T has the singular value 1 twice, between two poles:
+        # the secular roots of a repeated root come out about 1e-9 apart,
+        # farther than the deflation tolerance, and no vector is determined.
+        y = np.array([[0, 0, 0, 0, 0], [0, 0, 2, 1, 1], [0, 0, 0, 1, 0], [1, 0, 0, 0, 0], [1, 0, 1, 1, 1],
+                      [0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 1, 0, 0, 0], [0, 0, 1, 2, 0], [0, 1, 1, 0, 0]],
+                     dtype=float)
+        expected = svd_downdated_entries(half_map(), y, [[3, 1]])
+        np.testing.assert_allclose(risk.downdated_entries(half_map(), y, [[3, 1]]), expected, rtol=0, atol=1e-10)
+        assert eigh_rows[0] == 1
+
+    def test_threshold_between_sigma_1_and_sigma_1_plus_one(self):
+        # A downdate raises sigma_1 by 1 at most: Y - e_0 e_0^T has sigma_1 = 4
+        # here, so a soft threshold at 3.5 keeps its top root.
+        y = np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        fn = linalg.soft_threshold_function(3.5)
+        expected = svd_downdated_entries(fn, y, np.argwhere(np.ones(y.shape, dtype=bool)))
+        assert expected[0] == pytest.approx(-0.5)
+        np.testing.assert_allclose(risk.downdated_entries(fn, y), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["soft", "weights"])
+    def test_support_that_ends_early_at_a_tall_shape(self, monkeypatch, kind):
+        signal = rank_one_positive(24, 10, 200.0) + 2.0
+        y = Poisson().sample(signal, np.random.default_rng(24))
+        fn = generic_map(kind, linalg.svd(y).singular_values)
+        positions = np.argwhere(np.ones(y.shape, dtype=bool))
+        expected = svd_downdated_entries(fn, y, positions)
+        tops = root_counts(monkeypatch)
+        got = risk.downdated_entries(fn, y, positions)
+        assert set(tops) == {3 if kind == "soft" else 2}  # of 10
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
 
     def test_all_positions_by_default_in_row_major_order(self):
