@@ -10,6 +10,7 @@ numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -37,6 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # parsing leaves no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="svshrink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

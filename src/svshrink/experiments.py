@@ -9,6 +9,7 @@ results are reproducible and independent of any thread schedule.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -196,6 +197,12 @@ class FitMethod:
     def needs_signal(self) -> bool:
         return self.name.startswith("oracle-")
 
+    @property
+    def draws_probes(self) -> bool:
+        """Whether the fit's objective can draw Monte-Carlo probes from an rng:
+        every objective but SURE (GSURE, SUKLS, PURE, PUKLA)."""
+        return self.objective not in (None, "sure")
+
 
 ESTIMATOR_NAMES = (
     "pca", "soft", "weighted", "shrinker", "oracle-shrinker", "oracle-weights", "oracle-soft",
@@ -266,7 +273,9 @@ class Observation:
     ``fact``, the noise model, the clamp floor of Gamma and Poisson fits, the
     bulk and greedy active sets and the :class:`metrics.SpectralScore` of the
     true ``signal``, each computed on first use and kept.  The oracle
-    shrinker reads ``signal_values``, the signal's singular values."""
+    shrinker alone reads ``signal_values``, the signal's singular values; the
+    experiment runner computes them only for a config that lists it, and
+    passes ``None`` otherwise."""
 
     y: np.ndarray
     fact: SvdFactorization
@@ -302,7 +311,7 @@ class Observation:
 
 
 def fit_estimator(
-    method: FitMethod, obs: Observation, rng: np.random.Generator
+    method: FitMethod, obs: Observation, rng: Optional[np.random.Generator]
 ) -> tuple[SpectralFunction, dict]:
     """Fit one resolved method on one observation.
 
@@ -312,6 +321,7 @@ def fit_estimator(
     call it.  What the fits of one observation share, ``obs`` computes once.
     Soft and weighted fits wrap the map score of :func:`risk.make_risk_objective`
     per threshold or weight vector; soft SURE uses :func:`risk.soft_threshold_sure`.
+    Only a fit whose method ``draws_probes`` reads ``rng``; others take ``None``.
     """
     y, fact, model, floor = obs.y, obs.fact, obs.model, obs.floor
     s = fact.singular_values
@@ -414,7 +424,10 @@ def _fixed_values(values: np.ndarray, clamp_floor: Optional[float]) -> SpectralF
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked experiment: construction raises :class:`ParameterError` for
-    invalid fields, resolves every tag into ``methods`` and builds ``points``."""
+    invalid fields, resolves every tag into ``methods`` and builds ``points``,
+    one ``(label, model, signal, signal's singular values)`` per data point,
+    shared read-only by every task.  The singular values are computed only
+    when a method reads them (``oracle-shrinker``), and are ``None`` otherwise."""
 
     n: int
     m: int
@@ -506,20 +519,28 @@ class ExperimentResult:
     failures: list[dict] = field(default_factory=list)
 
     def write_csv(self, path) -> None:
+        """Write one line per record, as :class:`csv.writer` writes them.  Each
+        distinct label, tag and metric name is rendered once by ``csv.writer``,
+        so the quoting is csv's own; replications and values (``repr`` of a
+        float) need none.  The text goes out in one write."""
+        rendered = {}
+
+        def quote(text: str) -> str:
+            if text not in rendered:
+                line = io.StringIO()
+                # A second field: a lone empty field would be written quoted.
+                csv.writer(line).writerow([text, ""])
+                rendered[text] = line.getvalue()[: -len(",\r\n")]
+            return rendered[text]
+
+        lines = ["sweep_param,estimator,replication,metric_name,value\r\n"]
+        for rec in self.records:
+            point = rec["sweep_param"]
+            label = quote("" if point is None else repr(point))
+            tag, name = quote(rec["estimator"]), quote(rec["metric_name"])
+            lines.append(f"{label},{tag},{rec['replication']},{name},{rec['value']!r}\r\n")
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sweep_param", "estimator", "replication", "metric_name", "value"])
-            for rec in self.records:
-                point = rec["sweep_param"]
-                writer.writerow(
-                    [
-                        "" if point is None else repr(point),
-                        rec["estimator"],
-                        rec["replication"],
-                        rec["metric_name"],
-                        repr(rec["value"]),
-                    ]
-                )
+            fh.write("".join(lines))
 
     def summary_dict(self) -> dict:
         return {"cells": self.summaries, "failures": self.failures}
@@ -543,7 +564,9 @@ class ExperimentResult:
 def _data_point(config: ExperimentConfig, value) -> tuple:
     """The (label, model, signal, signal's singular values) at sweep value
     ``value``, or the config's own at ``None``; any fault is a
-    :class:`ParameterError` naming the point."""
+    :class:`ParameterError` naming the point.  The singular values take an
+    SVD of the signal, so they are computed only when one of
+    ``config.methods`` reads them, and are ``None`` otherwise."""
     model, spec, parameter = config.model, config.signal, config.sweep_parameter
     try:
         if parameter == "sigma1":
@@ -566,9 +589,11 @@ def _data_point(config: ExperimentConfig, value) -> tuple:
     except SvshrinkError as exc:
         where = "the signal" if value is None else f"sweep value {parameter}={value!r}"
         raise ParameterError(f"{where}: {exc}") from exc
-    signal_values = np.linalg.svd(x, compute_uv=False)
-    for shared in (x, signal_values):  # read by every replication and thread
-        shared.flags.writeable = False
+    signal_values = None
+    if any(method.name == "oracle-shrinker" for method in config.methods):
+        signal_values = np.linalg.svd(x, compute_uv=False)
+        signal_values.flags.writeable = False
+    x.flags.writeable = False  # read by every replication and thread
     return value, model, x, signal_values
 
 
@@ -593,9 +618,12 @@ def _replication_records(config: ExperimentConfig, point_idx: int, rep: int) -> 
     kept = np.array(caps)[:, None] > np.arange(fact.rank_bound)
     scores = np.empty((len(caps), len(config.methods), len(config.metrics)))
     for est_idx, (tag, method) in enumerate(zip(config.estimators, config.methods)):
-        est_rng = np.random.default_rng(
-            np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
-        )
+        # Each fit that can draw probes has its own stream, so no fit's draws
+        # depend on another's; the other fits get none.
+        est_rng = None
+        if method.draws_probes:
+            seed = np.random.SeedSequence([config.root_seed, point_idx, rep, est_idx])
+            est_rng = np.random.default_rng(seed)
         fn, _ = fit_estimator(method, obs, est_rng)
         capped = np.where(kept, fn.values(fact.singular_values), 0.0)
         stacked = {}  # metric name -> the scores of every cap, from the first cap that needs them
@@ -624,9 +652,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     The scores fill one (sweep rows, estimators, replications, metrics)
     array, whose rows are the sweep values (a point's own, or a cap of the
-    single rank_cap point).  Records are read off it in that order, and each
-    row's cells are summarized by one ``np.quantile(..., axis=1)`` call over
-    its finished replications.
+    single rank_cap point).  Records are read off it in that order.  Rows
+    with the same finished replications are summarized together, by one
+    ``np.quantile(..., axis=2)`` call over those replications: a run in
+    which no task failed makes one call.
 
     Individual replication failures are recorded rather than fatal; the run
     aborts with :class:`NumericalError` only if more than 10% of the replication
@@ -665,26 +694,36 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             scores[rows, :, rep] = task_scores
             done[rows, rep] = True
 
+    # Rows that finished the same replications share one quantile call.
+    groups = {}
+    for row, finished in enumerate(done):
+        groups.setdefault(finished.tobytes(), []).append(row)
+    quantiles = [None] * len(labels)  # per row: (estimators, metrics, 3) nested lists
+    for rows in groups.values():
+        finished = done[rows[0]]
+        if finished.any():  # else every task of the point failed
+            stacked = np.quantile(scores[rows][:, :, finished], [0.1, 0.5, 0.9], axis=2, method="linear")
+            for row, by_tag in zip(rows, np.moveaxis(stacked, 0, -1).tolist()):
+                quantiles[row] = by_tag
+
     records, summaries = [], []
-    for label, cells, finished in zip(labels, scores, done):
-        kept = np.flatnonzero(finished).tolist()
-        if not kept:  # every task of the point failed
+    for label, cells, finished, by_tag in zip(labels, scores, done, quantiles):
+        if by_tag is None:
             continue
-        cells = cells[:, kept]
+        kept = np.flatnonzero(finished).tolist()
         # Python floats: repr(np.float64) is not repr(float).
         records += [
             {"sweep_param": label, "estimator": tag, "replication": rep, "metric_name": name, "value": value}
-            for tag, by_rep in zip(config.estimators, cells.tolist())
+            for tag, by_rep in zip(config.estimators, cells[:, kept].tolist())
             for rep, values in zip(kept, by_rep)
             for name, value in zip(config.metrics, values)
         ]
-        quantiles = np.quantile(cells, [0.1, 0.5, 0.9], axis=1, method="linear").transpose(1, 2, 0)
         summaries += [
             {
                 "sweep_param": label, "estimator": tag, "metric_name": name,
                 "count": len(kept), "q10": q10, "median": med, "q90": q90,
             }
-            for tag, by_metric in zip(config.estimators, quantiles.tolist())
+            for tag, by_metric in zip(config.estimators, by_tag)
             for name, (q10, med, q90) in zip(config.metrics, by_metric)
         ]
     return ExperimentResult(records, summaries, failures)

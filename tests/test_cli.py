@@ -504,6 +504,27 @@ class TestExperimentCommand:
         "sweep": {"parameter": "sigma1", "values": [1.5, 3.0]},
     }
 
+    def test_the_parser_keeps_no_state_between_calls(self, tmp_path, monkeypatch, capsys):
+        # One parser serves every call in a process.
+        assert cli._build_parser() is cli._build_parser()
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        argv = ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "a"), "--threads", "2"]
+        assert cli.main(argv) == 0
+        assert cli.main(["experiment", "--config", str(cfg)]) == 1
+        assert "--out-dir" in capsys.readouterr().err
+        seen = []
+        for name in ("experiment", "asymptotics"):
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: seen.append(vars(args)) or 0)
+        assert cli.main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        assert cli.main(["asymptotics", "--c", "0.5", "--sigma", "2"]) == 0
+        assert cli.main(["asymptotics", "--c", "0.5", "--y", "3"]) == 0
+        assert seen == [
+            {"command": "experiment", "config": str(cfg), "out_dir": str(tmp_path / "b"), "threads": 1},
+            {"command": "asymptotics", "c": 0.5, "sigma": 2.0, "y": None},
+            {"command": "asymptotics", "c": 0.5, "sigma": None, "y": 3.0},
+        ]
+
     def test_missing_config_file(self, tmp_path):
         code = cli.main(
             ["experiment", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]

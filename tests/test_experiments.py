@@ -1,7 +1,9 @@
 """Signal recipes, metrics, and the seeded replication runner."""
 
 import copy
+import csv
 import functools
+import io
 import json
 import operator
 from pathlib import Path
@@ -276,6 +278,61 @@ class TestRunner:
         pooled = experiments.run_experiment(cfg, threads=4)
         assert single.records == pooled.records
 
+    @pytest.mark.parametrize(
+        "model, sigmas, estimators, est_idx",
+        [
+            ({"family": "gamma", "L": 4}, [60.0, 8.0], ["pca", "weighted:objective=gsure"], 1),
+            ({"family": "poisson"}, [150.0, 30.0], ["pca", "soft:objective=pure", "soft:objective=pukla"], 2),
+        ],
+    )
+    def test_probing_fits_draw_from_their_own_seed_sequence(self, model, sigmas, estimators, est_idx):
+        # A record recomputed by hand from the task's and the estimator's
+        # seed sequences equals the runner's, bit for bit.
+        cfg = ExperimentConfig.from_config(
+            small_config(
+                n=15, m=18, model=model, estimators=estimators, replications=2, clamp_floor=1.0,
+                signal={"type": "spike", "sigmas": sigmas, "recipe": "quadratic_profile"},
+            )
+        )
+        rep, tag = 1, estimators[est_idx]
+        result = experiments.run_experiment(cfg)
+        assert not result.failures
+        [record] = [r["value"] for r in result.records if (r["estimator"], r["replication"]) == (tag, rep)]
+        _, noise, x, _ = cfg.points[0]
+        y = noise.sample(x, np.random.default_rng(np.random.SeedSequence([cfg.root_seed, 0, rep])))
+        fact = linalg.svd(y)
+        obs = experiments.Observation(y, fact, noise, cfg.clamp_floor, x)
+
+        def recomputed(idx):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.root_seed, 0, rep, idx]))
+            fn, _ = experiments.fit_estimator(cfg.methods[est_idx], obs, rng)
+            xhat = linalg.clamp(linalg.compose(fact, fn.values(fact.singular_values)), fn.clamp_floor)
+            return metrics.metric("nmse", xhat, x, noise)
+
+        assert recomputed(est_idx) == record
+        assert recomputed(0) != record  # the probes drawn move the fit
+
+    def test_a_gaussian_run_builds_no_estimator_generator(self, monkeypatch):
+        # No Gaussian fit draws probes, so each task builds one Generator,
+        # the one that samples its observation, and every fit gets None.
+        estimators = [
+            "pca:rank=1,active=all", "soft", "weighted", "shrinker", "oracle-shrinker", "oracle-soft",
+            "oracle-weights",
+        ]
+        cfg = ExperimentConfig.from_config(
+            small_config(estimators=estimators, sweep={"parameter": "sigma1", "values": [2.0, 3.0]})
+        )
+        seeds, rngs = [], []
+        default_rng, fit = np.random.default_rng, experiments.fit_estimator
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: seeds.append(seed) or default_rng(seed))
+        monkeypatch.setattr(
+            experiments, "fit_estimator", lambda method, obs, rng: rngs.append(rng) or fit(method, obs, rng)
+        )
+        assert not experiments.run_experiment(cfg).failures
+        tasks = [[cfg.root_seed, idx, rep] for idx in range(2) for rep in range(cfg.replications)]
+        assert [seed.entropy for seed in seeds] == tasks
+        assert rngs == [None] * len(tasks) * len(estimators)
+
     def test_noiseless_limit(self):
         cfg = ExperimentConfig.from_config(
             small_config(
@@ -303,6 +360,26 @@ class TestRunner:
         result = experiments.run_experiment(cfg)
         for cell in result.summaries:
             assert cell["q10"] <= cell["median"] <= cell["q90"]
+
+    @pytest.mark.parametrize("sweep", [None, {"parameter": "rank_cap", "values": [2, 0, 1]}])
+    def test_csv_is_the_csv_writer_rendering_of_the_records(self, tmp_path, sweep):
+        # A tag with commas, which csv quotes, integer-valued rank_cap labels
+        # and the None label of a run with no sweep, written as an empty field.
+        raw = small_config(estimators=["pca:rank=1,active=all", "soft"], metrics=["se", "nmse"])
+        cfg = ExperimentConfig.from_config(dict(raw, sweep=sweep) if sweep else raw)
+        result = experiments.run_experiment(cfg)
+        result.write_csv(tmp_path / "records.csv")
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["sweep_param", "estimator", "replication", "metric_name", "value"])
+        for rec in result.records:
+            label = "" if rec["sweep_param"] is None else repr(rec["sweep_param"])
+            writer.writerow([label, rec["estimator"], rec["replication"], rec["metric_name"], repr(rec["value"])])
+        written = (tmp_path / "records.csv").read_bytes()
+        assert written == expected.getvalue().encode("utf-8")
+        assert b'"pca:rank=1,active=all"' in written
+        labels = {line.split(b",")[0] for line in written.splitlines()[1:]}
+        assert labels == ({b"2.0", b"0.0", b"1.0"} if sweep else {b""})  # rank caps read as floats
 
     def test_csv_and_summary_outputs(self, tmp_path):
         cfg = ExperimentConfig.from_config(small_config())
@@ -533,19 +610,26 @@ class TestRunner:
         assert len(calls) == 2
 
     def test_points_take_no_part_in_equality_and_are_read_only(self):
-        raw = small_config(sweep={"parameter": "tau", "values": [0.1, 0.3]})
-        a, b = ExperimentConfig.from_config(raw), ExperimentConfig.from_config(raw)
-        assert a == b
-        assert "points" not in repr(a)
-        assert [(label, model) for label, model, _, _ in a.points] == [
-            (0.1, Gaussian(0.1)), (0.3, Gaussian(0.3)),
-        ]
-        for _, _, signal, signal_values in a.points:
-            np.testing.assert_array_equal(signal_values, np.linalg.svd(signal, compute_uv=False))
-            for shared in (signal, signal_values):
-                assert not shared.flags.writeable
-                with pytest.raises(ValueError):
-                    shared[0] = 0.0
+        # The signal's singular values are computed only for a config whose
+        # methods read them: the oracle shrinker's.
+        sweep = {"parameter": "tau", "values": [0.1, 0.3]}
+        for estimators, reads_values in ((["pca:rank=1,active=all", "oracle-shrinker"], True), (["soft"], False)):
+            raw = small_config(sweep=sweep, estimators=estimators)
+            a, b = ExperimentConfig.from_config(raw), ExperimentConfig.from_config(raw)
+            assert a == b
+            assert "points" not in repr(a)
+            assert [(label, model) for label, model, _, _ in a.points] == [
+                (0.1, Gaussian(0.1)), (0.3, Gaussian(0.3)),
+            ]
+            for _, _, signal, signal_values in a.points:
+                if reads_values:
+                    np.testing.assert_array_equal(signal_values, np.linalg.svd(signal, compute_uv=False))
+                else:
+                    assert signal_values is None
+                for shared in (signal, signal_values) if reads_values else (signal,):
+                    assert not shared.flags.writeable
+                    with pytest.raises(ValueError):
+                        shared[0] = 0.0
 
     def test_explicit_signal_configs_compare_by_value(self):
         entries = [[1.0, 2.0], [3.0, 4.5]]

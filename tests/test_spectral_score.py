@@ -222,11 +222,14 @@ def per_cell_summaries(records) -> list[dict]:
 # point's cells one record short, every cap of the rank_cap sweep's single
 # data point, the one point of a run with no sweep, or, at one replication,
 # no cell at all for the first point.
+# (sweep, replications, the failed replication of point 0 or None, the
+# cells' counts, the quantile calls: one per set of finished replications)
 UNEQUAL_CELL_RUNS = (
-    ({"parameter": "sigma1", "values": [4.0, 6.0, 5.0]}, 12, 3, [11, 12]),
-    ({"parameter": "rank_cap", "values": [3, 1, 20, 2]}, 12, 3, [11]),
-    (None, 12, 3, [11]),
-    ({"parameter": "sigma1", "values": [4.0 + k for k in range(10)]}, 1, 0, [1]),
+    ({"parameter": "sigma1", "values": [4.0, 6.0, 5.0]}, 12, 3, [11, 12], 2),
+    ({"parameter": "rank_cap", "values": [3, 1, 20, 2]}, 12, 3, [11], 1),
+    (None, 12, 3, [11], 1),
+    ({"parameter": "sigma1", "values": [4.0 + k for k in range(10)]}, 1, 0, [1], 1),
+    ({"parameter": "sigma1", "values": [4.0, 6.0, 5.0]}, 12, None, [12], 1),
 )
 
 
@@ -239,12 +242,16 @@ def test_summaries_of_unequal_cells_match_per_cell_quantiles(monkeypatch, tmp_pa
         return replication_records(config, point_idx, rep)
 
     monkeypatch.setattr(experiments, "_replication_records", fail_one)
-    for sweep, replications, failed_rep, counts in UNEQUAL_CELL_RUNS:
+    quantile, calls = np.quantile, []
+    monkeypatch.setattr(np, "quantile", lambda *args, **kwargs: calls.append(1) or quantile(*args, **kwargs))
+    for sweep, replications, failed_rep, counts, quantile_calls in UNEQUAL_CELL_RUNS:
         raw = rank_cap_config(signal={"type": "spike", "sigmas": [4.0, 2.5, 1.5]}, replications=replications)
         raw.pop("sweep")
         config = ExperimentConfig.from_config(dict(raw, sweep=sweep) if sweep else raw)
+        calls.clear()
         result = experiments.run_experiment(config)
-        assert len(result.failures) == 1
+        assert len(calls) == quantile_calls
+        assert len(result.failures) == (failed_rep is not None)
         assert sorted({c["count"] for c in result.summaries}) == counts
         # Records come out in (sweep value, estimator, replication, metric)
         # order; the failed task drops every row of its data point.
