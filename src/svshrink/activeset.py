@@ -3,7 +3,11 @@
 The score is ``-2 log q(Y; Xtilde^s) + 2 |s| p`` with penalty
 ``p = (sqrt(m) + sqrt(n))^2 / 2``, which for Gaussian noise is minimized
 exactly by keeping the singular values above ``tau (sqrt(m) + sqrt(n))``.
-Other families use a one-shot greedy search over single-index removals.
+Other families use :func:`active_set_greedy`, a one-shot rule that is not
+the score's minimizer: on draws ``rng([2029, d])`` of two-spike quadratic-profile
+signals it matched the argmin over all ``2^k`` subsets in 3 of 30 Gamma draws
+(L = 4, 9x11, spikes 60, 20), 10 of 30 (L = 10, 10x10) and 39 of 40 Poisson
+draws (9x11, spikes 300, 80).
 """
 
 from __future__ import annotations

@@ -212,28 +212,18 @@ def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
 
 
-def probe_directions(
-    shape: tuple[int, int],
-    samples: int,
-    rng: Optional[np.random.Generator],
-    directions: Optional[Sequence[np.ndarray]] = None,
-) -> list[np.ndarray]:
-    """The probe directions of a Monte-Carlo estimate: ``directions`` when
-    given, else ``samples`` Rademacher draws from ``rng``.
+def probe_directions(shape: tuple[int, int], samples: int, rng: Optional[np.random.Generator]) -> list[np.ndarray]:
+    """The probe directions of a Monte-Carlo estimate: ``samples`` Rademacher
+    draws from ``rng``.
 
     Raises :class:`DomainError` when there would be no probe (an average
     over none is NaN) or no rng to draw from.
     """
-    if directions is None:
-        if samples < 1:
-            raise DomainError("samples must be >= 1")
-        if rng is None:
-            raise DomainError("an rng is required when directions are not supplied")
-        return [rademacher(shape, rng) for _ in range(samples)]
-    directions = list(directions)
-    if not directions:
-        raise DomainError("at least one probe direction is required")
-    return directions
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    if rng is None:
+        raise DomainError("an rng is required to draw probe directions")
+    return [rademacher(shape, rng) for _ in range(samples)]
 
 
 def _require_spectral(estimator) -> SpectralFunction:
@@ -312,25 +302,17 @@ def mc_divergence(
     samples: int,
     rng: Optional[np.random.Generator] = None,
     *,
-    directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo divergence of a spectral map by random trace probing.
 
-    Averages ``trace(delta^T (dF/dY) delta)`` over +-1 directions, which is
-    unbiased for the divergence because off-diagonal Jacobian terms cancel in
-    expectation.
-
-    Parameters
-    ----------
-    directions : sequence of np.ndarray, optional
-        Explicit probe directions (overrides ``samples``/``rng``); useful for
-        full enumeration and for freezing an objective during optimization.
-    fact : SvdFactorization, optional
-        The factorization of ``matrix``, computed once here when not given.
+    Averages ``trace(delta^T (dF/dY) delta)`` over ``samples`` +-1
+    directions drawn from ``rng``, which is unbiased for the divergence
+    because off-diagonal Jacobian terms cancel in expectation.  ``fact``,
+    the factorization of ``matrix``, is computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
-    directions = probe_directions(matrix.shape, samples, rng, directions)
+    directions = probe_directions(matrix.shape, samples, rng)
     fn, fact, raw = _estimate(apply, matrix, fact)
     return _probe_mean(fn, fact, directions, raw)
 
@@ -368,10 +350,7 @@ def _sure_terms(shape: tuple[int, int], residual: float, tau: float) -> tuple[fl
 
 
 def _sure(
-    shape: tuple[int, int],
-    residual: float,
-    tau: float,
-    divergence: Union[float, MonteCarloDivergence],
+    shape: tuple[int, int], residual: float, tau: float, divergence: Union[float, MonteCarloDivergence]
 ) -> RiskEstimate:
     """SURE from the squared residual ``||estimate - Y||_F^2``."""
     lead, scale = _sure_terms(shape, residual, tau)
@@ -456,18 +435,18 @@ def mc_theta_divergence_gamma(
     samples: int,
     rng: Optional[np.random.Generator] = None,
     *,
-    directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
 ) -> MonteCarloDivergence:
     """Monte-Carlo estimate of the natural-parameter divergence for Gamma.
 
     Probes ``sum_ij (L / f_ij^2) df_ij/dY_ij`` by averaging
-    ``sum_ij (L / f_ij^2) delta_ij (J delta)_ij`` over +-1 directions, as
-    :func:`mc_divergence` averages ``sum_ij delta_ij (J delta)_ij``.  ``fact``,
-    the factorization of ``matrix``, is computed once here when not given.
+    ``sum_ij (L / f_ij^2) delta_ij (J delta)_ij`` over ``samples`` +-1
+    directions drawn from ``rng``, as :func:`mc_divergence` averages
+    ``sum_ij delta_ij (J delta)_ij``.  ``fact``, the factorization of
+    ``matrix``, is computed once here when not given.
     """
     matrix = np.asarray(matrix, dtype=float)
-    directions = probe_directions(matrix.shape, samples, rng, directions)
+    directions = probe_directions(matrix.shape, samples, rng)
     fn, fact, raw = _estimate(spectral_fn, matrix, fact)
     return _theta_divergence(fn, fact, directions, raw, float(shape), linalg.clamp(raw, fn.clamp_floor))
 
@@ -556,19 +535,15 @@ def downdated_entries(
     only when the map gives both indices the same value there, as a soft
     threshold does; otherwise :class:`DegenerateSpectrumError` is raised.
 
-    ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations;
-    all ``n * m`` positions are used when omitted.  The result is returned in
-    the order of ``positions``.  ``fact``, the factorization of ``matrix``,
+    ``positions`` is an ``(p, 2)`` integer array of 0-based entry locations
+    (any other is a :class:`DomainError`), all ``n * m`` when omitted, and
+    the result is in its order.  ``fact``, the factorization of ``matrix``,
     is computed once here when not given.
     """
     fn = _require_spectral(estimator)
     matrix = np.asarray(matrix, dtype=float)
     n, m = matrix.shape
-    if positions is None:
-        positions = np.argwhere(np.ones((n, m), dtype=bool))
-    positions = np.asarray(positions, dtype=int)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise DomainError(f"positions must be a (p, 2) array, got shape {positions.shape}")
+    positions = np.argwhere(np.ones((n, m), dtype=bool)) if positions is None else _positions(positions, n, m)
     fact = _factorization(matrix, fact)
     if np.any(fn.values(np.zeros(fact.rank_bound)) != 0.0):
         raise ParameterError("one-count downdates need a spectral map that vanishes at 0")
@@ -582,6 +557,22 @@ def downdated_entries(
         chunk = positions[start : start + _DOWNDATE_BATCH]
         entries = _downdated_chunk(fn, s, top, left[chunk[:, 0]], scaled_right[chunk[:, 1]])
         out[start : start + len(chunk)] = linalg.clamp(entries, fn.clamp_floor)
+    return out
+
+
+def _positions(positions, n: int, m: int) -> np.ndarray:
+    """``positions`` as a ``(p, 2)`` integer array, or :class:`DomainError`
+    naming the first that is not an integer pair in ``[0, n) x [0, m)``."""
+    given = np.asarray(positions)
+    if given.ndim != 2 or given.shape[1] != 2:
+        raise DomainError(f"positions must be a (p, 2) array, got shape {given.shape}")
+    with np.errstate(invalid="ignore"):  # a NaN or infinite position casts to garbage, rejected below
+        out = given.astype(int) if given.dtype.kind in "iuf" else np.full(given.shape, -1)
+    bad = np.flatnonzero(np.any((out != given) | (out < 0) | (out >= (n, m)), axis=1))
+    if bad.size:
+        raise DomainError(
+            f"position {given[bad[0]].tolist()} (row {bad[0]}) is not an integer pair in [0, {n}) x [0, {m})"
+        )
     return out
 
 
@@ -798,37 +789,52 @@ def _check_ties(fn: SpectralFunction, lam: np.ndarray, root: np.ndarray) -> None
             )
 
 
-def _poisson_downdates(
-    observed, fn: SpectralFunction, mode: str, samples, rng, directions, fact, term
-) -> tuple[np.ndarray, Union[float, MonteCarloDivergence]]:
-    """What PURE and PUKLA share: the estimate ``f(Y)`` and the mean of
-    ``term(y, down)`` over samples ``down`` of ``f_ij(Y - e_i e_j^T)`` at the
-    nonzero counts ``y``.  ``mode="exact"`` gives one sample, evaluated on
-    every one-count downdate (guarded to small matrices), and its term as a
-    float; ``mode="approx"`` gives one first-order sample ``f - delta *
-    (J delta)`` per probe direction, and the mean as a
-    :class:`MonteCarloDivergence`."""
+def _poisson_inputs(observed, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked counts ``y`` of a PURE or PUKLA estimate in ``mode``
+    (``"approx"``, or ``"exact"`` up to ``n m = EXACT_DOWNDATE_CAP``), the
+    mask of their nonzero entries and those counts, in ``np.argwhere`` order."""
     y = validate_counts(observed)
-    if mode == "approx":
-        directions = probe_directions(y.shape, samples, rng, directions)
-    elif mode == "exact":
-        n, m = y.shape
-        if n * m > EXACT_DOWNDATE_CAP:
-            raise CapacityError(
-                f"exact one-count enumeration is guarded to n*m <= {EXACT_DOWNDATE_CAP}; "
-                f"got {n}x{m}; use the Monte-Carlo approximation instead"
-            )
-    else:
+    if mode == "exact" and y.size > EXACT_DOWNDATE_CAP:
+        raise CapacityError(
+            f"exact one-count enumeration is guarded to n*m <= {EXACT_DOWNDATE_CAP}; "
+            f"got {y.shape[0]}x{y.shape[1]}; use the Monte-Carlo approximation instead"
+        )
+    if mode not in ("exact", "approx"):
         raise ParameterError(f"mode must be 'exact' or 'approx', got {mode!r}")
-    fn, fact, raw = _estimate(fn, y, fact)
+    nonzero = y > 0
+    return y, nonzero, y[nonzero]
+
+
+def _poisson(kind: EstimatorKind, fn: SpectralFunction, fact, raw, y, nonzero, counts, directions) -> RiskEstimate:
+    """PURE or PUKLA (``kind``) of the checked map ``fn``, whose unclamped
+    estimate on ``fact`` is ``raw``, from the outputs of :func:`_poisson_inputs`.
+    Its term is the mean of ``term(down)`` over samples ``down`` of ``f_ij(Y -
+    e_i e_j^T)`` at the nonzero counts: every one-count downdate, exactly,
+    when ``directions`` is ``None``; else ``f - delta * (J delta)`` per probe."""
     fhat = linalg.clamp(raw, fn.clamp_floor)
-    nonzero = y > 0  # a boolean mask reads the entries in the order np.argwhere lists them
-    counts = y[nonzero]
-    if mode == "exact":
-        return fhat, term(counts, downdated_entries(fn, y, np.argwhere(nonzero), fact=fact))
-    base = fhat[nonzero]
-    products = _probe_products(fn, fact, directions, raw)
-    return fhat, _mean_stderr([term(counts, base - p[nonzero]) for p in products])
+    if kind == "PURE":
+        lead, scale = float(np.sum(fhat**2)), -2.0
+        note = "estimates MSE minus the squared Frobenius norm of the signal"
+        term = lambda down: float(np.sum(counts * down))
+    else:
+        lead, scale = float(np.sum(fhat)), -1.0
+        note = "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)"
+        log_floor = max(PUKLA_LOG_FLOOR, fn.clamp_floor or 0.0)
+        term = lambda down: float(np.sum(counts * np.log(np.maximum(down, log_floor))))
+    if directions is None:
+        divergence = term(downdated_entries(fn, y, np.argwhere(nonzero), fact=fact))
+    else:
+        base = fhat[nonzero]
+        divergence = _mean_stderr([term(base - p[nonzero]) for p in _probe_products(fn, fact, directions, raw)])
+    return _risk_estimate(kind, lead, scale, divergence, note, exact=directions is None)
+
+
+def _public_poisson(kind: EstimatorKind, observed, estimator, mode, samples, rng, fact) -> RiskEstimate:
+    """PURE or PUKLA, every input checked and any probes drawn on this call."""
+    y, nonzero, counts = _poisson_inputs(observed, mode)
+    directions = probe_directions(y.shape, samples, rng) if mode == "approx" else None
+    fn, fact, raw = _estimate(estimator, y, fact)
+    return _poisson(kind, fn, fact, raw, y, nonzero, counts, directions)
 
 
 def pure_poisson(
@@ -838,7 +844,6 @@ def pure_poisson(
     mode: str = "exact",
     samples: int = 1,
     rng: Optional[np.random.Generator] = None,
-    directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
 ) -> RiskEstimate:
     """Unbiased estimate of ``MSE - ||X||_F^2`` under Poisson noise.
@@ -846,15 +851,11 @@ def pure_poisson(
     ``||f(Y)||_F^2 - 2 sum_ij y_ij f_ij(Y - e_i e_j^T)``.  ``mode="exact"``
     evaluates the estimator on every one-count downdate (guarded to small
     matrices); ``mode="approx"`` replaces each downdated entry by its
-    first-order expansion probed along +-1 directions.  ``fact``, the
-    factorization of ``observed``, is computed once here when not given.
+    first-order expansion probed along ``samples`` +-1 directions drawn from
+    ``rng``.  ``fact``, the factorization of ``observed``, is computed once
+    here when not given.
     """
-    cross = lambda counts, down: float(np.sum(counts * down))
-    fhat, crosses = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact, cross)
-    return _risk_estimate(
-        "PURE", float(np.sum(fhat**2)), -2.0, crosses,
-        "estimates MSE minus the squared Frobenius norm of the signal", exact=mode == "exact",
-    )
+    return _public_poisson("PURE", observed, estimator, mode, samples, rng, fact)
 
 
 def pukla_poisson(
@@ -864,7 +865,6 @@ def pukla_poisson(
     mode: str = "exact",
     samples: int = 1,
     rng: Optional[np.random.Generator] = None,
-    directions: Optional[Sequence[np.ndarray]] = None,
     fact: Optional[SvdFactorization] = None,
 ) -> RiskEstimate:
     """Unbiased estimate (up to a signal-only constant) of the analysis
@@ -873,17 +873,9 @@ def pukla_poisson(
     ``sum_ij f_ij(Y) - y_ij log f_ij(Y - e_i e_j^T)`` with the convention that
     ``y_ij = 0`` terms contribute nothing; log arguments are floored at
     :data:`PUKLA_LOG_FLOOR` (or the estimator's own clamp floor if larger).
-    ``mode`` and ``fact`` are as in :func:`pure_poisson`.
+    ``mode``, ``samples``, ``rng`` and ``fact`` are as in :func:`pure_poisson`.
     """
-    def log_term(counts, down):  # the floor is read once the map is known to be spectral
-        log_floor = max(PUKLA_LOG_FLOOR, estimator.clamp_floor or 0.0)
-        return float(np.sum(counts * np.log(np.maximum(down, log_floor))))
-
-    fhat, logs = _poisson_downdates(observed, estimator, mode, samples, rng, directions, fact, log_term)
-    return _risk_estimate(
-        "PUKLA", float(np.sum(fhat)), -1.0, logs,
-        "estimates MKLA plus sum_ij (X_ij - X_ij log X_ij)", exact=mode == "exact",
-    )
+    return _public_poisson("PUKLA", observed, estimator, mode, samples, rng, fact)
 
 
 VALID_OBJECTIVES = {
@@ -923,31 +915,34 @@ def make_risk_objective(
     """Build a deterministic map from spectral functions to risk estimates:
     the score that a fit minimizes and that a CLI report gives.
 
-    What depends on the observation alone is done once, here: the objective
-    is resolved, ``fact`` is checked against ``observed``, and a Gamma
-    observation is checked for positivity (so a fit that evaluates nothing
-    still rejects it) and its GSURE carrier computed.  Each GSURE or SUKLS
-    evaluation composes, clamps and checks the estimate once, with the
-    formulas of :func:`gsure_gamma`, :func:`sukls_gamma` and their
-    Monte-Carlo divergences.  SURE reads the spectrum alone and takes maps
-    without a clamp floor only.  PURE and PUKLA call :func:`pure_poisson`
-    and :func:`pukla_poisson`, by exact enumeration when ``exact`` (right
-    for a report, too slow to minimize) and ``n m <= EXACT_DOWNDATE_CAP``.
-    Monte-Carlo criteria draw their ``samples`` probes on the first
-    evaluation that needs them and reuse them, so the objective is a fixed
-    function, and one never evaluated draws nothing from ``rng``: GSURE and
-    approximate PURE/PUKLA probe on every evaluation, SUKLS only once the
-    clamp floor binds, since a clamped estimate has no closed form.
+    What depends on the observation alone is done once, here, so a fit that
+    evaluates nothing still rejects a bad one: the objective is resolved,
+    ``fact`` is checked against ``observed``, a Gamma observation is checked
+    for positivity and its GSURE carrier computed, and a Poisson one is
+    checked for counts and its nonzero counts read off.  A GSURE, SUKLS,
+    PURE or PUKLA evaluation composes and clamps the estimate once, with the
+    formulas of :func:`gsure_gamma`, :func:`sukls_gamma`, :func:`pure_poisson`,
+    :func:`pukla_poisson` and their Monte-Carlo terms; PURE and PUKLA
+    enumerate the downdates when ``exact`` (right for a report, too slow to
+    minimize) and ``n m <= EXACT_DOWNDATE_CAP``.  SURE reads the spectrum
+    alone and takes maps without a clamp floor only.  Monte-Carlo criteria
+    draw their ``samples`` probes on the first evaluation that needs them
+    and reuse them, so the objective is a fixed function, and one never
+    evaluated draws nothing from ``rng``: GSURE and approximate PURE/PUKLA
+    probe on every evaluation, SUKLS only once the clamp floor binds, since
+    a clamped estimate has no closed form.
     """
     objective = resolve_objective(model, objective)
     y = np.asarray(observed, dtype=float)
     fact = _factorization(y, fact)
     s = fact.singular_values
-    mode = "exact" if exact and y.size <= EXACT_DOWNDATE_CAP else "approx"
     if model.family == "gamma":
         L = float(model.shape)
         validate_positive(y, "Gamma observations")
         carrier = _gsure_carrier(L, y) if objective == "gsure" else None
+    elif model.family == "poisson":
+        mode = "exact" if exact and y.size <= EXACT_DOWNDATE_CAP else "approx"
+        y, nonzero, counts = _poisson_inputs(y, mode)
     directions: list[np.ndarray] = []
 
     def probes() -> list[np.ndarray]:
@@ -958,9 +953,6 @@ def make_risk_objective(
         return directions
 
     def evaluate(fn: SpectralFunction) -> RiskEstimate:
-        if objective in ("pure", "pukla"):
-            poisson = pure_poisson if objective == "pure" else pukla_poisson
-            return poisson(y, fn, mode=mode, directions=probes() if mode == "approx" else None, fact=fact)
         values = _require_spectral(fn).values(s)
         if objective == "sure":
             if fn.clamp_floor is not None:
@@ -968,6 +960,9 @@ def make_risk_objective(
             divergence = divergence_closed_form(fact, values, fn.derivs(s))
             return _sure(y.shape, _residual(fact, values), model.tau, divergence)
         raw = linalg.compose(fact, values)
+        if objective in ("pure", "pukla"):
+            probed = probes() if mode == "approx" else None
+            return _poisson(objective.upper(), fn, fact, raw, y, nonzero, counts, probed)
         f = linalg.clamp(raw, fn.clamp_floor)
         if objective == "gsure":
             return _gsure(L, y, f, carrier, _theta_divergence(fn, fact, probes(), raw, L, f))

@@ -159,22 +159,22 @@ def clamped_map(rng, k):
     return linalg.weights_function(weights, 1e-6)
 
 
-def risk_calls(y, fn, directions):
+def risk_calls(y, fn, probes, seed):
     """The four Monte-Carlo risk functions: for each, the matrix it is
-    evaluated at and the call given that matrix's factorization (or None)."""
+    evaluated at and the call given that matrix's factorization (or None).
+    Each call draws its ``probes`` directions from a new rng of ``seed``."""
     positive = y + 1.0  # Gamma observations are positive
+    rng = lambda: np.random.default_rng(seed)
     return {
-        "mc_divergence": (y, lambda fact: risk.mc_divergence(
-            fn, y, 0, directions=directions, fact=fact
-        )),
+        "mc_divergence": (y, lambda fact: risk.mc_divergence(fn, y, probes, rng(), fact=fact)),
         "mc_theta_divergence_gamma": (positive, lambda fact: risk.mc_theta_divergence_gamma(
-            fn, positive, 4.0, 0, directions=directions, fact=fact
+            fn, positive, 4.0, probes, rng(), fact=fact
         )),
         "pure_poisson": (y, lambda fact: risk.pure_poisson(
-            y, fn, mode="approx", directions=directions, fact=fact
+            y, fn, mode="approx", samples=probes, rng=rng(), fact=fact
         )),
         "pukla_poisson": (y, lambda fact: risk.pukla_poisson(
-            y, fn, mode="approx", directions=directions, fact=fact
+            y, fn, mode="approx", samples=probes, rng=rng(), fact=fact
         )),
     }
 
@@ -183,7 +183,7 @@ def poisson_case(shape, seed, probes=2):
     rng = np.random.default_rng(seed)
     y = Poisson().sample(rank_one_positive(*shape, 30.0), rng)
     fn = clamped_map(rng, min(shape))
-    return y, fn, [risk.rademacher(shape, rng) for _ in range(probes)]
+    return y, fn, probes, seed + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,8 @@ estimate is defined: the Jacobian-vector product of the (possibly clamped)
 map along each +-1 direction, reduced per probe, then averaged.  The library
 computes every one of them from one shared stream of probe products
 ``delta * (J delta)``; these tests pin that it gives the same numbers on
-fixed directions.
+the directions it draws from a seeded rng, which the references draw from
+an rng of the same seed.
 """
 
 import numpy as np
@@ -75,15 +76,24 @@ def spectral_map(k, clamp):
     return linalg.weights_function(weights, clamp)
 
 
+PROBES = 4
+
+
+def probe_rng(seed):
+    """The rng each estimate draws its probes from, and the references theirs."""
+    return np.random.default_rng([seed, 1])
+
+
 def case(shape, seed, clamp):
-    """Counts with zero entries, a map, its factorization and 4 probes."""
+    """Counts with zero entries, a map, its factorization and the 4 probes
+    an estimate draws from ``probe_rng(seed)``."""
     rng = np.random.default_rng(seed)
     y = Poisson().sample(rank_one_positive(*shape, 4.0 * np.sqrt(shape[0] * shape[1])), rng)
     y[0, 0] = 0.0
     y[-1, -1] = 0.0
     fact = linalg.svd(y)
     fn = spectral_map(len(fact.singular_values), clamp)
-    return y, fn, fact, [risk.rademacher(shape, rng) for _ in range(4)]
+    return y, fn, fact, risk.probe_directions(shape, PROBES, probe_rng(seed))
 
 
 def clamp_is_active(fn, fact):
@@ -97,15 +107,15 @@ def test_estimates_match_per_probe_loops(shape, clamp, seed):
     y, fn, fact, directions = case(shape, seed, clamp)
     assert np.any(y == 0)
 
-    got = risk.mc_divergence(fn, y, 0, directions=directions, fact=fact)
+    got = risk.mc_divergence(fn, y, PROBES, probe_rng(seed), fact=fact)
     assert (got.value, got.stderr) == reference_divergence(fn, fact, directions)
 
-    got = risk.pukla_poisson(y, fn, mode="approx", directions=directions, fact=fact)
+    got = risk.pukla_poisson(y, fn, mode="approx", samples=PROBES, rng=probe_rng(seed), fact=fact)
     assert (got.value, got.stderr) == reference_pukla(y, fn, fact, directions)
 
     # PURE sums y * (f - delta J delta) over the nonzero counts only; the
     # reference sums over every entry, so the sum is reassociated.
-    got = risk.pure_poisson(y, fn, mode="approx", directions=directions, fact=fact)
+    got = risk.pure_poisson(y, fn, mode="approx", samples=PROBES, rng=probe_rng(seed), fact=fact)
     value, stderr = reference_pure(y, fn, fact, directions)
     assert got.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert got.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
@@ -122,7 +132,7 @@ def test_gamma_weighted_divergence_matches_per_probe_loop(shape, seed):
     fact = linalg.svd(y)
     L = 4.0
     f = linalg.reconstruct(fact, fn)
-    got = risk.mc_theta_divergence_gamma(fn, y, L, 0, directions=directions, fact=fact)
+    got = risk.mc_theta_divergence_gamma(fn, y, L, PROBES, probe_rng(seed), fact=fact)
     expected = reference_divergence(fn, fact, directions, weights=L / f**2)
     assert (got.value, got.stderr) == expected
 

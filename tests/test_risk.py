@@ -90,9 +90,10 @@ class TestMonteCarloDivergence:
             np.array(bits, dtype=float).reshape(2, 2)
             for bits in itertools.product([-1.0, 1.0], repeat=4)
         ]
-        est = risk.mc_divergence(half_map(), y, len(directions), directions=directions)
-        closed = risk.divergence_closed_form(fact, 0.5 * s, 0.5 * np.ones_like(s))
-        assert est.value == pytest.approx(closed, rel=1e-12)
+        f, d = 0.5 * s, 0.5 * np.ones_like(s)
+        probes = [np.sum(delta * linalg.directional_derivative(fact, f, d, delta)) for delta in directions]
+        closed = risk.divergence_closed_form(fact, f, d)
+        assert float(np.mean(probes)) == pytest.approx(closed, rel=1e-12)
 
     def test_sampling_agrees_within_three_stderr(self):
         rng = np.random.default_rng(6)
@@ -650,6 +651,21 @@ class TestDowndatedEntries:
         with pytest.raises(DomainError, match=r"\(p, 2\)"):
             risk.downdated_entries(half_map(), np.ones((3, 4)), positions)
 
+    @pytest.mark.parametrize("position", [[-1, 0], [0.5, 0], [6, 0], [0, 8]])
+    def test_position_off_the_matrix_is_domain_error(self, monkeypatch, position):
+        # A negative, fractional or out-of-range position would otherwise
+        # index silently (row n - 1, row 0) or raise a bare IndexError.  The
+        # first bad row is named before any factorization.
+        y = np.random.default_rng(8).poisson(3.0, size=(6, 8)).astype(float)
+
+        def no_svd(matrix):
+            raise AssertionError("work started before the positions were checked")
+
+        monkeypatch.setattr(linalg, "svd", no_svd)
+        message = r"position \[.*\] \(row 1\) is not an integer pair in \[0, 6\) x \[0, 8\)"
+        with pytest.raises(DomainError, match=message):
+            risk.downdated_entries(half_map(), y, [[1, 2], position, [7, 9]])
+
     def test_map_that_does_not_vanish_at_zero_is_parameter_error(self):
         fixed = np.array([3.0, 2.0, 1.0])
         fn = SpectralFunction(lambda sigmas: fixed, lambda sigmas: np.zeros_like(sigmas))
@@ -673,8 +689,8 @@ class TestEmptyProbeSets:
 
     def test_mc_divergence(self, case):
         y, fn = case
-        with pytest.raises(DomainError, match="probe direction"):
-            risk.mc_divergence(fn, y, 5, directions=[])
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            risk.mc_divergence(fn, y, 0, np.random.default_rng(0))
 
     def test_pure_poisson(self, case):
         y, fn = case
@@ -748,11 +764,13 @@ class TestEstimateContract:
         for kind, (est, value) in exact.items():
             assert (est.estimator_kind, est.value) == (kind, value)
             assert (est.divergence_kind, est.samples, est.stderr) == ("exact", None, None)
-        directions = [risk.rademacher(y.shape, rng) for _ in range(3)]
         for poisson in (risk.pure_poisson, risk.pukla_poisson):
-            ones = [poisson(y, fn, mode="approx", directions=[d]) for d in directions]
+            # One rng of a seed draws, one at a time, the three probes that
+            # another of the same seed draws at once.
+            one_rng = np.random.default_rng(33)
+            ones = [poisson(y, fn, mode="approx", rng=one_rng) for _ in range(3)]
             assert {(one.divergence_kind, one.samples, one.stderr) for one in ones} == {("monte_carlo", 1, None)}
-            est = poisson(y, fn, mode="approx", directions=directions)
+            est = poisson(y, fn, mode="approx", samples=3, rng=np.random.default_rng(33))
             assert (est.divergence_kind, est.samples) == ("monte_carlo", 3)
             # A one-probe value is lead + scale * term, so the values spread
             # |scale| times as wide as the terms.
@@ -807,12 +825,11 @@ def public_gamma_chain(objective, y, fact, L, fn, samples, seed):
     s = fact.singular_values
     raw = linalg.compose(fact, fn.values(s))
     estimate = linalg.clamp(raw, fn.clamp_floor)
-    directions = lambda: risk.probe_directions(y.shape, samples, np.random.default_rng(seed))
     if objective == "gsure":
-        theta = risk.mc_theta_divergence_gamma(fn, y, L, samples, directions=directions(), fact=fact)
+        theta = risk.mc_theta_divergence_gamma(fn, y, L, samples, np.random.default_rng(seed), fact=fact)
         return risk.gsure_gamma(y, estimate, L, theta)
     if fn.clamp_floor is not None and np.any(raw < fn.clamp_floor):
-        divergence = risk.mc_divergence(fn, y, samples, directions=directions(), fact=fact)
+        divergence = risk.mc_divergence(fn, y, samples, np.random.default_rng(seed), fact=fact)
     else:
         divergence = risk.divergence_closed_form(fact, fn.values(s), fn.derivs(s))
     return risk.sukls_gamma(y, estimate, L, divergence)
@@ -884,6 +901,92 @@ def test_gamma_objective_checks_the_observation_once(monkeypatch):
         weights[0] = w
         assert np.isfinite(evaluate(linalg.weights_function(weights, 1e-6)).value)
     assert len(calls) == 1
+
+
+def public_poisson_chain(objective, y, fact, fn, mode, samples, seed):
+    """PURE or PUKLA of ``fn`` through the public estimate, which checks its
+    own inputs, with the probes the objective draws from an rng of ``seed``."""
+    poisson = risk.pure_poisson if objective == "pure" else risk.pukla_poisson
+    return poisson(y, fn, mode=mode, samples=samples, rng=np.random.default_rng(seed), fact=fact)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    objective_shapes,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["pure", "pukla"]),
+    st.sampled_from(["exact", "approx", "capped"]),
+    objective_weights,
+    st.sampled_from(["none", "low", "binding"]),
+    st.booleans(),
+    st.sampled_from([1, 64]),
+)
+def test_poisson_objective_is_the_public_chain(shape, seed, objective, mode, draws, floor, tie, samples):
+    # The objective checks the counts once, when it is built, where the
+    # public estimate checks them on every call; the estimate it gives must
+    # be the same, bit for bit, and so must every error.  Above the cap an
+    # exact objective falls back to the probes, where the public exact
+    # estimate refuses.
+    rng = np.random.default_rng(seed)
+    n, m = shape
+    y = Poisson().sample(rank_one_positive(n, m, 4.0 * np.sqrt(n * m)), rng)
+    fact = linalg.svd(y)
+    weights = np.array(draws[: fact.rank_bound])
+    if tie and fact.rank_bound >= 3:
+        # Tie indices 2 and 3: a map that weighs them differently has no
+        # Jacobian there, and the probes raise DegenerateSpectrumError.
+        s = fact.singular_values.copy()
+        s[2] = s[1]
+        fact = linalg.SvdFactorization(s, fact.left_vectors, fact.right_vectors)
+    clamp = {"none": None, "low": 1e-6, "binding": max(float(np.quantile(y, 0.2)), 1.0)}[floor]
+    fn = linalg.weights_function(weights, clamp)
+    probe_seed = seed + 1
+    with pytest.MonkeyPatch.context() as patch:
+        if mode == "capped":
+            patch.setattr(risk, "EXACT_DOWNDATE_CAP", y.size - 1)
+        evaluate = risk.make_risk_objective(
+            y, fact, Poisson(), objective, rng=np.random.default_rng(probe_seed), samples=samples,
+            exact=mode != "approx",
+        )
+        got = outcome(evaluate, fn)
+        public = "exact" if mode == "exact" else "approx"
+        assert got == outcome(public_poisson_chain, objective, y, fact, fn, public, samples, probe_seed)
+        if mode == "capped":
+            with pytest.raises(CapacityError, match="exact one-count enumeration"):
+                public_poisson_chain(objective, y, fact, fn, "exact", samples, probe_seed)
+    if isinstance(got, risk.RiskEstimate):
+        assert got.divergence_kind == ("exact" if mode == "exact" else "monte_carlo")
+
+
+def test_poisson_objective_checks_the_observation_once(monkeypatch):
+    y = Poisson().sample(rank_one_positive(12, 9, 60.0), np.random.default_rng(6))
+    fact = linalg.svd(y)
+    calls = []
+    check = risk.validate_counts
+    monkeypatch.setattr(risk, "validate_counts", lambda *args: calls.append(args) or check(*args))
+
+    def public(*args, **kwargs):
+        raise AssertionError("the objective called a public Poisson estimate")
+
+    monkeypatch.setattr(risk, "pure_poisson", public)
+    monkeypatch.setattr(risk, "pukla_poisson", public)
+    for objective, exact in itertools.product(["pure", "pukla"], [False, True]):
+        calls.clear()
+        evaluate = risk.make_risk_objective(
+            y, fact, Poisson(), objective, rng=np.random.default_rng(7), samples=3, exact=exact
+        )
+        for w in np.linspace(0.2, 1.0, 5):
+            weights = np.zeros(fact.rank_bound)
+            weights[0] = w
+            assert np.isfinite(evaluate(linalg.weights_function(weights, 1e-6)).value)
+        assert len(calls) == 1, (objective, exact)
+
+
+@pytest.mark.parametrize("objective", ["pure", "pukla"])
+def test_poisson_objective_rejects_non_counts_when_built(objective):
+    y = np.array([[1.0, 2.0, 0.0], [3.0, 0.5, 1.0]])
+    with pytest.raises(DomainError, match=r"nonnegative integers; entry \(1, 1\) is 0.5"):
+        risk.make_risk_objective(y, linalg.svd(y), Poisson(), objective, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("objective", ["gsure", "sukls"])

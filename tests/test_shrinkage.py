@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from svshrink import linalg, risk, shrinkage
 from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError, ParameterError
-from svshrink.experiments import FitMethod, Observation, fit_estimator
+from svshrink.experiments import FitMethod, Observation, fit_estimator, parse_estimator_tag
 from svshrink.linalg import SvdFactorization
 from svshrink.models import Gamma, Gaussian, Poisson
 
@@ -441,6 +441,42 @@ def test_soft_fits_scale_with_small_inputs(j):
         expected = scaled_soft_fit(case, 1.0)
         got = scaled_soft_fit(case, a)
         assert abs(got / a - expected) <= 2.0 * shrinkage.BOUNDED_XATOL * top, case[0]
+
+
+# A 12x9 Gaussian draw whose bulk active set keeps weights strictly inside (0, 1).
+WEIGHT_SCALE_TAU = 0.3
+WEIGHT_SCALE_Y = spiked_signal(12, 9, [4.0, 2.5], np.random.default_rng(25)) + (
+    WEIGHT_SCALE_TAU * np.random.default_rng(26).standard_normal((12, 9))
+)
+
+
+def scaled_weight_fit(a: float):
+    """At ``(a Y, a tau)``: the closed-form weights, the weights of the
+    ``weighted:objective=sure`` fit, and the SURE of that fit's map."""
+    y, model = a * WEIGHT_SCALE_Y, Gaussian(a * WEIGHT_SCALE_TAU)
+    fact = linalg.svd(y)
+    method = parse_estimator_tag("weighted:objective=sure", model)
+    fn, info = fit_estimator(method, Observation(y, fact, model), np.random.default_rng(27))
+    closed = shrinkage.weights_gaussian(fact, model.tau)
+    fitted = np.array([info["weights"][str(k)] for k in info["active_set"]])
+    sure = risk.make_risk_objective(y, fact, model, "sure")(fn).value
+    return closed, fitted, sure
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-300, 300))
+def test_gaussian_weight_fits_scale_with_the_input(j):
+    # The weights of a Gaussian weight fit on (a Y, a tau) are those on
+    # (Y, tau), and its SURE scales by a^2, at scales small and large; a = 2^j
+    # scales exactly.  No RuntimeWarning may be raised (the suite makes one
+    # an error).
+    a = 2.0**j
+    closed, fitted, sure = scaled_weight_fit(1.0)
+    assert np.any((fitted > 0.0) & (fitted < 1.0))
+    got_closed, got_fitted, got_sure = scaled_weight_fit(a)
+    np.testing.assert_allclose(got_closed, closed, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got_fitted, fitted, rtol=1e-9, atol=0)
+    assert got_sure / a**2 == pytest.approx(sure, rel=1e-9)
 
 
 class TestOracles:

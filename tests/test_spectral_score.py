@@ -386,8 +386,8 @@ def test_shared_floor_mask_gives_bit_identical_estimates():
     fn = rank_two_map(fact.rank_bound)
     assert np.any(linalg.compose(fact, fn.values(fact.singular_values)) < fn.clamp_floor)
     directions = risk.probe_directions(y.shape, 6, np.random.default_rng(2))
-    got = risk.pukla_poisson(y, fn, mode="approx", directions=directions, fact=fact)
+    got = risk.pukla_poisson(y, fn, mode="approx", samples=6, rng=np.random.default_rng(2), fact=fact)
     assert got.value == per_probe_pukla(y, fn, fact, directions)
-    mc = risk.mc_divergence(fn, y, 6, directions=directions, fact=fact)
+    mc = risk.mc_divergence(fn, y, 6, np.random.default_rng(2), fact=fact)
     expected = np.mean([np.sum(d * derivative_probe(fn, fact, d)) for d in directions])
     assert mc.value == float(expected)
