@@ -53,7 +53,12 @@ def bulk_edge_threshold(n: int, m: int, tau: float) -> float:
 
 def indices(subset: Iterable[int], rank_bound: int) -> tuple[int, ...]:
     """The distinct 1-based indices of ``subset`` in ascending order;
-    :class:`DomainError` unless each lies in ``[1, rank_bound]``."""
+    :class:`DomainError` unless each is a :func:`linalg.is_integer` in
+    ``[1, rank_bound]``."""
+    subset = tuple(subset)
+    for k in subset:
+        if not linalg.is_integer(k):
+            raise DomainError(f"active-set index {k!r} is not an integer")
     subset = tuple(sorted({int(k) for k in subset}))
     if subset and subset[0] < 1:
         raise DomainError("active-set indices are 1-based and must be >= 1")

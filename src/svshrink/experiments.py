@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -31,19 +30,13 @@ SWEEP_PARAMETERS = ("sigma1", "true_rank", "tau", "rsnr", "rank_cap")
 def check_integer(value, what: str, least: int, most: float = math.inf) -> int:
     """``value`` as an int, if it is an integer in [least, most] (``10.0`` counts,
     a bool does not); else a :class:`ParameterError` reading ``what``."""
-    integral = isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral or not least <= value <= most:
+    if not linalg.is_integer(value) or not least <= value <= most:
         raise ParameterError(f"{what}, got {value!r}")
     return int(value)
 
 
 # ---------------------------------------------------------------------------
 # signal generation
-
-
-def _orthonormal_columns(raw: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(raw)
-    return linalg._apply_sign_convention(q, q)[0]
 
 
 def profile_vectors(n: int, r: int) -> np.ndarray:
@@ -54,7 +47,8 @@ def profile_vectors(n: int, r: int) -> np.ndarray:
     t = np.arange(1, n + 1) / n
     profile = 1.0 - (t - 0.5) ** 2
     raw = np.stack([profile * np.cos(np.pi * k * (t - 0.5 / n)) for k in range(r)], axis=1)
-    return _orthonormal_columns(raw)
+    q, _ = np.linalg.qr(raw)
+    return linalg._apply_sign_convention(q, q)[0]
 
 
 def cosine_vectors(n: int, r: int) -> np.ndarray:
@@ -542,13 +536,10 @@ class ExperimentResult:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("".join(lines))
 
-    def summary_dict(self) -> dict:
-        return {"cells": self.summaries, "failures": self.failures}
-
     def write_summary(self, path) -> None:
+        text = json.dumps({"cells": self.summaries, "failures": self.failures}, indent=2, sort_keys=True)
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     def median(self, sweep_value, estimator: str, metric_name: str) -> float:
         for cell in self.summaries:

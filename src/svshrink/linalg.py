@@ -32,15 +32,6 @@ DEFAULT_CLAMP_FLOOR = 1e-6
 LARGEST_SQUARE_ROOT = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DomainError(f"{name} must be a 2-D array with positive dimensions, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"{name} entries must all be finite")
-    return a
-
-
 @dataclass(frozen=True)
 class SvdFactorization:
     """Thin SVD ``Y = U diag(s) V^T`` with descending singular values.
@@ -127,14 +118,8 @@ class SvdFactorization:
         return _read_only(pair.sum(axis=1))
 
     def transposed(self) -> "SvdFactorization":
-        """Factorization of ``Y^T`` (swap the singular-vector roles); it shares
-        the cached :attr:`tie_mask`, :attr:`has_ties` and :attr:`pair_sums`
-        already computed."""
-        out = SvdFactorization(self.singular_values, self.right_vectors, self.left_vectors)
-        for name in ("tie_mask", "has_ties", "pair_sums"):
-            if name in self.__dict__:
-                out.__dict__[name] = self.__dict__[name]
-        return out
+        """Factorization of ``Y^T`` (swap the singular-vector roles)."""
+        return SvdFactorization(self.singular_values, self.right_vectors, self.left_vectors)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -154,7 +139,11 @@ def svd(matrix: np.ndarray) -> SvdFactorization:
         singular value of the finite input is not finite or has no finite
         square (it exceeds :data:`LARGEST_SQUARE_ROOT`).
     """
-    a = _as_matrix(matrix)
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise DomainError(f"matrix must be a 2-D array with positive dimensions, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must all be finite")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -239,6 +228,18 @@ def check_distinct(
     )
 
 
+def _map_arrays(fact: SvdFactorization, shrink_values, shrink_derivs) -> tuple[np.ndarray, np.ndarray]:
+    """``f_k(sigma_k)`` and ``f_k'(sigma_k)`` as float arrays, after checking
+    that they match the singular values and pass :func:`check_distinct`."""
+    f = np.asarray(shrink_values, dtype=float)
+    d = np.asarray(shrink_derivs, dtype=float)
+    if f.shape != fact.singular_values.shape or d.shape != fact.singular_values.shape:
+        raise DomainError("shrink_values and shrink_derivs must match the singular values")
+    if fact.has_ties:
+        check_distinct(fact, f, d)
+    return f, d
+
+
 def _safe_ratio(values: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """``f_k / sigma_k`` for float arrays of values and of descending singular
     values, with the 0/0 -> 0 convention for collapsed components."""
@@ -302,16 +303,8 @@ def directional_derivative(
         ).T
 
     s = fact.singular_values
-    f = np.asarray(shrink_values, dtype=float)
-    d = np.asarray(shrink_derivs, dtype=float)
-    if f.shape != s.shape or d.shape != s.shape:
-        raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    if fact.has_ties:
-        check_distinct(fact, f, d)
-
+    f, d = _map_arrays(fact, shrink_values, shrink_derivs)
     inside = (f != 0.0) | (d != 0.0)  # the support A, as a mask
-    if not inside.any():
-        return np.zeros((n, m))
     full = inside.all()
     a = np.flatnonzero(inside)
     u, v = fact.left_vectors, fact.right_vectors
@@ -386,6 +379,13 @@ def soft_threshold_derivs(sigmas: np.ndarray, lam: float) -> np.ndarray:
     out = (sigmas > lam).astype(float)
     out[sigmas == lam] = 0.5
     return out
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer or an integral float (``2.0`` counts, a bool does not)."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return hasattr(value, "__index__") and not isinstance(value, bool)
 
 
 def check_threshold(lam: float) -> None:

@@ -136,13 +136,7 @@ def divergence_closed_form(
     The first term is computed only when ``m != n``; where a tiny singular
     value makes it overflow, :class:`NumericalError` is raised.
     """
-    s = fact.singular_values
-    f = np.asarray(shrink_values, dtype=float)
-    d = np.asarray(shrink_derivs, dtype=float)
-    if f.shape != s.shape or d.shape != s.shape:
-        raise DomainError("shrink_values and shrink_derivs must match the singular values")
-    if fact.has_ties:
-        linalg.check_distinct(fact, f, d)
+    f, d = linalg._map_arrays(fact, shrink_values, shrink_derivs)
     return _divergence(fact, f, float(d.sum()))
 
 
@@ -207,14 +201,9 @@ def _soft_threshold_slope(ascending: list, lam: float) -> float:
     return above + 0.5 * (bisect.bisect_right(ascending, -lam, above) - above)
 
 
-def rademacher(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """A +-1 probe direction: independent entries, +1 or -1 with equal odds."""
-    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
-
-
 def probe_directions(shape: tuple[int, int], samples: int, rng: Optional[np.random.Generator]) -> list[np.ndarray]:
     """The probe directions of a Monte-Carlo estimate: ``samples`` Rademacher
-    draws from ``rng``.
+    draws from ``rng``, each entry +1 or -1 with equal odds.
 
     Raises :class:`DomainError` when there would be no probe (an average
     over none is NaN) or no rng to draw from.
@@ -223,7 +212,7 @@ def probe_directions(shape: tuple[int, int], samples: int, rng: Optional[np.rand
         raise DomainError("samples must be >= 1")
     if rng is None:
         raise DomainError("an rng is required to draw probe directions")
-    return [rademacher(shape, rng) for _ in range(samples)]
+    return [rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0 for _ in range(samples)]
 
 
 def _require_spectral(estimator) -> SpectralFunction:
@@ -562,18 +551,22 @@ def downdated_entries(
 
 def _positions(positions, n: int, m: int) -> np.ndarray:
     """``positions`` as a ``(p, 2)`` integer array, or :class:`DomainError`
-    naming the first that is not an integer pair in ``[0, n) x [0, m)``."""
-    given = np.asarray(positions)
-    if given.ndim != 2 or given.shape[1] != 2:
-        raise DomainError(f"positions must be a (p, 2) array, got shape {given.shape}")
-    with np.errstate(invalid="ignore"):  # a NaN or infinite position casts to garbage, rejected below
-        out = given.astype(int) if given.dtype.kind in "iuf" else np.full(given.shape, -1)
-    bad = np.flatnonzero(np.any((out != given) | (out < 0) | (out >= (n, m)), axis=1))
+    naming the first that is not a :func:`linalg.is_integer` pair in ``[0, n) x [0, m)``."""
+    if isinstance(positions, np.ndarray) and positions.dtype.kind in "iuf":
+        with np.errstate(invalid="ignore"):  # a NaN or infinite position casts to garbage, rejected below
+            out = positions.astype(int)
+        bad = out != positions
+    else:  # entry by entry: as one array, [[True, 0]] would read [[1, 0]]
+        given = np.asarray(positions, dtype=object)
+        bad = ~np.vectorize(linalg.is_integer, otypes=[bool])(given)
+        out = np.where(bad, -1, given)
+    if out.ndim != 2 or out.shape[1] != 2:
+        raise DomainError(f"positions must be a (p, 2) array, got shape {out.shape}")
+    bad = np.flatnonzero(np.any(bad | (out < 0) | (out >= (n, m)), axis=1))
     if bad.size:
-        raise DomainError(
-            f"position {given[bad[0]].tolist()} (row {bad[0]}) is not an integer pair in [0, {n}) x [0, {m})"
-        )
-    return out
+        given = np.asarray(positions, dtype=object)[bad[0]].tolist()
+        raise DomainError(f"position {given} (row {bad[0]}) is not an integer pair in [0, {n}) x [0, {m})")
+    return out.astype(int, copy=False)
 
 
 def _kept_roots(fn: SpectralFunction, s: np.ndarray) -> int:
@@ -887,11 +880,11 @@ DEFAULT_OBJECTIVES = {"gaussian": "sure", "gamma": "sukls", "poisson": "pukla"}
 
 
 def resolve_objective(model: NoiseModel, objective: Optional[str] = None) -> str:
-    """The risk objective to use for ``model``: the family default when none is
-    given; :class:`ParameterError` for a name that is not exactly one the
-    family defines (``SURE`` is not ``sure``), and for GSURE or SUKLS under a
-    Gamma shape ``L <= 2``, where neither estimate is defined."""
-    objective = objective or DEFAULT_OBJECTIVES[model.family]
+    """The risk objective to use for ``model``: the family default when it is
+    None; :class:`ParameterError` for a name that is not exactly one the family
+    defines (``SURE`` is not ``sure``, nor is ``""`` a name), and for GSURE or
+    SUKLS under a Gamma shape ``L <= 2``, where neither estimate is defined."""
+    objective = DEFAULT_OBJECTIVES[model.family] if objective is None else objective
     if objective not in VALID_OBJECTIVES[model.family]:
         raise ParameterError(
             f"objective {objective!r} is not defined for the {model.family} family; valid pairings: "

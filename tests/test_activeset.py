@@ -1,11 +1,13 @@
 """Penalized-likelihood active-set selection and rank estimators."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from svshrink import activeset, linalg
+from svshrink import activeset, linalg, shrinkage
+from svshrink.errors import DomainError
 from svshrink.models import Gamma, Gaussian, Poisson
 
 from helpers import rank_one_positive, spiked_signal
@@ -147,3 +149,15 @@ class TestRankEstimators:
         report = activeset.active_set_greedy(y, Gaussian(0.3), fact=linalg.svd(y))
         payload = report.to_json()
         assert set(payload) == {"selected", "penalty", "method", "aic_values"}
+
+
+class TestIndices:
+    def test_non_integer_index_is_domain_error(self):
+        # 1.7 was truncated to 1 and True read as 1; integral floats still count.
+        fact = linalg.svd(spiked_signal(4, 5, [3.0, 2.0], np.random.default_rng(10)))
+        assert activeset.indices([2.0, np.int64(1)], fact.rank_bound) == (1, 2)
+        for bad in (1.7, True, np.float64("nan"), "1"):
+            with pytest.raises(DomainError, match=re.escape(f"active-set index {bad!r} is not an integer")):
+                activeset.indices([1, bad], fact.rank_bound)
+        with pytest.raises(DomainError, match="active-set index 1.7 is not an integer"):
+            shrinkage.weights_gaussian(fact, 0.1, [1.7])

@@ -1,6 +1,8 @@
 """The support-restricted Jacobian-vector product, and the one factorization
 the Monte-Carlo risk estimates share, against the code they replaced."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,3 +211,20 @@ def test_mismatched_fact_is_domain_error():
     for name, (matrix, call) in risk_calls(*poisson_case((8, 6), 4)).items():
         with pytest.raises(DomainError, match="factorization is of a 6x8 matrix"):
             call(linalg.svd(matrix.T))
+
+
+@pytest.mark.parametrize("shape, rank", [((4, 7), 4), ((7, 4), 4), ((1, 6), 1), ((5, 8), 2), ((8, 5), 2)])
+def test_zero_map_product_is_positive_zero_without_warnings(shape, rank):
+    # Wide, tall, 1 x m and rank-deficient (exact zero singular values) inputs.
+    rng = np.random.default_rng(sum(shape) + rank)
+    y = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    fact = linalg.svd(y)
+    if rank < min(shape):
+        fact = SvdFactorization(np.r_[fact.singular_values[:rank], np.zeros(min(shape) - rank)],
+                                fact.left_vectors, fact.right_vectors)
+    zero = np.zeros(fact.rank_bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = linalg.directional_derivative(fact, zero, zero, rng.standard_normal(shape))
+    assert out.shape == shape
+    assert np.all(out == 0.0) and not np.signbit(out).any()

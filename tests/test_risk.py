@@ -651,7 +651,7 @@ class TestDowndatedEntries:
         with pytest.raises(DomainError, match=r"\(p, 2\)"):
             risk.downdated_entries(half_map(), np.ones((3, 4)), positions)
 
-    @pytest.mark.parametrize("position", [[-1, 0], [0.5, 0], [6, 0], [0, 8]])
+    @pytest.mark.parametrize("position", [[-1, 0], [0.5, 0], [6, 0], [0, 8], [True, 0]])
     def test_position_off_the_matrix_is_domain_error(self, monkeypatch, position):
         # A negative, fractional or out-of-range position would otherwise
         # index silently (row n - 1, row 0) or raise a bare IndexError.  The
@@ -994,3 +994,10 @@ def test_gamma_objectives_need_a_shape_above_two(objective):
     y = Gamma(2.0).sample(rank_one_positive(6, 5, 10.0), np.random.default_rng(5))
     with pytest.raises(ParameterError, match=f"objective '{objective}' requires L > 2, got 2.0"):
         risk.make_risk_objective(y, linalg.svd(y), Gamma(2.0), objective)
+
+
+@pytest.mark.parametrize("model", [Gaussian(1.0), Gamma(4.0), Poisson()])
+def test_an_empty_objective_name_is_not_the_default(model):
+    assert risk.resolve_objective(model) == risk.DEFAULT_OBJECTIVES[model.family]
+    with pytest.raises(ParameterError, match=f"objective '' is not defined for the {model.family} family"):
+        risk.resolve_objective(model, "")
