@@ -138,10 +138,10 @@ def _cmd_denoise(args) -> int:
     y = matrixio.read_matrix(path)
     if isinstance(model, Gaussian):
         _as_usage(model.check_noise_energy, *y.shape)
+    if args.rank is not None and args.rank > min(y.shape):
+        raise UsageError(f"--rank must be in [0, {min(y.shape)}]")
     rng = np.random.default_rng(args.seed)
     fact = linalg.svd(y)
-    if args.rank is not None and args.rank > fact.rank_bound:
-        raise UsageError(f"--rank must be in [0, {fact.rank_bound}]")
 
     obs = experiments.Observation(y, fact, model, args.epsilon)
     fn, sidecar = experiments.fit_estimator(method, obs, rng)

@@ -219,6 +219,21 @@ class TestDenoise:
         assert "rank applies to pca, weighted and shrinker fits, not to soft" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_rank_past_the_shape_is_usage_error_before_the_factorization(self, tmp_path, capsys):
+        # The factorization refuses this input (sigma_1 = 4.9e200 has no
+        # finite square), so the rank must be checked against the shape first.
+        path = tmp_path / "y.ssmx"
+        write_matrix_binary(path, np.full((4, 6), 1e200))
+        code = cli.main(
+            [
+                "denoise", "--input", str(path), "--family", "gaussian", "--tau", "1",
+                "--method", "pca", "--rank", "9", "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --rank must be in [0, 4]\n"
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -1,12 +1,14 @@
 """SVD convention, spectral reconstruction, and the directional derivative."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svshrink import linalg
-from svshrink.errors import DegenerateSpectrumError, DomainError
+from svshrink.errors import DegenerateSpectrumError, DomainError, NumericalError
 from svshrink.linalg import SpectralFunction, weights_function
 
 from helpers import apply_spectral, derivative_probe
@@ -92,6 +94,130 @@ def test_sign_convention_property(kind, n, m, seed):
     assert np.all(anchors > 0)
     rebuilt = (u * a.singular_values) @ a.right_vectors.T
     np.testing.assert_allclose(rebuilt, y, rtol=0, atol=1e-12 * max(1.0, float(np.abs(y).max())))
+
+
+def conditioned(n, m, kappa_sq, seed):
+    """An ``n x m`` matrix with singular values from 1 down to
+    ``1 / sqrt(kappa_sq)``, the others log-uniform between, and random
+    singular vectors; and those singular values."""
+    rng = np.random.default_rng(seed)
+    k = min(n, m)
+    low = -0.5 * np.log(kappa_sq)
+    s = np.exp(np.sort(np.r_[0.0, low, rng.uniform(low, 0.0, k - 2)])[::-1])
+    u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    return (u * s) @ v.T, s
+
+
+def counted_svd(y):
+    """``linalg.svd(y)`` and how many ``np.linalg.eigh`` and ``np.linalg.svd``
+    calls it made."""
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as lapack:
+        fact = linalg.svd(y)
+    return fact, eigh.call_count, lapack.call_count
+
+
+def lapack_factors(y):
+    """LAPACK's thin SVD of ``y`` with the package's sign convention."""
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    u, v = linalg._apply_sign_convention(u, vt.T)
+    return s, u, v
+
+
+class TestGramRoute:
+    """A clearly rectangular input (longer side at least twice the shorter,
+    shorter side at least 12) is factored through its Gram matrix; every
+    other input, and every one the route refuses, by LAPACK's thin SVD."""
+
+    @pytest.mark.parametrize(
+        "shape", [(30, 30), (60, 60), (100, 100), (100, 120), (20, 39), (11, 40), (40, 11), (10, 5), (5, 10), (1, 50)]
+    )
+    def test_square_and_small_inputs_never_reach_eigh(self, shape):
+        y = np.random.default_rng(0).standard_normal(shape)
+        fact, eighs, lapacks = counted_svd(y)
+        assert (eighs, lapacks) == (0, 1)
+        s, u, v = lapack_factors(y)
+        assert np.array_equal(fact.singular_values, s)
+        assert np.array_equal(fact.left_vectors, u)
+        assert np.array_equal(fact.right_vectors, v)
+
+    @pytest.mark.parametrize("shape", [(12, 24), (24, 12), (100, 200), (200, 100)])
+    def test_clearly_rectangular_inputs_take_one_eigh(self, shape):
+        _, eighs, lapacks = counted_svd(np.random.default_rng(1).standard_normal(shape))
+        assert (eighs, lapacks) == (1, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tall", [False, True])
+    @pytest.mark.parametrize(
+        "kind", ["rank_deficient", "zero", "past_the_condition_bound", "underflow", "near_overflow"]
+    )
+    def test_refused_inputs_get_the_lapack_factorization(self, kind, tall):
+        rng = np.random.default_rng(2)
+        y = {
+            "rank_deficient": lambda: rng.standard_normal((24, 5)) @ rng.standard_normal((5, 60)),
+            "zero": lambda: np.zeros((24, 60)),
+            "past_the_condition_bound": lambda: conditioned(24, 60, 1600.0, 3)[0],
+            "underflow": lambda: 2.0**-520 * conditioned(24, 60, 10.0, 4)[0],
+            "near_overflow": lambda: 0.9 * linalg.LARGEST_SQUARE_ROOT * conditioned(24, 60, 10.0, 5)[0],
+        }[kind]()
+        y = y.T if tall else y
+        fact, eighs, lapacks = counted_svd(y)
+        assert (eighs, lapacks) == (1, 1)
+        s, u, v = lapack_factors(y)
+        assert np.array_equal(fact.singular_values, s)
+        assert np.array_equal(fact.left_vectors, u)
+        assert np.array_equal(fact.right_vectors, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_past_the_square_limit_raises_lapacks_error(self, tall):
+        y = 2.0 * linalg.LARGEST_SQUARE_ROOT * conditioned(24, 60, 10.0, 6)[0]
+        y = y.T if tall else y
+        top = np.linalg.svd(y, compute_uv=False)[0]
+        with pytest.raises(NumericalError) as raised:
+            counted_svd(y)
+        assert str(raised.value) == (
+            f"the largest singular value {top:g} exceeds {linalg.LARGEST_SQUARE_ROOT:.4g}, "
+            "the largest whose square is finite in double precision"
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(12, 40),
+    st.floats(2.0, 5.0),
+    st.booleans(),
+    st.floats(0.0, float(np.log(1100.0))),
+    st.integers(-30, 30),
+    st.integers(0, 2**32 - 1),
+)
+def test_gram_route_matches_lapack(short, aspect, tall, log_kappa_sq, j, seed):
+    # Routed shapes, wide and tall, at conditions kappa^2 up to the route's
+    # bound of about 1126 and at scales 2^j.  The squared singular values are
+    # held to the spectrum the matrix was built with: on a nearly flat
+    # spectrum LAPACK's own are 2e-14 sigma_1^2 off it (kappa^2 = 1.02 at
+    # 22 x 71), the Gram route's 1e-15.
+    n, m = short, int(np.ceil(aspect * short))
+    y, built = conditioned(n, m, np.exp(log_kappa_sq), seed)
+    y, built = 2.0**j * (y.T if tall else y), 2.0**j * built
+    fact, eighs, lapacks = counted_svd(y)
+    assert (eighs, lapacks) == (1, 0)
+    got = fact.singular_values
+    assert np.max(np.abs(got**2 - built**2)) <= 1e-14 * built[0] ** 2
+    # Tie decisions agree wherever no neighbour gap lies within rounding of
+    # the tie tolerance 1e-12 sigma_1^2.
+    gaps = np.abs(np.diff(built**2)) / built[0] ** 2
+    if np.all(np.abs(gaps - linalg.DEGENERACY_RTOL) > 0.1 * linalg.DEGENERACY_RTOL):
+        u, s, vt = np.linalg.svd(y, full_matrices=False)
+        assert np.array_equal(fact.tie_mask, linalg.SvdFactorization(s, u, vt.T).tie_mask)
+    k = fact.rank_bound
+    for vectors in (fact.left_vectors, fact.right_vectors):
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(k))) <= 1e-12
+    rebuilt = (fact.left_vectors * got) @ fact.right_vectors.T
+    assert np.max(np.abs(rebuilt - y)) <= 1e-13 * np.max(np.abs(y))
+    anchors = fact.left_vectors[np.argmax(np.abs(fact.left_vectors), axis=0), np.arange(k)]
+    assert np.all(anchors > 0)
 
 
 class TestWeightsFunction:

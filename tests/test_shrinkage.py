@@ -479,6 +479,78 @@ def test_gaussian_weight_fits_scale_with_the_input(j):
     assert got_sure / a**2 == pytest.approx(sure, rel=1e-9)
 
 
+# The 12x15 Gamma observation above, and a 24x60 one that linalg.svd
+# factors through its Gram matrix at every scale below.
+GAMMA_SCALE_YS = (SCALE_GAMMA, Gamma(4.0).sample(rank_one_positive(24, 60, 20.0), np.random.default_rng(30)))
+GAMMA_SCALE_TAGS = (
+    "soft:objective=gsure", "soft:objective=sukls", "weighted:objective=gsure,rank=3", "weighted:objective=sukls",
+)
+
+
+def scaled_gamma_fit(y, tag: str, a: float):
+    """At ``a Y`` with the clamp floor ``a 1e-6``: the fit's sidecar and its
+    objective, a map from spectral functions to risk estimates."""
+    y, model = a * y, Gamma(4.0)
+    fact = linalg.svd(y)
+    method = parse_estimator_tag(tag, model)
+    _, info = fit_estimator(method, Observation(y, fact, model, a * 1e-6), np.random.default_rng(31))
+    return info, risk.make_risk_objective(y, fact, model, method.objective, rng=np.random.default_rng(32))
+
+
+def fitted_parameters(info: dict) -> np.ndarray:
+    if "lambda" in info:
+        return np.array([info["lambda"]])
+    return np.array([info["weights"][str(k)] for k in info["active_set"]])
+
+
+def fitted_map_at_scale(info: dict, k: int, a: float):
+    """The map of a fit at scale 1 with its clamp floor, both moved to scale
+    ``a``: ``a lambda``, or the same weights."""
+    if "lambda" in info:
+        return linalg.soft_threshold_function(a * info["lambda"], a * 1e-6)
+    weights = np.zeros(k)
+    for index in info["active_set"]:
+        weights[index - 1] = info["weights"][str(index)]
+    return linalg.weights_function(weights, a * 1e-6)
+
+
+GAMMA_SCALE_BASE = {
+    (i, tag): scaled_gamma_fit(y, tag, 1.0) for i, y in enumerate(GAMMA_SCALE_YS) for tag in GAMMA_SCALE_TAGS
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-300, 300))
+def test_gamma_fits_scale_with_the_input(j):
+    # A Gamma fit on a Y gives a lambda and the same weights, within the
+    # search's tolerance, at scales small and large (a = 2^j scales exactly).
+    # At the fit's map moved to scale a, GSURE, which estimates the error of
+    # the natural parameter -L/X, scales by a^-2, and SUKLS shifts by
+    # -L n m log a, both to 1e-9.  No RuntimeWarning may be raised (the suite
+    # makes one an error).
+    a = 2.0**j
+    for i, y in enumerate(GAMMA_SCALE_YS):
+        k = min(y.shape)
+        top = linalg.svd(y).singular_values[0]
+        for tag in GAMMA_SCALE_TAGS:
+            info, objective = GAMMA_SCALE_BASE[i, tag]
+            got_info, got_objective = scaled_gamma_fit(y, tag, a)
+            what = f"{tag} on {y.shape}"
+            assert got_info.get("active_set") == info.get("active_set"), what
+            params, got_params = fitted_parameters(info), fitted_parameters(got_info)
+            if "lambda" in info:
+                assert abs(got_params[0] / a - params[0]) <= 2.0 * shrinkage.BOUNDED_XATOL * top, what
+            else:
+                gap = np.max(np.abs(got_params - params))
+                assert gap <= 4.0 * (shrinkage._SQRT_EPS + shrinkage.BOUNDED_XATOL), what
+            value = objective(fitted_map_at_scale(info, k, 1.0)).value
+            got_value = got_objective(fitted_map_at_scale(info, k, a)).value
+            if "gsure" in tag:
+                assert got_value * a**2 == pytest.approx(value, rel=1e-9), what
+            else:
+                assert got_value == pytest.approx(value - 4.0 * y.size * np.log(a), rel=1e-9), what
+
+
 class TestOracles:
     def test_self_oracle(self):
         rng = np.random.default_rng(17)
